@@ -490,9 +490,9 @@ def _drive_backend(backend: str, candidates, truth, answers=None):
     }
     if backend == "sharded":
         stats["n_shards"] = engine.graph.n_shards
-        stats["n_frontier_components"] = engine._sharded_frontier.n_components
+        stats["n_frontier_components"] = engine.core.n_components
     elif backend == "vectorized":
-        stats["n_components"] = engine._vectorized.n_components
+        stats["n_components"] = engine.core.n_components
     return {
         "stats": stats,
         "first_frontier": first_frontier,

@@ -45,6 +45,14 @@ class Provenance(enum.Enum):
         return f"Provenance.{self.name}"
 
 
+#: The integer code of each label wherever labels are packed: engine
+#: snapshots, the vectorized backend's ``label_code`` array (where 0 means
+#: unlabeled) and the shard command protocol.  Snapshots persist these
+#: values, so they must never change.
+LABEL_CODE = {Label.MATCHING: 1, Label.NON_MATCHING: 2}
+LABEL_OF_CODE = {code: label for label, code in LABEL_CODE.items()}
+
+
 def _object_sort_key(obj: Hashable) -> tuple[str, str]:
     """A total order over arbitrary hashable objects.
 

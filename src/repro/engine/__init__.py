@@ -17,17 +17,16 @@ run the simulated client to completion.
 
 Public surface:
 
-* engine:     :class:`LabelingEngine` (+ ``DEFAULT_SHARD_THRESHOLD``)
+* engine:     :class:`LabelingEngine` (+ ``DEFAULT_SHARD_THRESHOLD``), which
+              forwards each event to its backend's engine core
 * frontier:   :class:`OptimisticGraph`, :func:`must_crowdsource_frontier`,
               :class:`FrontierCursor` (decided-prefix incremental selection)
 * sharding:   :class:`ShardedClusterGraph`, :class:`ShardedFrontier`
               (per-component backend for 10M+ pair workloads)
-* vectorized: :class:`VectorizedClusterGraph`, :class:`VectorizedEngineCore`,
-              :func:`vectorized_available` — array-native sweep/deduce/
-              frontier kernels over numpy (``backend="vectorized"``; the
-              optional ``perf`` extra)
-* parallel:   :class:`ProcessShardExecutor`,
-              :class:`ParallelShardedClusterGraph`, :class:`ShardWorkerError`
+* vectorized: :class:`VectorizedEngineCore`, :func:`vectorized_available`
+              — array-native sweep/deduce/frontier kernels over numpy
+              (``backend="vectorized"``; the optional ``perf`` extra)
+* parallel:   :class:`ProcessShardExecutor`, :class:`ShardWorkerError`
               (+ ``DEFAULT_PARALLEL_THRESHOLD``) — the sharded decomposition
               fanned out across worker processes (``backend="parallel"``)
 * distributed: :class:`ShardCoordinator`, :class:`ShardWorkerHost`
@@ -85,18 +84,9 @@ from .expected import (
 )
 from .frontier import FrontierCursor, OptimisticGraph, must_crowdsource_frontier
 from .hit_adapter import HITDispatchAdapter
-from .parallel import (
-    DEFAULT_PARALLEL_THRESHOLD,
-    ParallelShardedClusterGraph,
-    ProcessShardExecutor,
-    ShardWorkerError,
-)
+from .parallel import DEFAULT_PARALLEL_THRESHOLD, ProcessShardExecutor, ShardWorkerError
 from .sharding import ShardedClusterGraph, ShardedFrontier
-from .vectorized import (
-    VectorizedClusterGraph,
-    VectorizedEngineCore,
-    vectorized_available,
-)
+from .vectorized import VectorizedEngineCore, vectorized_available
 
 __all__ = [
     "AnswerPolicy",
@@ -117,7 +107,6 @@ __all__ = [
     "LabelingEngine",
     "OptimisticGraph",
     "PROTOCOL_VERSION",
-    "ParallelShardedClusterGraph",
     "PauseGate",
     "ProcessShardExecutor",
     "ProtocolError",
@@ -130,7 +119,6 @@ __all__ = [
     "ShardWorkerHost",
     "ShardedClusterGraph",
     "ShardedFrontier",
-    "VectorizedClusterGraph",
     "VectorizedEngineCore",
     "encode_frame",
     "expected_value_choice",

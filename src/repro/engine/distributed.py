@@ -18,9 +18,9 @@ Two halves:
   handler that stalls starves its own heartbeat, which is exactly how the
   coordinator detects a hung worker.  Run one standalone with
   ``python -m repro.engine.distributed --worker host:port``.
-* :class:`ShardCoordinator` — the engine-facing executor (duck-typed to the
-  ``ProcessShardExecutor`` surface, so ``LabelingEngine`` and
-  ``ParallelShardedClusterGraph`` need no changes).  It connects out to each
+* :class:`ShardCoordinator` — the engine core of ``backend="distributed"``:
+  it implements the same core methods as ``ProcessShardExecutor``, and
+  ``LabelingEngine`` forwards every event to it.  It connects out to each
   worker with plain *blocking* sockets — engine calls are synchronous, and on
   the async runtime they happen inside a running event loop, where nesting
   ``asyncio.run`` is impossible — and keeps an **authoritative event log**
@@ -74,11 +74,9 @@ from typing import (
 )
 
 from ..core.cluster_graph import Conflict, ConflictPolicy, InconsistentLabelError
-from ..core.pairs import CandidatePair, Label, Pair
+from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, CandidatePair, Label, Pair
 from ..core.union_find import UnionFind
 from .parallel import (
-    _CODE_OF,
-    _LABEL_OF,
     _MAX_DEFAULT_WORKERS,
     _UNCHANGED,
     _WorkerState,
@@ -89,7 +87,8 @@ from .parallel import (
 
 #: Version stamp of the coordinator/worker wire protocol; a mismatch at the
 #: hello handshake refuses the connection instead of desyncing later.
-PROTOCOL_VERSION = 1
+#: Version 2 moved label codes to :data:`~repro.core.pairs.LABEL_CODE`.
+PROTOCOL_VERSION = 2
 
 #: Frames larger than this are rejected on both sides (a torn or hostile
 #: length prefix must not allocate unbounded memory).  Generous: a 1M-pair
@@ -218,6 +217,17 @@ async def _read_frame(
     return message
 
 
+async def _write_frame(writer: asyncio.StreamWriter, frame: bytes) -> bool:
+    """Worker-side frame write; False when the coordinator has already gone
+    (it closes without waiting for the ``stop`` ack, for one)."""
+    try:
+        writer.write(frame)
+        await writer.drain()
+    except ConnectionError:
+        return False
+    return True
+
+
 def _parse_address(address: str) -> Tuple[str, int]:
     """``host:port`` (IPv6 hosts may be bracketed) -> (host, port)."""
     host, sep, port = address.rpartition(":")
@@ -283,7 +293,7 @@ class _WorkerSession:
         packed = (
             None
             if conflict is None
-            else [_CODE_OF[conflict.label], _CODE_OF[conflict.implied]]
+            else [LABEL_CODE[conflict.label], LABEL_CODE[conflict.implied]]
         )
         return [applied, packed]
 
@@ -337,9 +347,6 @@ class _WorkerSession:
             if code is not None:
                 return code
         return None
-
-    def contains(self, obj: Hashable) -> bool:
-        return any(state.contains(obj) for state in self._bundles.values())
 
     def stats(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
@@ -422,8 +429,10 @@ class ShardWorkerHost:
         session = _WorkerSession()
         heartbeat_task: Optional[asyncio.Task] = None
         try:
-            writer.write(encode_frame([_HELLO, PROTOCOL_VERSION, os.getpid()]))
-            await writer.drain()
+            if not await _write_frame(
+                writer, encode_frame([_HELLO, PROTOCOL_VERSION, os.getpid()])
+            ):
+                return
             while True:
                 try:
                     frame = await _read_frame(reader, self._max_frame_bytes)
@@ -444,12 +453,11 @@ class ShardWorkerHost:
                         heartbeat_task = asyncio.create_task(
                             self._heartbeat(writer, float(frame[3]))
                         )
-                    writer.write(encode_frame(["ok", seq, None]))
-                    await writer.drain()
+                    if not await _write_frame(writer, encode_frame(["ok", seq, None])):
+                        return
                     continue
                 if name == "stop":
-                    writer.write(encode_frame(["ok", seq, None]))
-                    await writer.drain()
+                    await _write_frame(writer, encode_frame(["ok", seq, None]))
                     return
                 try:
                     if self._fault_hook is not None:
@@ -462,10 +470,8 @@ class ShardWorkerHost:
                     reply = ["exc", seq, type(exc).__name__, str(exc)]
                 else:
                     reply = ["ok", seq, payload]
-                try:
-                    writer.write(encode_frame(reply, self._max_frame_bytes))
-                    await writer.drain()
-                except ConnectionError:
+                frame = encode_frame(reply, self._max_frame_bytes)
+                if not await _write_frame(writer, frame):
                     return
         finally:
             if heartbeat_task is not None:
@@ -553,8 +559,9 @@ def _shutdown_links(links: List[_WorkerLink]) -> None:
 
 
 class ShardCoordinator:
-    """The ``ProcessShardExecutor`` engine surface over socket-attached
-    workers, with re-assignment on worker loss.
+    """The engine core of ``backend="distributed"``: the
+    ``ProcessShardExecutor`` core methods over socket-attached workers, with
+    re-assignment on worker loss.
 
     The labeling order is partitioned by static candidate-graph component and
     whole components are assigned to workers greedily (largest first onto the
@@ -1118,19 +1125,19 @@ class ShardCoordinator:
         return self._components.find(pair.left)
 
     # ------------------------------------------------------------------
-    # the engine-facing surface (duck-typed to ProcessShardExecutor)
+    # the engine core methods (as ProcessShardExecutor)
     # ------------------------------------------------------------------
     def record_answer(self, pair: Pair, label: Label) -> bool:
         """Apply a crowd answer on the owning worker; commits to the
         authoritative log only after the worker acknowledged it."""
         root = self._root_of(pair)
         gpos = self._position[pair]
-        code = _CODE_OF[label]
+        code = LABEL_CODE[label]
         applied, conflict = self._routed_request(root, "answer", [gpos, code])
         self._log_of_root[root].append(["a", gpos, code])
         if conflict is not None:
             self.conflicts.append(
-                Conflict(pair, _LABEL_OF[conflict[0]], _LABEL_OF[conflict[1]])
+                Conflict(pair, LABEL_OF_CODE[conflict[0]], LABEL_OF_CODE[conflict[1]])
             )
         return applied
 
@@ -1138,7 +1145,7 @@ class ShardCoordinator:
         """A deduction decided in the parent (sequential visit-time path)."""
         root = self._root_of(pair)
         gpos = self._position[pair]
-        code = _CODE_OF[label]
+        code = LABEL_CODE[label]
         self._routed_request(root, "deduced", [gpos, code])
         self._log_of_root[root].append(["d", gpos, code])
 
@@ -1204,7 +1211,7 @@ class ShardCoordinator:
             self._log_of_root[self._components.find(pair.left)].append(
                 ["d", gpos, code]
             )
-            out.append((pair, _LABEL_OF[code]))
+            out.append((pair, LABEL_OF_CODE[code]))
         return out
 
     def frontier(self) -> List[Pair]:
@@ -1233,14 +1240,7 @@ class ShardCoordinator:
         if root != self._components.find(right):
             return None
         code = self._routed_request(root, "deduce", [left, right])
-        return None if code is None else _LABEL_OF[code]
-
-    def contains_object(self, obj: Hashable) -> bool:
-        """True iff some applied answer mentioned ``obj``."""
-        if obj not in self._components:
-            return False
-        root = self._components.find(obj)
-        return bool(self._routed_request(root, "contains", [obj]))
+        return None if code is None else LABEL_OF_CODE[code]
 
     def stats(self) -> Dict[str, int]:
         """Aggregated graph statistics across all workers."""

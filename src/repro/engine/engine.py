@@ -29,6 +29,14 @@ whatever order they arrive.  Events flow in through three entry points:
   platform will answer them regardless);
 * :meth:`record_answer` — a crowd answer arrived;
 * :meth:`sweep` — resolve everything the answers so far imply.
+
+The engine keeps the state every backend shares (the label map, the
+published and withheld sets, the result, snapshots, the fingerprint) and
+forwards each event once to its backend's *engine core*:
+:class:`GraphEngineCore` for the monolithic and sharded backends,
+:class:`~repro.engine.vectorized.VectorizedEngineCore`,
+:class:`~repro.engine.parallel.ProcessShardExecutor` or
+:class:`~repro.engine.distributed.ShardCoordinator`.
 """
 
 from __future__ import annotations
@@ -41,21 +49,20 @@ from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.cluster_graph import ClusterGraph, ConflictPolicy
-from ..core.pairs import CandidatePair, Label, Pair, Provenance
+from ..core.pairs import (
+    LABEL_CODE,
+    LABEL_OF_CODE,
+    CandidatePair,
+    Label,
+    Pair,
+    Provenance,
+)
 from ..core.result import LabelingResult, PairOutcome
 from ..core.sweep import PendingPairIndex
 from .frontier import FrontierCursor
-from .parallel import (
-    DEFAULT_PARALLEL_THRESHOLD,
-    ParallelShardedClusterGraph,
-    ProcessShardExecutor,
-)
+from .parallel import DEFAULT_PARALLEL_THRESHOLD, ProcessShardExecutor
 from .sharding import ShardedClusterGraph, ShardedFrontier
-from .vectorized import (
-    VectorizedClusterGraph,
-    VectorizedEngineCore,
-    vectorized_available,
-)
+from .vectorized import VectorizedEngineCore, vectorized_available
 
 #: Above this many pairs the ``auto`` backend stops using the monolithic
 #: graph: it picks the vectorized backend when numpy is importable (see
@@ -74,10 +81,6 @@ _BACKENDS = (
 #: Version stamp of the :meth:`LabelingEngine.snapshot_state` encoding.
 ENGINE_SNAPSHOT_VERSION = 1
 
-#: Label wire codes shared with the PR-4 shard protocol (and the vectorized
-#: ``label_code`` mask): 1 = matching, 2 = non-matching.
-_SNAP_CODE_OF = {Label.MATCHING: 1, Label.NON_MATCHING: 2}
-_SNAP_LABEL_OF = {1: Label.MATCHING, 2: Label.NON_MATCHING}
 _SNAP_CROWDSOURCED, _SNAP_DEDUCED = 0, 1
 
 
@@ -106,6 +109,134 @@ def _unpack_ints(payload: str, typecode: str = "q") -> array:
 
 class _DuplicateOrder(Exception):
     """Internal: the bulk order-indexing path found a duplicate pair."""
+
+
+class GraphEngineCore:
+    """The engine core of the monolithic and sharded backends.
+
+    Holds the in-process deduction graph (a :class:`ClusterGraph`, a
+    :class:`ShardedClusterGraph`, or a caller's ``graph=``), the frontier
+    selection — one :class:`FrontierCursor`, or a per-component
+    :class:`ShardedFrontier` on the sharded backend — and the deduction
+    sweep: incremental through a :class:`PendingPairIndex`, or a rescan of
+    the pending list for foreign graphs without the listener slot and for
+    ``use_index=False``.  Both selections reproduce
+    :func:`~repro.engine.frontier.must_crowdsource_frontier`, and both
+    sweeps resolve the same pairs (property-tested).
+
+    The core reads the engine's ``labeled`` map and ``published``/
+    ``withheld`` sets, which the engine updates before forwarding each
+    event; it never writes them.
+    """
+
+    def __init__(
+        self,
+        graph,
+        pairs: List[Pair],
+        positions: Dict[Pair, int],
+        labeled: Dict[Pair, Label],
+        published: Set[Pair],
+        withheld: Set[Pair],
+        *,
+        sharded: bool,
+        use_index: bool,
+    ) -> None:
+        self.graph = graph
+        self._pairs = pairs
+        self._position = positions
+        self._labeled = labeled
+        self._published = published
+        self._withheld = withheld
+        # Built on the first frontier() call: strategies that deduce at
+        # visit time (SequentialDispatch) never pay for it, and a fresh
+        # ShardedFrontier starts all-dirty, so building late reads the
+        # current state in full.
+        self._selector_type = ShardedFrontier if sharded else FrontierCursor
+        self._selector: Union[ShardedFrontier, FrontierCursor, None] = None
+        self._index: Optional[PendingPairIndex] = None
+        if (
+            use_index
+            and isinstance(graph, (ClusterGraph, ShardedClusterGraph))
+            and graph.listener is None
+        ):
+            self._index = PendingPairIndex(graph, pairs)
+        # Order-preserving pending list for the full-scan fallback sweep.
+        self._unlabeled: List[Pair] = list(pairs)
+
+    def _selection(self) -> Union[ShardedFrontier, FrontierCursor]:
+        if self._selector is None:
+            self._selector = self._selector_type(self._pairs)
+        return self._selector
+
+    def _mark_dirty(self, pair: Pair) -> None:
+        if self._selector is not None:
+            self._selector.mark_dirty(pair)
+
+    @property
+    def n_components(self) -> int:
+        """Static candidate-graph components the sharded frontier caches
+        selections for (sharded backend only: the monolithic cursor scans
+        the order as a whole)."""
+        return self._selection().n_components
+
+    def record_answer(self, pair: Pair, label: Label) -> bool:
+        self._mark_dirty(pair)
+        applied = self.graph.add(pair, label)
+        if self._index is not None:
+            self._index.remove(pair)
+            self._index.note_objects_seen(pair.left, pair.right)
+        return applied
+
+    def record_deduced(self, pair: Pair, label: Label) -> None:
+        self._mark_dirty(pair)
+        if self._index is not None:
+            self._index.remove(pair)
+
+    def publish(self, batch: Sequence[Pair], *, withhold: bool) -> None:
+        for pair in batch:
+            self._mark_dirty(pair)
+        if withhold:
+            self.withhold(batch)
+
+    def withhold(self, batch: Sequence[Pair]) -> None:
+        if self._index is not None:
+            for pair in batch:
+                self._index.remove(pair)
+
+    def sweep(self) -> List[Tuple[Pair, Label]]:
+        if self._index is not None:
+            # The index drops the pairs it resolves.
+            position = self._position
+            resolved = sorted(
+                self._index.sweep(), key=lambda entry: position[entry[0]]
+            )
+        else:
+            resolved = []
+            still: List[Pair] = []
+            for pair in self._unlabeled:
+                if pair in self._labeled:
+                    continue
+                if pair in self._withheld:
+                    still.append(pair)
+                    continue
+                deduced = self.graph.deduce(pair)
+                if deduced is not None:
+                    resolved.append((pair, deduced))
+                else:
+                    still.append(pair)
+            self._unlabeled = still
+        for pair, _ in resolved:
+            self._mark_dirty(pair)
+        return resolved
+
+    def frontier(self) -> List[Pair]:
+        return self._selection().frontier(self._labeled, self._published)
+
+    def deduce(self, pair: Pair) -> Optional[Label]:
+        return self.graph.deduce(pair)
+
+    def close(self) -> None:
+        """Nothing to release: the core lives in this process."""
 
 
 class EngineBackend(str, enum.Enum):
@@ -233,8 +364,18 @@ class LabelingEngine:
         self.pairs: List[Pair] = pairs
         self.likelihoods: Dict[Pair, float] = likelihoods
         self._position: Dict[Pair, int] = position
-        self._executor: Optional[ProcessShardExecutor] = None
-        self._vectorized: Optional[VectorizedEngineCore] = None
+        self.result = LabelingResult(order=list(self.pairs))
+        self.labeled: Dict[Pair, Label] = {}
+        #: Pairs handed to the crowd and not yet answered; excluded from the
+        #: frontier so they are never published twice.
+        self.published: Set[Pair] = set()
+        #: Published pairs that are also out of the deduction sweep's reach
+        #: (already on the platform: the crowd will answer them regardless).
+        self._withheld: Set[Pair] = set()
+        #: The in-process deduction graph (monolithic and sharded backends;
+        #: None where the graph lives in arrays or worker processes).
+        self.graph = graph
+        self._policy = policy if graph is None else getattr(graph, "policy", None)
         if graph is not None:
             # A caller-provided graph (pre-populated or foreign) pins the
             # monolithic path: its contents cannot be redistributed.
@@ -248,7 +389,6 @@ class LabelingEngine:
                     "argument or use backend='auto'/'monolithic')"
                 )
             self.backend = "monolithic"
-            self.graph = graph
         else:
             if backend == "auto":
                 if len(self.pairs) < shard_threshold:
@@ -264,71 +404,52 @@ class LabelingEngine:
                 # documented auto-fallback to in-process sharding.
                 backend = "sharded"
             self.backend = backend
-            if backend == "vectorized":
-                self._vectorized = VectorizedEngineCore(
-                    self.pairs, policy=policy, positions=self._position
-                )
-                self.graph = VectorizedClusterGraph(self._vectorized)
-            elif backend == "parallel":
-                self._executor = ProcessShardExecutor(
-                    self.pairs,
-                    positions=self._position,
-                    policy=policy,
-                    n_workers=n_workers,
-                    start_method=mp_start_method,
-                )
-                self.graph = ParallelShardedClusterGraph(self._executor, policy)
-            elif backend == "distributed":
-                # Imported lazily: the coordinator reuses this module's
-                # snapshot packing, so a top-level import would be circular.
-                from .distributed import ShardCoordinator
+        if self.backend == "vectorized":
+            self._core = VectorizedEngineCore(
+                self.pairs, policy=policy, positions=self._position
+            )
+        elif self.backend == "parallel":
+            self._core = ProcessShardExecutor(
+                self.pairs,
+                positions=self._position,
+                policy=policy,
+                n_workers=n_workers,
+                start_method=mp_start_method,
+            )
+        elif self.backend == "distributed":
+            # Imported lazily: the coordinator reuses this module's
+            # snapshot packing, so a top-level import would be circular.
+            from .distributed import ShardCoordinator
 
-                if workers is None and spawn_local_workers is None:
-                    # No explicit topology: n_workers doubles as the local
-                    # worker count, mirroring the parallel backend's knob.
-                    spawn_local_workers = n_workers
-                self._executor = ShardCoordinator(
-                    self.pairs,
-                    positions=self._position,
-                    policy=policy,
-                    workers=workers,
-                    spawn_local_workers=spawn_local_workers,
-                    mp_start_method=mp_start_method,
+            if workers is None and spawn_local_workers is None:
+                # No explicit topology: n_workers doubles as the local
+                # worker count, mirroring the parallel backend's knob.
+                spawn_local_workers = n_workers
+            self._core = ShardCoordinator(
+                self.pairs,
+                positions=self._position,
+                policy=policy,
+                workers=workers,
+                spawn_local_workers=spawn_local_workers,
+                mp_start_method=mp_start_method,
+            )
+        else:
+            if self.graph is None:
+                self.graph = (
+                    ShardedClusterGraph(policy=policy)
+                    if self.backend == "sharded"
+                    else ClusterGraph(policy=policy)
                 )
-                self.graph = ParallelShardedClusterGraph(self._executor, policy)
-            elif backend == "sharded":
-                self.graph = ShardedClusterGraph(policy=policy)
-            else:
-                self.graph = ClusterGraph(policy=policy)
-        self.result = LabelingResult(order=list(self.pairs))
-        self.labeled: Dict[Pair, Label] = {}
-        #: Pairs handed to the crowd and not yet answered; excluded from the
-        #: frontier so they are never published twice.
-        self.published: Set[Pair] = set()
-        #: Published pairs that are also out of the deduction sweep's reach
-        #: (already on the platform: the crowd will answer them regardless).
-        self._withheld: Set[Pair] = set()
-        self._index: Optional[PendingPairIndex] = None
-        if (
-            use_index
-            and isinstance(self.graph, (ClusterGraph, ShardedClusterGraph))
-            and self.graph.listener is None
-        ):
-            self._index = PendingPairIndex(self.graph, self.pairs)
-        # Order-preserving pending list for the full-scan fallback sweep.
-        self._unlabeled: List[Pair] = list(self.pairs)
-        # Frontier machinery: per-component cached frontiers when sharded,
-        # a single decided-prefix cursor otherwise.  Both reproduce
-        # must_crowdsource_frontier exactly (property-tested).  Built lazily
-        # on the first frontier() call — strategies that deduce at visit
-        # time (SequentialDispatch) never pay for it.  On the parallel
-        # backend the frontier lives inside the workers instead.
-        self._sharded_frontier: Optional[ShardedFrontier] = None
-        self._frontier_cursor: Optional[FrontierCursor] = None
-        # True while sweep() is folding executor-resolved deductions back in:
-        # the workers already recorded those, so record_deduced must not
-        # echo them across the pipe again.
-        self._applying_executor_sweep = False
+            self._core = GraphEngineCore(
+                self.graph,
+                self.pairs,
+                self._position,
+                self.labeled,
+                self.published,
+                self._withheld,
+                sharded=self.backend == "sharded",
+                use_index=use_index,
+            )
 
     # ------------------------------------------------------------------
     # inspection
@@ -344,7 +465,7 @@ class LabelingEngine:
 
     def deduce(self, pair: Pair) -> Optional[Label]:
         """What the received answers imply about ``pair`` (Algorithm 1)."""
-        return self.graph.deduce(pair)
+        return self._core.deduce(pair)
 
     def state_fingerprint(self) -> dict:
         """A canonical, backend-independent digest of the engine state.
@@ -451,7 +572,7 @@ class LabelingEngine:
         ev_label, ev_prov = array("b"), array("b")
         for o in outcomes:
             ev_pos.append(position[o.pair])
-            ev_label.append(_SNAP_CODE_OF[o.label])
+            ev_label.append(LABEL_CODE[o.label])
             ev_prov.append(_SNAP_CROWDSOURCED if o.crowdsourced else _SNAP_DEDUCED)
             ev_round.append(o.round_index)
         round_flat, round_sizes = array("i"), array("i")
@@ -459,7 +580,7 @@ class LabelingEngine:
             round_sizes.append(len(batch))
             for pair in batch:
                 round_flat.append(position[pair])
-        policy = getattr(self.graph, "policy", None)
+        policy = self._policy
         snapshot = {
             "version": ENGINE_SNAPSHOT_VERSION,
             "backend": self.backend,
@@ -486,8 +607,8 @@ class LabelingEngine:
                 sorted(position[pair] for pair in self._withheld), "i"
             ),
         }
-        if self._vectorized is not None:
-            snapshot["native"] = self._vectorized.snapshot_arrays()
+        if self.backend == "vectorized":
+            snapshot["native"] = self._core.snapshot_arrays()
         return snapshot
 
     def restore_state(self, snapshot: dict) -> None:
@@ -519,7 +640,7 @@ class LabelingEngine:
             raise ValueError(
                 "snapshot was taken over a different labeling order"
             )
-        policy = getattr(self.graph, "policy", None)
+        policy = self._policy
         if policy is not None and snapshot.get("policy") not in (None, policy.value):
             raise ValueError(
                 f"snapshot policy {snapshot['policy']!r} does not match "
@@ -532,8 +653,8 @@ class LabelingEngine:
         native = snapshot.get("native")
         native_ok = (
             native is not None
-            and self._vectorized is not None
-            and self._vectorized.restore_arrays(native)
+            and self.backend == "vectorized"
+            and self._core.restore_arrays(native)
         )
         if native_ok:
             # The graph, label masks, and exclusions are already in the
@@ -546,7 +667,7 @@ class LabelingEngine:
             # reconstruction runs on first access instead of inside the
             # recovery window.
             event_pairs = [pairs[pos] for pos in _unpack_ints(packed["pos"], "i")]
-            label_of = _SNAP_LABEL_OF
+            label_of = LABEL_OF_CODE
             labels = [label_of[c] for c in _unpack_ints(packed["label"], "b")]
             self.labeled.update(zip(event_pairs, labels))
             prov_col = packed["prov"]
@@ -599,7 +720,7 @@ class LabelingEngine:
             )
             for pos, code, prov, round_index in events:
                 pair = pairs[pos]
-                label = _SNAP_LABEL_OF[code]
+                label = LABEL_OF_CODE[code]
                 if prov == _SNAP_CROWDSOURCED:
                     self.record_answer(pair, label, round_index)
                 else:
@@ -613,19 +734,33 @@ class LabelingEngine:
         ]
 
     @property
+    def core(self):
+        """The backend's engine core, which every event is forwarded to:
+        a :class:`GraphEngineCore` (monolithic, sharded), a
+        :class:`~repro.engine.vectorized.VectorizedEngineCore`, a
+        :class:`~repro.engine.parallel.ProcessShardExecutor` (parallel) or
+        a :class:`~repro.engine.distributed.ShardCoordinator`
+        (distributed)."""
+        return self._core
+
+    @property
     def executor(self):
-        """The parallel backend's :class:`ProcessShardExecutor`, or None."""
-        return self._executor
+        """The worker-backed core — the parallel backend's
+        :class:`~repro.engine.parallel.ProcessShardExecutor` or the
+        distributed backend's
+        :class:`~repro.engine.distributed.ShardCoordinator` — or None on
+        the in-process backends."""
+        return self._core if self.backend in ("parallel", "distributed") else None
 
     def close(self) -> None:
-        """Release backend resources (the parallel backend's worker
-        processes).  Idempotent; a no-op on in-process backends.  After
-        closing, graph queries on the parallel backend raise
-        :class:`~repro.engine.parallel.ShardWorkerError` — the labeling
-        result and label map remain readable (they live in this process).
+        """Release backend resources (the worker processes or hosts of the
+        parallel and distributed backends).  Idempotent; a no-op on
+        in-process backends.  After closing, queries on a worker-backed
+        core raise :class:`~repro.engine.parallel.ShardWorkerError` — the
+        labeling result and label map remain readable (they live in this
+        process).
         """
-        if self._executor is not None:
-            self._executor.close()
+        self._core.close()
 
     def __enter__(self) -> "LabelingEngine":
         return self
@@ -640,38 +775,12 @@ class LabelingEngine:
         """The current must-crowdsource pairs, in order (Algorithm 3).
 
         Already-published pairs keep their assumed-matching role but are not
-        selected again.  The selection is incremental: the monolithic backend
-        skips the decided prefix of the order (:class:`FrontierCursor`), the
-        sharded backend additionally recomputes only components touched since
-        the last call (:class:`ShardedFrontier`).
+        selected again.  The selection is incremental on every backend: the
+        monolithic backend skips the decided prefix of the order
+        (:class:`FrontierCursor`), the others additionally recompute only
+        components touched since the last call.
         """
-        if self._executor is not None:
-            # The workers recompute their dirty components concurrently and
-            # already know every labeled/published change (events were routed
-            # to them as they happened).
-            return self._executor.frontier()
-        if self._vectorized is not None:
-            return self._vectorized.frontier(self.labeled, self.published)
-        if self.backend == "sharded":
-            if self._sharded_frontier is None:
-                # Safe to build late: a fresh ShardedFrontier starts with
-                # every component dirty, so it reads the current labeled/
-                # published state in full on its first selection.
-                self._sharded_frontier = ShardedFrontier(self.pairs)
-            return self._sharded_frontier.frontier(self.labeled, self.published)
-        if self._frontier_cursor is None:
-            self._frontier_cursor = FrontierCursor(self.pairs)
-        return self._frontier_cursor.frontier(self.labeled, self.published)
-
-    def _mark_frontier_dirty(self, pair: Pair) -> None:
-        """A pair's labeled/published status changed — invalidate its
-        component's cached frontier (sharded/vectorized backends only; a
-        no-op until the sharded frontier machinery exists, which starts
-        all-dirty anyway)."""
-        if self._sharded_frontier is not None:
-            self._sharded_frontier.mark_dirty(pair)
-        if self._vectorized is not None:
-            self._vectorized.mark_frontier_dirty(pair)
+        return self._core.frontier()
 
     def publish(self, batch: Iterable[Pair], *, withhold: bool = True) -> None:
         """Mark ``batch`` as handed to the crowd.
@@ -684,51 +793,29 @@ class LabelingEngine:
                 still be rescued by deduction before they reach the platform.
         """
         batch = list(batch)  # tolerate single-pass iterables
-        for pair in batch:
-            self.published.add(pair)
-            self._mark_frontier_dirty(pair)
-        if self._vectorized is not None:
-            self._vectorized.note_published(batch)
-        if self._executor is not None:
-            # One routed message covers both the publish and the optional
-            # withhold on the owning workers.
-            self._executor.publish(batch, withhold=withhold)
-            if withhold:
-                self._withheld.update(batch)
-            return
+        self.published.update(batch)
         if withhold:
-            self.withhold(batch)
+            self._withheld.update(batch)
+        self._core.publish(batch, withhold=withhold)
 
     def withhold(self, batch: Iterable[Pair]) -> None:
         """Take ``batch`` out of the deduction sweep (now on the platform)."""
         batch = list(batch)
-        for pair in batch:
-            self._withheld.add(pair)
-            if self._index is not None:
-                self._index.remove(pair)
-        if self._vectorized is not None:
-            self._vectorized.note_withheld(batch)
-        if self._executor is not None:
-            self._executor.withhold(batch)
+        self._withheld.update(batch)
+        self._core.withhold(batch)
 
     # ------------------------------------------------------------------
     # events
     # ------------------------------------------------------------------
     def record_deduced(self, pair: Pair, label: Label, round_index: int) -> None:
         """Record a label obtained for free via transitive relations."""
+        self._note_deduced(pair, label, round_index)
+        self._core.record_deduced(pair, label)
+
+    def _note_deduced(self, pair: Pair, label: Label, round_index: int) -> None:
         self.labeled[pair] = label
         self.result.record(pair, label, Provenance.DEDUCED, round_index)
         self.published.discard(pair)
-        if self._vectorized is not None:
-            self._vectorized.note_labeled(pair, label)
-        self._mark_frontier_dirty(pair)
-        if self._index is not None:
-            self._index.remove(pair)
-        if self._executor is not None and not self._applying_executor_sweep:
-            # A deduction decided in this process (visit-time path): the
-            # owning worker must learn it too.  Sweep-resolved deductions
-            # skip this — the worker recorded them before replying.
-            self._executor.record_deduced(pair, label)
 
     def record_answer(self, pair: Pair, label: Label, round_index: int) -> bool:
         """Record a crowd answer and fold it into the deduction graph.
@@ -748,14 +835,8 @@ class LabelingEngine:
         self.published.discard(pair)
         self._withheld.discard(pair)
         self.labeled[pair] = label
-        if self._vectorized is not None:
-            self._vectorized.note_labeled(pair, label)
-        self._mark_frontier_dirty(pair)
-        applied = self.graph.add(pair, label)
+        applied = self._core.record_answer(pair, label)
         self.result.record(pair, label, Provenance.CROWDSOURCED, round_index)
-        if self._index is not None:
-            self._index.remove(pair)
-            self._index.note_objects_seen(pair.left, pair.right)
         return applied
 
     def record_answers(
@@ -784,51 +865,16 @@ class LabelingEngine:
     def sweep(self, round_index: int) -> List[Tuple[Pair, Label]]:
         """Resolve every pending pair the answers so far imply.
 
-        With the index this is incremental: only pairs whose endpoint
-        clusters changed since the last sweep are re-checked.  Without it,
-        the full pending list is rescanned (the pre-refactor behaviour, kept
-        for cross-validation).  Withheld pairs are never resolved — they are
-        on the platform and will be crowd-answered.
+        The core re-checks only pairs whose endpoint clusters changed since
+        the last sweep (the full pending list without the incremental
+        index, the pre-refactor behaviour kept for cross-validation), and
+        records its resolutions itself.  Withheld pairs are never resolved
+        — they are on the platform and will be crowd-answered.
 
         Returns:
             (pair, deduced label) per newly resolved pair, in order position.
         """
-        if self._executor is not None:
-            resolved = self._executor.sweep()
-            self._applying_executor_sweep = True
-            try:
-                for pair, label in resolved:
-                    self.record_deduced(pair, label, round_index)
-            finally:
-                self._applying_executor_sweep = False
-            return resolved
-        if self._vectorized is not None:
-            # One bulk pass per component dirtied since the last sweep;
-            # record_deduced folds each resolution into the result and the
-            # core's label state (note_labeled).
-            resolved = self._vectorized.sweep()
-            for pair, label in resolved:
-                self.record_deduced(pair, label, round_index)
-            return resolved
-        if self._index is not None:
-            resolved = sorted(
-                self._index.sweep(), key=lambda entry: self._position[entry[0]]
-            )
-        else:
-            resolved = []
-            still: List[Pair] = []
-            for pair in self._unlabeled:
-                if pair in self.labeled:
-                    continue
-                if pair in self._withheld:
-                    still.append(pair)
-                    continue
-                deduced = self.graph.deduce(pair)
-                if deduced is not None:
-                    resolved.append((pair, deduced))
-                else:
-                    still.append(pair)
-            self._unlabeled = still
+        resolved = self._core.sweep()
         for pair, label in resolved:
-            self.record_deduced(pair, label, round_index)
+            self._note_deduced(pair, label, round_index)
         return resolved

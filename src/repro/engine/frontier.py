@@ -261,6 +261,12 @@ class FrontierCursor:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def mark_dirty(self, pair: Pair) -> None:
+        """Nothing to invalidate: a cursor caches no selection, it re-reads
+        ``labeled`` and ``exclude`` on every call (the
+        :class:`~repro.engine.sharding.ShardedFrontier` counterpart does
+        cache)."""
+
     def _apply(self, pair: Pair, label: Label) -> None:
         if label is Label.MATCHING:
             self._graph.assume_matching(pair.left, pair.right)

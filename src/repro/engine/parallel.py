@@ -32,11 +32,10 @@ per-shard sweeps and frontier recomputes out across them:
   small-into-large ``absorb`` splice.  Workers never coordinate with each
   other.
 
-:class:`ParallelShardedClusterGraph` wraps the executor in the ClusterGraph
-contract so :class:`~repro.engine.engine.LabelingEngine` can register the
-whole thing as ``backend="parallel"`` — with auto-fallback to in-process
-sharding below a pair threshold, because process orchestration only pays for
-itself at scale.
+The executor is the engine core of ``backend="parallel"``:
+:class:`~repro.engine.engine.LabelingEngine` forwards every event to it —
+with auto-fallback to in-process sharding below a pair threshold, because
+process orchestration only pays for itself at scale.
 
 Crash safety: every receive is liveness-checked.  A worker that dies
 mid-command surfaces as :class:`ShardWorkerError` naming the worker, its exit
@@ -68,7 +67,7 @@ from typing import (
 )
 
 from ..core.cluster_graph import Conflict, ConflictPolicy
-from ..core.pairs import CandidatePair, Label, Pair
+from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, CandidatePair, Label, Pair
 from ..core.sweep import PendingPairIndex
 from ..core.union_find import UnionFind
 from .frontier import FrontierCursor
@@ -82,11 +81,6 @@ DEFAULT_PARALLEL_THRESHOLD = 250_000
 #: Ceiling for the default worker count; past this, per-worker component
 #: slices get too thin for the merge step to keep up.
 _MAX_DEFAULT_WORKERS = 8
-
-# Labels cross the pipe as small ints (shared-nothing messaging: no enum
-# pickling on the hot path).
-_LABEL_OF = (Label.NON_MATCHING, Label.MATCHING)
-_CODE_OF = {Label.NON_MATCHING: 0, Label.MATCHING: 1}
 
 #: Sentinel reply meaning "my frontier is unchanged since your last call".
 _UNCHANGED = "same"
@@ -163,7 +157,7 @@ class _WorkerState:
     # -- event handlers (each mirrors one LabelingEngine event) --------
     def answer(self, gpos: int, code: int) -> Tuple[bool, Optional[Conflict]]:
         pair = self._pair_of[gpos]
-        label = _LABEL_OF[code]
+        label = LABEL_OF_CODE[code]
         self._published.discard(pair)
         self._labeled[pair] = label
         self._mark_dirty(pair)
@@ -183,7 +177,7 @@ class _WorkerState:
         pair = self._pair_of[gpos]
         if pair in self._labeled:
             return
-        self._labeled[pair] = _LABEL_OF[code]
+        self._labeled[pair] = LABEL_OF_CODE[code]
         self._published.discard(pair)
         self._mark_dirty(pair)
         self._index.remove(pair)
@@ -208,7 +202,7 @@ class _WorkerState:
             self._labeled[pair] = label
             self._published.discard(pair)
             self._mark_dirty(pair)
-            out.append((self._gpos_of[pair], _CODE_OF[label]))
+            out.append((self._gpos_of[pair], LABEL_CODE[label]))
         out.sort()
         return out
 
@@ -232,10 +226,7 @@ class _WorkerState:
 
     def deduce(self, pair: Pair) -> Optional[int]:
         label = self._graph.deduce(pair)
-        return None if label is None else _CODE_OF[label]
-
-    def contains(self, obj: Hashable) -> bool:
-        return obj in self._graph
+        return None if label is None else LABEL_CODE[label]
 
     def stats(self) -> Dict[str, int]:
         graph = self._graph
@@ -282,7 +273,6 @@ def _shard_worker_main(
         "sweep": state.sweep,
         "frontier": state.frontier,
         "deduce": state.deduce,
-        "contains": state.contains,
         "stats": state.stats,
         "clusters": state.clusters,
         "check": state.check,
@@ -567,7 +557,7 @@ class ProcessShardExecutor:
         :attr:`conflicts`; STRICT inconsistencies re-raise here)."""
         handle = self._handle_for_pair(pair)
         gpos = self._position[pair]
-        applied, conflict = self._request(handle, ("answer", gpos, _CODE_OF[label]))
+        applied, conflict = self._request(handle, ("answer", gpos, LABEL_CODE[label]))
         if conflict is not None:
             self.conflicts.append(conflict)
         return applied
@@ -576,7 +566,7 @@ class ProcessShardExecutor:
         """Tell the owning worker about a deduction decided in the parent
         (the sequential strategy deduces at visit time)."""
         handle = self._handle_for_pair(pair)
-        self._request(handle, ("deduced", self._position[pair], _CODE_OF[label]))
+        self._request(handle, ("deduced", self._position[pair], LABEL_CODE[label]))
 
     def publish(self, pairs: Sequence[Pair], *, withhold: bool) -> None:
         """Mark ``pairs`` published (and optionally withheld from the sweep)
@@ -595,7 +585,7 @@ class ProcessShardExecutor:
         returns newly resolved (pair, label) in global order position."""
         replies = self._broadcast(("sweep",))
         merged = heapq.merge(*replies) if len(replies) > 1 else iter(replies[0] if replies else ())
-        return [(self._pairs[gpos], _LABEL_OF[code]) for gpos, code in merged]
+        return [(self._pairs[gpos], LABEL_OF_CODE[code]) for gpos, code in merged]
 
     def frontier(self) -> List[Pair]:
         """The current must-crowdsource frontier, in order position.
@@ -631,14 +621,7 @@ class ProcessShardExecutor:
             return None
         handle = self._handles[self._worker_of_root[root_left]]
         code = self._request(handle, ("deduce", pair))
-        return None if code is None else _LABEL_OF[code]
-
-    def contains_object(self, obj: Hashable) -> bool:
-        """True iff some applied answer mentioned ``obj``."""
-        if obj not in self._components:
-            return False
-        handle = self._handles[self._worker_of_root[self._components.find(obj)]]
-        return self._request(handle, ("contains", obj))
+        return None if code is None else LABEL_OF_CODE[code]
 
     def stats(self) -> Dict[str, int]:
         """Aggregated graph statistics across all workers."""
@@ -693,97 +676,3 @@ class ProcessShardExecutor:
             f"ProcessShardExecutor({len(self._pairs)} pairs, "
             f"{self.n_components} components, {state})"
         )
-
-
-class ParallelShardedClusterGraph:
-    """The ClusterGraph contract over a :class:`ProcessShardExecutor`.
-
-    This is what ``LabelingEngine`` installs as ``engine.graph`` for
-    ``backend="parallel"``: insertions and deductions route to the worker
-    owning the pair's component, inspection aggregates across workers.  The
-    ``listener`` seam is intentionally absent (always ``None``) — incremental
-    sweep state lives *inside* each worker's own
-    :class:`~repro.core.sweep.PendingPairIndex`, never in the parent.
-
-    Not supported (meaningless across processes): ``copy()``, and answers
-    for pairs outside the labeling order.
-    """
-
-    #: No parent-side listener: per-worker PendingPairIndex instances react
-    #: to graph events inside their own process.
-    listener = None
-
-    def __init__(self, executor: ProcessShardExecutor, policy: ConflictPolicy) -> None:
-        self._executor = executor
-        self._policy = policy
-
-    @property
-    def executor(self) -> ProcessShardExecutor:
-        return self._executor
-
-    @property
-    def policy(self) -> ConflictPolicy:
-        return self._policy
-
-    @property
-    def conflicts(self) -> List[Conflict]:
-        return self._executor.conflicts
-
-    # -- insertion ------------------------------------------------------
-    def add(self, pair: Pair, label: Label) -> bool:
-        return self._executor.record_answer(pair, label)
-
-    def add_matching(self, a: Hashable, b: Hashable) -> bool:
-        return self.add(Pair(a, b), Label.MATCHING)
-
-    def add_non_matching(self, a: Hashable, b: Hashable) -> bool:
-        return self.add(Pair(a, b), Label.NON_MATCHING)
-
-    # -- deduction ------------------------------------------------------
-    def deduce(self, pair: Pair) -> Optional[Label]:
-        return self._executor.deduce(pair)
-
-    def deducible(self, pair: Pair) -> bool:
-        return self.deduce(pair) is not None
-
-    def same_cluster(self, a: Hashable, b: Hashable) -> bool:
-        if a == b:
-            return self._executor.contains_object(a)
-        return self.deduce(Pair(a, b)) is Label.MATCHING
-
-    def __contains__(self, obj: Hashable) -> bool:
-        return self._executor.contains_object(obj)
-
-    # -- inspection -----------------------------------------------------
-    @property
-    def n_workers(self) -> int:
-        return self._executor.n_workers
-
-    @property
-    def n_shards(self) -> int:
-        return self._executor.stats()["n_shards"]
-
-    @property
-    def n_objects(self) -> int:
-        return self._executor.stats()["n_objects"]
-
-    @property
-    def n_clusters(self) -> int:
-        return self._executor.stats()["n_clusters"]
-
-    @property
-    def n_matching_edges(self) -> int:
-        return self._executor.stats()["n_matching_edges"]
-
-    @property
-    def n_non_matching_edges(self) -> int:
-        return self._executor.stats()["n_non_matching_edges"]
-
-    def clusters(self) -> List[Set[Hashable]]:
-        return self._executor.clusters()
-
-    def check_invariants(self) -> None:
-        self._executor.check_invariants()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ParallelShardedClusterGraph({self._executor!r})"

@@ -56,10 +56,10 @@ Array namespace policy
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.cluster_graph import Conflict, ConflictPolicy, admit_label
-from ..core.pairs import CandidatePair, Label, Pair
+from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, CandidatePair, Label, Pair
 from .frontier import FrontierCursor
 
 #: Components with at most this many pairs recompute their frontier with a
@@ -67,11 +67,9 @@ from .frontier import FrontierCursor
 #: passes per round, which only amortizes over large batches.
 SMALL_COMPONENT_THRESHOLD = 4096
 
-#: ``label_code`` values (the PR-4 wire encoding, extended with a pending
-#: state): 0 = unlabeled, 1 = matching, 2 = non-matching.
+#: The ``label_code`` of a pending pair; labeled pairs carry
+#: :data:`~repro.core.pairs.LABEL_CODE`.
 CODE_UNLABELED = 0
-_CODE_OF = {Label.MATCHING: 1, Label.NON_MATCHING: 2}
-_LABEL_FROM_CODE = {1: Label.MATCHING, 2: Label.NON_MATCHING}
 
 #: Kind tag of the :meth:`VectorizedEngineCore.snapshot_arrays` payload.
 VECTOR_SNAPSHOT_KIND = "vectorized-arrays-v1"
@@ -260,10 +258,10 @@ class VectorizedEngineCore:
     Owns the flat encoding (dense object ids, parallel ``left``/``right``
     position arrays, ``label_code``/``excluded``/``withheld`` state masks),
     the union-find deduction graph over that encoding, and the per-component
-    caches behind :meth:`sweep` and :meth:`frontier`.  The
-    :class:`VectorizedClusterGraph` adapter exposes the ClusterGraph
-    contract over this state; ``LabelingEngine`` routes its event handlers
-    here for ``backend="vectorized"``.
+    caches behind :meth:`sweep` and :meth:`frontier`.  This is the engine
+    core of ``backend="vectorized"``: ``LabelingEngine`` forwards every
+    event to the methods below, and the core keeps whatever label and
+    publication state its kernels read.
 
     The candidate components are *static* (computed from the full order at
     construction): answers are always order pairs, so deduction paths and
@@ -351,10 +349,10 @@ class VectorizedEngineCore:
         self._comp_of_pair: Optional[object] = None
         self._comp_positions: Optional[Dict[int, object]] = None
 
-        # Deduction graph state (the VectorizedClusterGraph contract's
-        # backing store): union-find arrays over the dense ids, lazy "seen"
-        # registration mirroring the monolithic graph, and an nm adjacency
-        # between current roots with monolithic-style rewiring on union.
+        # Deduction graph state: union-find arrays over the dense ids, lazy
+        # "seen" registration mirroring the monolithic graph, and an nm
+        # adjacency between current roots with monolithic-style rewiring on
+        # union.
         self._parent = xp.arange(n, dtype=xp.int64)
         self._size = xp.ones(n, dtype=xp.int64)
         self._seen = xp.zeros(n, dtype=bool)
@@ -367,10 +365,16 @@ class VectorizedEngineCore:
         self.policy = policy
         self.conflicts: List[Conflict] = []
 
-        # Labeling/publication state masks over order positions.
+        # Labeling/publication state masks over order positions, and the
+        # same labels and publications by pair for the scalar frontier
+        # fallback (FrontierCursor reads a label map and an exclude set);
+        # those two are None after restore_arrays until the fallback first
+        # needs them, see _pair_state.
         self._label_code = xp.zeros(m, dtype=xp.int8)
         self._excluded = xp.zeros(m, dtype=bool)
         self._withheld = xp.zeros(m, dtype=bool)
+        self._labeled: Optional[Dict[Pair, Label]] = {}
+        self._published: Optional[Set[Pair]] = set()
 
         # Dirty bookkeeping.  Sweeps are root-granular: each union-find
         # root owns the pending order positions touching its cluster, and
@@ -427,7 +431,7 @@ class VectorizedEngineCore:
                 comp_positions[int(sorted_comps[start])] = by_comp[start:stop]
         self._comp_positions = comp_positions
         if m:
-            nm_mask = self._label_code == _CODE_OF[Label.NON_MATCHING]
+            nm_mask = self._label_code == LABEL_CODE[Label.NON_MATCHING]
             self._nm_label_comps = {
                 int(comp) for comp in xp.unique(comp_of_pair[nm_mask]).tolist()
             }
@@ -450,7 +454,7 @@ class VectorizedEngineCore:
         return self._xp
 
     # ------------------------------------------------------------------
-    # scalar graph operations (the ClusterGraph contract's hot seam)
+    # scalar graph operations
     # ------------------------------------------------------------------
     def _find(self, i: int) -> int:
         """Scalar find with full path compression."""
@@ -528,14 +532,17 @@ class VectorizedEngineCore:
             return Label.NON_MATCHING
         return None
 
-    def graph_add(self, pair: Pair, label: Label) -> bool:
-        """Insert a labeled pair; same contract as ``ClusterGraph.add``.
+    def record_answer(self, pair: Pair, label: Label) -> bool:
+        """A crowd answer: the pair's final label, inserted into the graph
+        with the same contract as ``ClusterGraph.add`` (returns False for a
+        FIRST_WINS conflict, raises under STRICT).
 
         New deduction information (an effective union or a new cluster-level
-        non-matching edge) dirties the pair's component for the next
+        non-matching edge) dirties the pair's root for the next
         :meth:`sweep`; redundant edges dirty nothing, mirroring the listener
         events :class:`~repro.core.sweep.PendingPairIndex` reacts to.
         """
+        self._note_labeled(pair, label)
         i, j = self._require_ids(pair)
         if not admit_label(self, pair, label):
             return False
@@ -627,33 +634,54 @@ class VectorizedEngineCore:
         return survivor
 
     # ------------------------------------------------------------------
-    # engine event hooks
+    # engine events
     # ------------------------------------------------------------------
-    def note_labeled(self, pair: Pair, label: Label) -> None:
+    def _note_labeled(self, pair: Pair, label: Label) -> None:
         """A pair received its final label (crowd answer or deduction):
-        update the state masks.  Idempotent; labels are final."""
+        update the state masks and dirty its component's frontier."""
         pos = self._pos_of.get(pair)
         if pos is None:
             return
-        self._label_code[pos] = _CODE_OF[label]
+        if self._labeled is not None:
+            self._labeled[pair] = label
+            self._published.discard(pair)
+        self._label_code[pos] = LABEL_CODE[label]
         self._excluded[pos] = False
         self._withheld[pos] = False
-        if label is Label.NON_MATCHING and self._comp_of_pair is not None:
-            # The component leaves the MSF fast path for good: negative
-            # deducibility needs the full optimistic scan.  Before the
-            # decomposition exists this is a no-op — _ensure_components
-            # rederives the set from the label mask.
-            self._nm_label_comps.add(int(self._comp_of_pair[pos]))
+        self._merged = None
+        # Before the decomposition exists the frontier is all-dirty and
+        # _ensure_components derives the nm-labeled set from the masks.
+        if self._comp_of_pair is not None:
+            comp = int(self._comp_of_pair[pos])
+            self._frontier_dirty.add(comp)
+            if label is Label.NON_MATCHING:
+                # The component leaves the MSF fast path for good: negative
+                # deducibility needs the full optimistic scan.
+                self._nm_label_comps.add(comp)
 
-    def note_published(self, batch: Sequence[Pair]) -> None:
-        """Pairs handed to the crowd: excluded from future selections."""
+    def record_deduced(self, pair: Pair, label: Label) -> None:
+        """A label the engine deduced outside :meth:`sweep` (visit time)."""
+        self._note_labeled(pair, label)
+
+    def publish(self, batch: Sequence[Pair], *, withhold: bool) -> None:
+        """Pairs handed to the crowd: excluded from future selections, and
+        with ``withhold`` also out of the sweep's reach."""
         pos_of = self._pos_of
+        comp_of_pair = self._comp_of_pair
         for pair in batch:
             pos = pos_of.get(pair)
-            if pos is not None:
-                self._excluded[pos] = True
+            if pos is None:
+                continue
+            self._excluded[pos] = True
+            if self._published is not None:
+                self._published.add(pair)
+            self._merged = None
+            if comp_of_pair is not None:
+                self._frontier_dirty.add(int(comp_of_pair[pos]))
+        if withhold:
+            self.withhold(batch)
 
-    def note_withheld(self, batch: Sequence[Pair]) -> None:
+    def withhold(self, batch: Sequence[Pair]) -> None:
         """Pairs taken out of the deduction sweep's reach."""
         pos_of = self._pos_of
         for pair in batch:
@@ -661,17 +689,25 @@ class VectorizedEngineCore:
             if pos is not None:
                 self._withheld[pos] = True
 
-    def mark_frontier_dirty(self, pair: Pair) -> None:
-        """A pair's labeled/published status changed: its component's
-        cached selection must be recomputed."""
-        pos = self._pos_of.get(pair)
-        if pos is None:
-            return
-        if self._comp_of_pair is not None:
-            self._frontier_dirty.add(int(self._comp_of_pair[pos]))
-        # else: _frontier_all_dirty still holds — the first frontier()
-        # call dirties every component anyway.
-        self._merged = None
+    def _pair_state(self) -> Tuple[Dict[Pair, Label], Set[Pair]]:
+        """The label map and published set the scalar frontier fallback
+        reads.  After :meth:`restore_arrays` they are rebuilt from the masks
+        here, on first use, not in the restore: the engine's own label map
+        already hashes every labeled pair once there, and a recovered
+        campaign that is already done never selects again."""
+        if self._labeled is None:
+            xp = self._xp
+            done = xp.nonzero(self._label_code != CODE_UNLABELED)[0]
+            self._labeled = dict(
+                zip(
+                    self._pair_arr[done].tolist(),
+                    map(LABEL_OF_CODE.__getitem__, self._label_code[done].tolist()),
+                )
+            )
+            self._published = set(
+                self._pair_arr[xp.nonzero(self._excluded)[0]].tolist()
+            )
+        return self._labeled, self._published
 
     # ------------------------------------------------------------------
     # bulk kernels
@@ -696,8 +732,7 @@ class VectorizedEngineCore:
 
         Returns:
             (pair, implied label) per newly resolved pair, in order
-            position.  Callers record the results (which updates
-            ``label_code`` via :meth:`note_labeled`).
+            position, each already recorded as the pair's final label.
         """
         if not self._sweep_dirty:
             return []
@@ -753,22 +788,22 @@ class VectorizedEngineCore:
                     if root_b in nm.get(root_a, ()):
                         resolved.append((pos, pairs[pos], Label.NON_MATCHING))
         resolved.sort(key=lambda entry: entry[0])
-        return [(pair, label) for _, pair, label in resolved]
+        out = [(pair, label) for _, pair, label in resolved]
+        for pair, label in out:
+            self._note_labeled(pair, label)
+        return out
 
-    def frontier(
-        self,
-        labeled: Dict[Pair, Label],
-        exclude: Optional[Set[Pair]] = None,
-    ) -> List[Pair]:
+    def frontier(self) -> List[Pair]:
         """The current must-crowdsource pairs, in order (Algorithm 3).
 
-        Identical to ``must_crowdsource_frontier(order, labeled, exclude)``
-        (property-tested).  Dirty components with no non-matching label
-        recompute through the Boruvka MSF kernel — batched into a single
-        kernel invocation across components, since disjoint components
-        cannot interact; components carrying a non-matching label fall
-        back to a per-component :class:`FrontierCursor` over ``labeled``/
-        ``exclude``.  Clean components serve their cached selections.
+        Identical to ``must_crowdsource_frontier(order, labeled, published)``
+        over the labels and publications recorded so far (property-tested).
+        Dirty components with no non-matching label recompute through the
+        Boruvka MSF kernel — batched into a single kernel invocation across
+        components, since disjoint components cannot interact; components
+        carrying a non-matching label fall back to a per-component
+        :class:`FrontierCursor`.  Clean components serve their cached
+        selections.
         """
         if self._merged is not None and not self._frontier_dirty:
             return list(self._merged)
@@ -785,7 +820,7 @@ class VectorizedEngineCore:
                     cursor = self._cursors[comp] = FrontierCursor(
                         self._pair_arr[positions].tolist(), positions.tolist()
                     )
-                selected = cursor.select(labeled, exclude)
+                selected = cursor.select(*self._pair_state())
                 self._selected[comp] = xp.asarray(
                     [position for position, _ in selected], dtype=xp.int64
                 )
@@ -845,26 +880,8 @@ class VectorizedEngineCore:
         self._merged = merged
         return list(merged)
 
-    def apply_answers(
-        self, answers: Sequence[Tuple[Pair, Label]]
-    ) -> List[Tuple[Pair, Label]]:
-        """Fold a contiguous run of answers into the graph, then resolve
-        everything the run implies with one bulk re-sweep.
-
-        The scalar per-answer inserts are O(α); the expensive part — the
-        re-sweep — runs once over the union of dirtied components instead
-        of once per answer.  Callers that need engine bookkeeping should
-        use ``LabelingEngine.record_answers`` instead, which wraps this
-        sequence with result/label-map updates.
-
-        Returns:
-            the resolved (pair, label) deductions, as :meth:`sweep`.
-        """
-        for pair, label in answers:
-            self.note_labeled(pair, label)
-            self.graph_add(pair, label)
-            self.mark_frontier_dirty(pair)
-        return self.sweep()
+    def close(self) -> None:
+        """Nothing to release: the core lives in this process."""
 
     # ------------------------------------------------------------------
     # invariants
@@ -952,7 +969,7 @@ class VectorizedEngineCore:
                 self._n_non_matching_edges,
             ],
             "conflicts": [
-                [pos_of[c.pair], _CODE_OF[c.label], _CODE_OF[c.implied]]
+                [pos_of[c.pair], LABEL_CODE[c.label], LABEL_CODE[c.implied]]
                 for c in self.conflicts
             ],
         }
@@ -1002,14 +1019,14 @@ class VectorizedEngineCore:
             self._n_non_matching_edges,
         ) = (int(value) for value in payload["counters"])
         self.conflicts = [
-            Conflict(self.pairs[pos], _LABEL_FROM_CODE[label], _LABEL_FROM_CODE[implied])
+            Conflict(self.pairs[pos], LABEL_OF_CODE[label], LABEL_OF_CODE[implied])
             for pos, label, implied in payload["conflicts"]
         ]
         if self._comp_positions is not None:
             self._nm_label_comps = {
                 int(comp)
                 for comp in numpy.asarray(self._comp_of_pair)[
-                    numpy.asarray(self._label_code) == _CODE_OF[Label.NON_MATCHING]
+                    numpy.asarray(self._label_code) == LABEL_CODE[Label.NON_MATCHING]
                 ].tolist()
             }
             self._frontier_dirty = set(self._comp_positions)
@@ -1030,153 +1047,5 @@ class VectorizedEngineCore:
         self._cursors = {}
         self._selected = {}
         self._merged = None
+        self._labeled = self._published = None
         return True
-
-
-# ----------------------------------------------------------------------
-# the ClusterGraph contract adapter
-# ----------------------------------------------------------------------
-class VectorizedClusterGraph:
-    """The ClusterGraph contract over a :class:`VectorizedEngineCore`.
-
-    This is what ``LabelingEngine`` installs as ``engine.graph`` for
-    ``backend="vectorized"``: scalar insertions and deductions operate on
-    the core's flat arrays, inspection aggregates over them.  The
-    ``listener`` seam is intentionally absent (always ``None``) —
-    incremental sweep state lives in the core's dirty-component sets, not
-    in a :class:`~repro.core.sweep.PendingPairIndex`.
-
-    Not supported (the encoding is closed over the labeling order):
-    ``copy()``, ``absorb()``, and pairs involving objects outside the
-    order — :meth:`add` raises ``ValueError`` for those, while
-    :meth:`deduce` simply answers ``None``.
-    """
-
-    #: No listener: the core's component-dirty sets replace the
-    #: PendingPairIndex machinery wholesale.
-    listener = None
-
-    def __init__(self, core: VectorizedEngineCore) -> None:
-        self._core = core
-
-    @property
-    def core(self) -> VectorizedEngineCore:
-        return self._core
-
-    @property
-    def policy(self) -> ConflictPolicy:
-        return self._core.policy
-
-    @property
-    def conflicts(self) -> List[Conflict]:
-        return self._core.conflicts
-
-    # -- insertion ------------------------------------------------------
-    def add(self, pair: Pair, label: Label) -> bool:
-        return self._core.graph_add(pair, label)
-
-    def add_matching(self, a: Hashable, b: Hashable) -> bool:
-        return self.add(Pair(a, b), Label.MATCHING)
-
-    def add_non_matching(self, a: Hashable, b: Hashable) -> bool:
-        return self.add(Pair(a, b), Label.NON_MATCHING)
-
-    # -- deduction ------------------------------------------------------
-    def deduce(self, pair: Pair) -> Optional[Label]:
-        return self._core.deduce(pair)
-
-    def deducible(self, pair: Pair) -> bool:
-        return self.deduce(pair) is not None
-
-    # -- inspection -----------------------------------------------------
-    @property
-    def n_objects(self) -> int:
-        return self._core._n_objects
-
-    @property
-    def n_clusters(self) -> int:
-        return self._core._n_clusters
-
-    @property
-    def n_matching_edges(self) -> int:
-        return self._core._n_matching_edges
-
-    @property
-    def n_non_matching_edges(self) -> int:
-        return self._core._n_non_matching_edges
-
-    @property
-    def n_components(self) -> int:
-        return self._core.n_components
-
-    def __contains__(self, obj: Hashable) -> bool:
-        core = self._core
-        obj_id = core._id_of.get(obj)
-        return obj_id is not None and bool(core._seen[obj_id])
-
-    def objects(self) -> Iterator[Hashable]:
-        core = self._core
-        for obj_id in core._xp.nonzero(core._seen)[0].tolist():
-            yield core._objects[obj_id]
-
-    def cluster_of(self, obj: Hashable) -> Hashable:
-        """The canonical representative of ``obj``'s cluster.  Like the
-        monolithic graph this lazily registers the object — but only
-        objects from the labeling order are representable."""
-        core = self._core
-        obj_id = core._id_of.get(obj)
-        if obj_id is None:
-            raise ValueError(
-                f"{obj!r} is outside the labeling order's object universe"
-            )
-        core._see(obj_id)
-        return core._objects[core._find(obj_id)]
-
-    def cluster_members(self, obj: Hashable) -> Set[Hashable]:
-        core = self._core
-        xp = core._xp
-        obj_id = core._id_of.get(obj)
-        if obj_id is None or not bool(core._seen[obj_id]):
-            return {obj} if obj_id is not None else set()
-        root = core._find(obj_id)
-        seen_ids = xp.nonzero(core._seen)[0]
-        roots = _find_many(xp, core._parent, seen_ids)
-        return {
-            core._objects[i] for i in seen_ids[roots == root].tolist()
-        }
-
-    def same_cluster(self, a: Hashable, b: Hashable) -> bool:
-        if a == b:
-            return a in self
-        return self.deduce(Pair(a, b)) is Label.MATCHING
-
-    def clusters(self) -> List[Set[Hashable]]:
-        core = self._core
-        xp = core._xp
-        if not core._n_objects:
-            return []
-        seen_ids = xp.nonzero(core._seen)[0]
-        roots = _find_many(xp, core._parent, seen_ids)
-        grouped: Dict[int, Set[Hashable]] = {}
-        for obj_id, root in zip(seen_ids.tolist(), roots.tolist()):
-            grouped.setdefault(root, set()).add(core._objects[obj_id])
-        return list(grouped.values())
-
-    def non_matching_cluster_edges(self) -> Iterator[Tuple[Hashable, Hashable]]:
-        core = self._core
-        emitted: Set[frozenset] = set()
-        for root, neighbours in core._nm.items():
-            for other in neighbours:
-                key = frozenset((root, other))
-                if key not in emitted:
-                    emitted.add(key)
-                    yield (core._objects[root], core._objects[other])
-
-    def check_invariants(self) -> None:
-        self._core.check_invariants()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"VectorizedClusterGraph({self.n_objects} objects, "
-            f"{self.n_clusters} clusters, {self._core.n_components} components)"
-        )

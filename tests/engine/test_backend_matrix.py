@@ -19,7 +19,10 @@ reference pattern"):
 * ``InstantDispatch`` makes seeded rng-driven choices with no sequential
   reference, so its non-monolithic cells are pinned to the *monolithic* run
   instead: identical frontiers mean identical published pools, so labels,
-  rounds, the availability trace, and the publish events must all coincide.
+  rounds, the availability trace, and the publish events must all coincide;
+* ``LabelingEngine.record_answers`` folds a tick's completions into one
+  call, which must leave the same ``state_fingerprint()`` as applying them
+  one at a time with a sweep after each.
 
 The ``parallel`` column runs real worker processes (``parallel_threshold=0``
 forces them even on these small worlds), so every cell here is also an
@@ -36,14 +39,19 @@ an end-to-end wire-protocol differential (fault injection lives in
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
 from repro.engine import (
     AsyncDispatch,
     InstantDispatch,
+    LabelingEngine,
     RoundParallelDispatch,
     RuntimeMode,
     SequentialDispatch,
@@ -159,6 +167,50 @@ class TestInstantMatrix:
         assert other.result.rounds == mono.result.rounds
         assert other.trace == mono.trace
         assert other.publish_events == mono.publish_events
+
+
+class TestBatchedRecordingMatrix:
+    """One ``record_answers()`` per tick vs the same answers one at a time,
+    on every backend — the seam per-tick batching changes."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(worlds(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_record_answers_matches_per_answer_recording(
+        self, backend, world, seed
+    ):
+        """Rounds publish the frontier (withheld, as on the platform) and
+        its answers arrive shuffled, in ticks of one to four; after every
+        tick both engines hold the same fingerprint."""
+        candidates, entity_of = world
+        truth = GroundTruthOracle(entity_of)
+        rng = random.Random(seed)
+        batched = LabelingEngine(candidates, **backend_options(backend))
+        single = LabelingEngine(candidates, **backend_options(backend))
+        try:
+            round_index = 0
+            while not single.is_done:
+                frontier = single.frontier()
+                assert batched.frontier() == frontier
+                batched.publish(frontier)
+                single.publish(frontier)
+                answers = [(pair, truth.label(pair)) for pair in frontier]
+                rng.shuffle(answers)
+                while answers:
+                    tick = answers[: rng.randint(1, 4)]
+                    answers = answers[len(tick) :]
+                    batched.record_answers(tick, round_index)
+                    for pair, label in tick:
+                        single.record_answer(pair, label, round_index)
+                        single.sweep(round_index)
+                    assert json.dumps(
+                        batched.state_fingerprint(), sort_keys=True
+                    ) == json.dumps(single.state_fingerprint(), sort_keys=True)
+                round_index += 1
+            assert batched.is_done
+        finally:
+            batched.close()
+            single.close()
 
 
 class TestEdgeCaseMatrix:

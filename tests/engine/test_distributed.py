@@ -25,9 +25,11 @@ CI's ``pytest-timeout`` backstop is belt-and-braces only.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -43,6 +45,7 @@ from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
 from repro.crowd.clients import SimulatedPlatformClient
 from repro.engine import (
+    PROTOCOL_VERSION,
     AsyncDispatch,
     CrowdRuntime,
     FrameDecoder,
@@ -57,7 +60,7 @@ from repro.engine import (
 )
 from repro.engine.distributed import _WorkerSession, _parse_address
 
-from ..aio import background_loop
+from ..aio import background_loop, run_async
 from ..strategies import worlds
 from .reference import (
     RecordingOracle,
@@ -88,7 +91,7 @@ def run_engine_campaign(mode, order, oracle, *, n_workers=3, fault=None):
     engine = LabelingEngine(
         order, backend="distributed", spawn_local_workers=n_workers
     )
-    coordinator = engine._executor
+    coordinator = engine.executor
     hook = None
     if fault is not None:
         hook = fault(coordinator)
@@ -329,6 +332,72 @@ class TestRemoteWorkers:
         with pytest.raises(ValueError):
             _parse_address("host:not-a-number")
 
+    def test_protocol_version_mismatch_is_refused(self):
+        """A worker host from another build greets with another protocol
+        version: the coordinator refuses it before shipping any state."""
+        server = socket.create_server(("127.0.0.1", 0))
+        port = server.getsockname()[1]
+
+        def other_build_host() -> None:
+            conn, _ = server.accept()
+            with conn:
+                conn.sendall(
+                    encode_frame(["hello", PROTOCOL_VERSION - 1, os.getpid()])
+                )
+                conn.recv(1024)  # hold the link until the coordinator drops it
+
+        thread = threading.Thread(target=other_build_host, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ShardWorkerError, match="spoke protocol"):
+                ShardCoordinator([Pair("a", "b")], workers=[f"127.0.0.1:{port}"])
+        finally:
+            thread.join(timeout=10)
+            server.close()
+        assert not thread.is_alive()
+
+
+def decode_frame(frame: bytes) -> list:
+    decoder = FrameDecoder()
+    decoder.feed(frame)
+    return decoder.next_frame()
+
+
+class ResetAfterHelloWriter:
+    """A stream writer whose coordinator closes right after the hello, as
+    ``ShardCoordinator.close()`` does without waiting for the ``stop`` ack:
+    every later drain raises ``ConnectionResetError``."""
+
+    def __init__(self) -> None:
+        self.frames = []
+
+    def write(self, data: bytes) -> None:
+        self.frames.append(data)
+
+    async def drain(self) -> None:
+        if len(self.frames) > 1:
+            raise ConnectionResetError("Connection lost")
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+class TestWorkerHostShutdown:
+    @pytest.mark.parametrize("command", (["stop", 1], ["init", 1, 0, 60.0]))
+    def test_ack_to_a_vanished_coordinator_ends_the_session(self, command):
+        async def session():
+            reader = asyncio.StreamReader()
+            reader.feed_data(encode_frame(command))
+            writer = ResetAfterHelloWriter()
+            await ShardWorkerHost()._handle_connection(reader, writer)
+            return writer.frames
+
+        frames = run_async(session())
+        assert [decode_frame(frame)[0] for frame in frames] == ["hello", "ok"]
+
 
 # ----------------------------------------------------------------------
 # chaos: worker loss must be invisible to the campaign
@@ -395,7 +464,7 @@ class TestChaosRecovery:
         with ShardCoordinator(order, spawn_local_workers=1) as reference:
             clean_rounds = drive_lockstep([reference], truth, order)
         engine = LabelingEngine(order, backend="distributed", spawn_local_workers=3)
-        coordinator = engine._executor
+        coordinator = engine.executor
         try:
             frontier = coordinator.frontier()
             rounds = []

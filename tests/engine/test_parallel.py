@@ -131,7 +131,7 @@ class TestWorkerCountEquivalence:
                 round_index += 1
             assert par.is_done
             assert par.labeled == inproc.labeled
-            par.graph.check_invariants()
+            par.executor.check_invariants()
 
     @given(worlds())
     @settings(max_examples=8, deadline=None)
@@ -170,7 +170,7 @@ class TestMergeStorms:
             # Every block collapsed into one cluster in one shard.
             assert stats["n_shards"] == 6
             assert stats["n_clusters"] == 6
-            par.graph.check_invariants()
+            par.executor.check_invariants()
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=10, deadline=None)

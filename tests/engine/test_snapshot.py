@@ -27,13 +27,15 @@ from repro.engine.engine import LabelingEngine
 
 from ..strategies import worlds
 
-BACKENDS = ("monolithic", "sharded", "vectorized", "parallel")
+BACKENDS = ("monolithic", "sharded", "vectorized", "parallel", "distributed")
 
 
 def backend_options(backend: str) -> dict:
     options = {"backend": backend}
     if backend == "parallel":
         options.update(parallel_threshold=0, n_workers=2)
+    elif backend == "distributed":
+        options.update(spawn_local_workers=2)
     return options
 
 
@@ -154,6 +156,7 @@ class TestSnapshotRestore:
             restored = LabelingEngine(candidates, **backend_options(backend))
             try:
                 restored.restore_state(snapshot)
+                assert restored.frontier() == engine.frontier()
                 finish(engine, entity_of, round_index)
                 finish(restored, entity_of, round_index)
                 assert fingerprint(restored) == fingerprint(engine)
@@ -197,6 +200,22 @@ class TestSnapshotValidation:
         strict = LabelingEngine(self.WORLD, policy=ConflictPolicy.STRICT)
         with pytest.raises(ValueError, match="policy"):
             strict.restore_state(snapshot)
+
+    def test_native_restore_keeps_published_pairs_out_of_the_frontier(self):
+        """After a native restore the vectorized core rebuilds the label map
+        and published set its scalar frontier path reads; a component with
+        a non-matching label takes that path, so its published pair must
+        stay unselected."""
+        order = [Pair("a", "b"), Pair("b", "c"), Pair("c", "d")]
+        engine = LabelingEngine(order, backend="vectorized")
+        engine.record_answer(Pair("a", "b"), Label.NON_MATCHING, 0)
+        engine.sweep(0)
+        assert engine.frontier() == [Pair("b", "c"), Pair("c", "d")]
+        engine.publish([Pair("b", "c")])
+        snapshot = json.loads(json.dumps(engine.snapshot_state()))
+        restored = LabelingEngine(order, backend="vectorized")
+        restored.restore_state(snapshot)
+        assert restored.frontier() == engine.frontier() == [Pair("c", "d")]
 
     def test_vectorized_native_payload_falls_back_when_foreign(self):
         """A tampered native payload degrades to event replay, not corruption."""

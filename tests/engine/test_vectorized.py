@@ -25,6 +25,7 @@ skipped on interpreters without numpy (the ``no-extras`` CI leg).
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 
@@ -43,7 +44,6 @@ from repro.engine import (
     DEFAULT_SHARD_THRESHOLD,
     FrontierCursor,
     LabelingEngine,
-    VectorizedClusterGraph,
     VectorizedEngineCore,
     must_crowdsource_frontier,
     vectorized_available,
@@ -84,6 +84,7 @@ class TestBulkDeduceParity:
             for pair, label in batch:
                 reference.add(pair, label)
                 decided.add(pair)
+                core.record_answer(pair, label)
             # The reference resolution: every still-pending pair the
             # monolithic graph can now deduce, in order position.
             expected = [
@@ -91,10 +92,9 @@ class TestBulkDeduceParity:
                 for pair in order
                 if pair not in decided and reference.deducible(pair)
             ]
-            resolved = core.apply_answers(batch)
+            resolved = core.sweep()
             assert resolved == expected
             for pair, label in resolved:
-                core.note_labeled(pair, label)
                 reference.add(pair, label)
                 decided.add(pair)
             # Scalar deduce over the array state agrees everywhere.
@@ -112,7 +112,8 @@ class TestBulkDeduceParity:
         reference = ClusterGraph()
         for pair, label in crowdsourced:
             reference.add(pair, label)
-        resolved = core.apply_answers(crowdsourced)
+            core.record_answer(pair, label)
+        resolved = core.sweep()
         decided = {pair for pair, _ in crowdsourced}
         expected = [
             (pair, reference.deduce(pair))
@@ -142,8 +143,8 @@ class TestShuffledCompletionOrders:
                 if pair in labeled:
                     continue
                 labeled[pair] = label
-                for dpair, dlabel in core.apply_answers([(pair, label)]):
-                    core.note_labeled(dpair, dlabel)
+                core.record_answer(pair, label)
+                for dpair, dlabel in core.sweep():
                     labeled[dpair] = dlabel
             core.check_invariants()
             cores.append((core, labeled))
@@ -152,29 +153,7 @@ class TestShuffledCompletionOrders:
         assert labeled_a == labeled_b
         for pair in core_a.pairs:
             assert core_a.deduce(pair) == core_b.deduce(pair)
-        assert core_a.frontier(labeled_a) == core_b.frontier(labeled_b)
-
-    @given(worlds(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_engine_record_answers_matches_per_answer_recording(
-        self, world, seed
-    ):
-        """One record_answers() batch == the same answers one at a time."""
-        candidates, entity_of = world
-        answers = truth_answers(candidates, entity_of)
-        random.Random(seed).shuffle(answers)
-
-        batched = LabelingEngine(candidates, backend="vectorized")
-        single = LabelingEngine(candidates, backend="vectorized")
-        batched.record_answers(answers, round_index=0)
-        for pair, label in answers:
-            if pair in single.labeled:
-                # Deduced by an earlier sweep; dispatch never re-answers.
-                continue
-            single.record_answer(pair, label, round_index=0)
-            single.sweep(round_index=0)
-        assert batched.labeled == single.labeled
-        assert batched.frontier() == single.frontier()
+        assert core_a.frontier() == core_b.frontier()
 
 
 @needs_numpy
@@ -194,7 +173,7 @@ class TestFrontierParity:
         labeled = {}
         published = set()
         while True:
-            frontier = core.frontier(labeled, published)
+            frontier = core.frontier()
             reference = must_crowdsource_frontier(order, labeled, published)
             assert frontier == reference
             assert frontier == [pair for _, pair in cursor.select(labeled, published)]
@@ -205,22 +184,16 @@ class TestFrontierParity:
             # (possibly out of publication order), fold in deductions.
             if frontier and rng.random() < 0.7:
                 batch = frontier[: rng.randint(1, len(frontier))]
-                core.note_published(batch)
-                for published_pair in batch:
-                    core.mark_frontier_dirty(published_pair)
+                core.publish(batch, withhold=False)
                 published.update(batch)
             pair, label = remaining[rng.randrange(len(remaining))]
             labeled[pair] = label
             published.discard(pair)
-            core.note_labeled(pair, label)
-            core.graph_add(pair, label)
-            core.mark_frontier_dirty(pair)
+            core.record_answer(pair, label)
             for dpair, dlabel in core.sweep():
                 labeled[dpair] = dlabel
                 published.discard(dpair)
-                core.note_labeled(dpair, dlabel)
-                core.mark_frontier_dirty(dpair)
-        assert core.frontier(labeled, published) == []
+        assert core.frontier() == []
 
     @given(worlds())
     @settings(max_examples=25, deadline=None)
@@ -237,10 +210,10 @@ class TestFrontierParity:
         original = mod.SMALL_COMPONENT_THRESHOLD
         mod.SMALL_COMPONENT_THRESHOLD = 0
         try:
-            batched_frontier = batched.frontier({})
+            batched_frontier = batched.frontier()
         finally:
             mod.SMALL_COMPONENT_THRESHOLD = original
-        assert batched_frontier == scalar.frontier({})
+        assert batched_frontier == scalar.frontier()
 
 
 class TestNoNumpyFallback:
@@ -271,7 +244,7 @@ class TestNoNumpyFallback:
         order = [Pair("a", "b"), Pair("b", "c")]
         engine = LabelingEngine(order, backend="vectorized")
         assert engine.backend == "sharded"
-        assert engine._vectorized is None
+        assert not isinstance(engine.core, VectorizedEngineCore)
 
     def test_auto_skips_the_vectorized_tier(self, monkeypatch):
         self._hide_numpy(monkeypatch)
@@ -299,7 +272,7 @@ class TestNoNumpyFallback:
 
 @needs_numpy
 class TestVectorizedGraphContract:
-    """Direct contract checks on the adapter and the core."""
+    """Direct contract checks on the core's graph."""
 
     def test_auto_selects_vectorized_above_threshold(self):
         order = [Pair(f"l{i}", f"r{i}") for i in range(12)]
@@ -318,62 +291,49 @@ class TestVectorizedGraphContract:
 
     def test_foreign_objects_are_rejected(self):
         core = VectorizedEngineCore([Pair("a", "b")])
-        graph = VectorizedClusterGraph(core)
         with pytest.raises(ValueError):
-            graph.add(Pair("a", "z"), Label.MATCHING)
-        assert graph.deduce(Pair("a", "z")) is None
-        with pytest.raises(ValueError):
-            graph.cluster_of("z")
+            core.record_answer(Pair("a", "z"), Label.MATCHING)
+        assert core.deduce(Pair("a", "z")) is None
 
     def test_cross_component_pairs_are_rejected(self):
         core = VectorizedEngineCore([Pair("a", "b"), Pair("c", "d")])
         with pytest.raises(ValueError):
-            core.graph_add(Pair("a", "c"), Label.MATCHING)
+            core.record_answer(Pair("a", "c"), Label.MATCHING)
 
     def test_strict_policy_raises_on_conflict(self):
         core = VectorizedEngineCore(
             [Pair("a", "b"), Pair("b", "c"), Pair("a", "c")]
         )
-        core.graph_add(Pair("a", "b"), Label.MATCHING)
-        core.graph_add(Pair("b", "c"), Label.MATCHING)
+        core.record_answer(Pair("a", "b"), Label.MATCHING)
+        core.record_answer(Pair("b", "c"), Label.MATCHING)
         with pytest.raises(InconsistentLabelError):
-            core.graph_add(Pair("a", "c"), Label.NON_MATCHING)
+            core.record_answer(Pair("a", "c"), Label.NON_MATCHING)
 
     def test_first_wins_policy_records_the_conflict(self):
         core = VectorizedEngineCore(
             [Pair("a", "b"), Pair("b", "c"), Pair("a", "c")],
             policy=ConflictPolicy.FIRST_WINS,
         )
-        core.graph_add(Pair("a", "b"), Label.MATCHING)
-        core.graph_add(Pair("b", "c"), Label.MATCHING)
-        assert not core.graph_add(Pair("a", "c"), Label.NON_MATCHING)
+        core.record_answer(Pair("a", "b"), Label.MATCHING)
+        core.record_answer(Pair("b", "c"), Label.MATCHING)
+        assert not core.record_answer(Pair("a", "c"), Label.NON_MATCHING)
         assert len(core.conflicts) == 1
         assert core.deduce(Pair("a", "c")) is Label.MATCHING
 
     @given(worlds())
     @settings(max_examples=25, deadline=None)
     def test_inspection_matches_monolithic(self, world):
+        """The core deduces exactly what the monolithic graph deduces, for
+        every pair of objects — order pairs or not."""
         candidates, entity_of = world
         answers = truth_answers(candidates, entity_of)
         core = VectorizedEngineCore(candidates)
-        graph = VectorizedClusterGraph(core)
         reference = ClusterGraph()
         for pair, label in answers:
-            graph.add(pair, label)
+            core.record_answer(pair, label)
             reference.add(pair, label)
-        assert graph.n_objects == reference.n_objects
-        assert graph.n_clusters == reference.n_clusters
-        assert graph.n_matching_edges == reference.n_matching_edges
-        assert graph.n_non_matching_edges == reference.n_non_matching_edges
-        assert sorted(map(sorted, graph.clusters())) == sorted(
-            map(sorted, reference.clusters())
-        )
-        assert set(graph.objects()) == set(reference.objects())
-        for pair, _ in answers:
-            assert graph.same_cluster(pair.left, pair.right) == (
-                reference.cluster_of(pair.left) == reference.cluster_of(pair.right)
-            )
-            assert graph.cluster_members(pair.left) == reference.cluster_members(
-                pair.left
-            )
-        graph.check_invariants()
+        objects = sorted({obj for pair in core.pairs for obj in pair}, key=repr)
+        for left, right in itertools.combinations(objects, 2):
+            pair = Pair(left, right)
+            assert core.deduce(pair) == reference.deduce(pair)
+        core.check_invariants()

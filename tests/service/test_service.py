@@ -180,7 +180,7 @@ def test_cancel_releases_the_parallel_worker_pool(tmp_path):
             )
         )
         assert campaign.engine.backend == "parallel"
-        executor = campaign.engine._executor
+        executor = campaign.engine.executor
         assert not executor.closed
         while campaign.client.n_outstanding_hits == 0:
             await asyncio.sleep(0)
