@@ -8,8 +8,8 @@
 from __future__ import annotations
 
 from repro.core.ordering import expected_order
-from repro.core.sequential import label_sequential
 from repro.datasets import ClusterSizeSpec, generate_product_dataset
+from repro.engine import AsyncDispatch, RuntimeMode
 from repro.ext.budget import coverage_curve
 from repro.ext.one_to_one import label_sequential_one_to_one
 from repro.matcher import CandidateGenerator, TfIdfCosine, word_tokens
@@ -40,7 +40,7 @@ def test_one_to_one_rule_saves_questions(benchmark):
         return label_sequential_one_to_one(candidates, truth, source_of)
 
     one_to_one = benchmark(run)
-    plain = label_sequential(candidates, truth)
+    plain = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(candidates, truth)
     assert one_to_one.n_crowdsourced < plain.n_crowdsourced, (
         "the one-to-one rule must add savings on 1-1 data"
     )
@@ -56,7 +56,8 @@ def test_one_to_one_rule_saves_questions(benchmark):
 def test_budget_coverage_curve(benchmark):
     dataset, candidates = one_to_one_workload(seed=4)
     truth = dataset.truth_oracle()
-    full_cost = label_sequential(candidates, truth).n_crowdsourced
+    sequential = AsyncDispatch(RuntimeMode.SEQUENTIAL)
+    full_cost = sequential.run(candidates, truth).n_crowdsourced
     budgets = [0, full_cost // 4, full_cost // 2, 3 * full_cost // 4, full_cost]
 
     def run():

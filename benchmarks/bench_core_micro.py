@@ -30,7 +30,6 @@ from repro.core.expected_cost import adaptive_expected_cost, expected_cost
 from repro.core.oracle import GroundTruthOracle
 from repro.core.ordering import expected_order
 from repro.core.pairs import CandidatePair, Label, LabeledPair, Pair, candidate
-from repro.core.parallel import parallel_crowdsourced_pairs
 from repro.core.sweep import PendingPairIndex
 from repro.core.union_find import UnionFind
 from repro.crowd.aggregation import (
@@ -56,6 +55,7 @@ from repro.engine import (
     HITDispatchAdapter,
     LabelingEngine,
     RuntimeMode,
+    must_crowdsource_frontier,
     vectorized_available,
 )
 
@@ -165,7 +165,7 @@ def test_algorithm3_selection_scan(benchmark):
     order = [item.pair for item in PAIRS]
 
     def run():
-        return parallel_crowdsourced_pairs(order, labeled={})
+        return must_crowdsource_frontier(order, labeled={})
 
     batch = _timed(benchmark, "algorithm3_selection_scan", run)
     assert 0 < len(batch) <= len(order)

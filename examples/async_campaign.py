@@ -109,9 +109,9 @@ def main() -> int:
     print(f"  virtual hours        {report.completion_hours:8.1f}")
     print(f"  labels correct       {correct:6,} / {result.n_pairs:,}")
 
-    # The same semantics are available as an awaitable strategy: the
-    # default client is the deterministic simulated platform, so this is
-    # the drop-in async equivalent of RoundParallelDispatch.
+    # The same semantics are available as an awaitable strategy: with its
+    # default client, the deterministic simulated platform, AsyncDispatch
+    # runs the paper's round-parallel labeler.
     rounds_result = AsyncDispatch(RuntimeMode.ROUNDS).run(
         [c.pair for c in candidates], truth
     )

@@ -31,7 +31,7 @@ import signal
 import sys
 
 from repro import expected_order
-from repro.engine import LabelingEngine, RoundParallelDispatch
+from repro.engine import AsyncDispatch, LabelingEngine
 from repro.matcher import CandidateGenerator, TfIdfCosine, word_tokens
 from repro.datasets import generate_paper_dataset, paper_spec
 
@@ -100,10 +100,10 @@ def main() -> int:
 
     # Act 1 — the distributed backend is a drop-in: same strategy surface,
     # same labels as the single-process monolithic engine.
-    distributed = RoundParallelDispatch(
+    distributed = AsyncDispatch(
         backend="distributed", spawn_local_workers=N_WORKERS
     ).run(order, truth)
-    monolithic = RoundParallelDispatch(backend="monolithic").run(order, truth)
+    monolithic = AsyncDispatch(backend="monolithic").run(order, truth)
     parity = distributed.labels() == monolithic.labels()
     print("distributed campaign over TCP shard workers")
     print(f"  pairs labeled        {distributed.n_pairs:6,}")

@@ -8,7 +8,7 @@ recovers substantially more deductions.
 Run:  python examples/product_catalog_join.py
 """
 
-from repro import expected_order, label_sequential
+from repro import AsyncDispatch, RuntimeMode, expected_order
 from repro.datasets import ClusterSizeSpec, generate_product_dataset
 from repro.er import evaluate_labels
 from repro.ext import label_sequential_one_to_one
@@ -40,7 +40,7 @@ def main() -> None:
     truth = dataset.truth_oracle()
     order = expected_order(list(candidates))
 
-    plain = label_sequential(order, truth)
+    plain = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(order, truth)
     one_to_one = label_sequential_one_to_one(order, truth, dataset.source_of())
 
     print(f"\nplain transitivity : {plain.n_crowdsourced:,} crowdsourced "

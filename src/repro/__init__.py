@@ -16,7 +16,8 @@ depends on:
                           plus live platform clients.
 * ``repro.spec``        — :class:`CampaignSpec`, the one JSON-serialisable
                           description of a campaign accepted by every entry
-                          point (engine, runtime, sync runners, the service).
+                          point (engine, runtime, dispatch strategies, the
+                          service).
 * ``repro.service``     — the multi-tenant campaign host: durable answer
                           journals, crash recovery by replay, and an HTTP
                           control API.
@@ -36,20 +37,13 @@ Quickstart::
     engine = spec.build_engine()          # or run a campaign:
     # service = CampaignService("campaigns/"); await service.create(spec)
 
-Migration from the pre-spec labeler facades (each emits a
-:class:`DeprecationWarning`; full table in ``docs/service.md``):
-
-========================  ====================================================
-Deprecated                Replacement
-========================  ====================================================
-``SequentialLabeler``     ``SequentialDispatch(spec=CampaignSpec(mode="sequential", ...))``
-``ParallelLabeler``       ``RoundParallelDispatch(spec=CampaignSpec(mode="rounds", ...))``
-``InstantLabeler``        ``InstantDispatch(spec=CampaignSpec(mode="instant", ...))``
-========================  ====================================================
+To label an order against an oracle at pair granularity, run
+``AsyncDispatch(RuntimeMode.SEQUENTIAL)`` or ``AsyncDispatch()`` (rounds);
+``InstantDispatch`` simulates the Figure-15 answer policies.  The removed
+pre-spec labelers and their replacements are listed in ``docs/service.md``.
 """
 
 from .core import (
-    AnswerPolicy,
     CandidatePair,
     ClusterGraph,
     ConflictPolicy,
@@ -57,17 +51,14 @@ from .core import (
     ExpectedOrderSorter,
     FrameworkRun,
     GroundTruthOracle,
-    InstantLabeler,
     Label,
     LabeledPair,
     LabelingResult,
     NoisyOracle,
     OptimalOrderSorter,
     Pair,
-    ParallelLabeler,
     Provenance,
     RandomOrderSorter,
-    SequentialLabeler,
     TransitiveJoinFramework,
     UnionFind,
     WorstOrderSorter,
@@ -76,29 +67,25 @@ from .core import (
     expected_cost,
     expected_order,
     label_baseline,
-    label_parallel,
-    label_sequential,
     label_with_transitivity,
     make_pair,
     optimal_order,
 )
 
-# Imported after .core: the engine's dispatch strategies are re-imported by
-# the core labeler facades, so repro.core must finish initialising first.
+# Imported after .core: repro.core.framework runs the engine's dispatch
+# strategies, so repro.core must finish initialising first.
 from .engine import (
+    AnswerPolicy,
     AsyncDispatch,
     CrowdRuntime,
-    DispatchStrategy,
     EngineBackend,
     ExpectedValueDispatch,
     HITDispatchAdapter,
     InstantDispatch,
     LabelingEngine,
     PauseGate,
-    RoundParallelDispatch,
     RuntimeMode,
     RuntimeReport,
-    SequentialDispatch,
     must_crowdsource_frontier,
 )
 from .crowd.aggregation import WeightedAggregation, WorkerAccuracyTracker
@@ -123,9 +110,7 @@ from .service import (
 
 __version__ = "1.0.0"
 
-#: The curated public API.  Everything here is stable; the pre-spec labeler
-#: facades (``SequentialLabeler`` & co.) remain importable for compatibility
-#: but are deprecated and intentionally absent from ``__all__``.
+#: The curated public API.  Everything here is stable.
 __all__ = [
     # the one campaign description
     "CampaignSpec",
@@ -139,11 +124,8 @@ __all__ = [
     "CrowdRuntime",
     "RuntimeMode",
     "PauseGate",
-    # dispatch strategies (spec-aware synchronous runners)
+    # dispatch strategies (spec-aware runners)
     "AsyncDispatch",
-    "DispatchStrategy",
-    "SequentialDispatch",
-    "RoundParallelDispatch",
     "InstantDispatch",
     "ExpectedValueDispatch",
     # the campaign service layer

@@ -6,9 +6,8 @@ Public surface:
 * pair/label model: :class:`Pair`, :class:`Label`, :class:`CandidatePair`
 * deduction: :class:`ClusterGraph`, :func:`deduce_label`
 * orders: :class:`ExpectedOrderSorter`, :class:`OptimalOrderSorter`, ...
-* labelers: :class:`SequentialLabeler`, :class:`ParallelLabeler`,
-  :class:`InstantLabeler`
-* facade: :class:`TransitiveJoinFramework`
+* facade: :class:`TransitiveJoinFramework` (the labelers themselves are the
+  dispatch strategies of :mod:`repro.engine`)
 """
 
 from .cluster_graph import (
@@ -32,13 +31,6 @@ from .framework import (
     TransitiveJoinFramework,
     label_baseline,
     label_with_transitivity,
-)
-from .instant import (
-    AnswerPolicy,
-    AvailabilityPoint,
-    InstantLabeler,
-    InstantRunResult,
-    label_instant,
 )
 from .oracle import (
     CountingOracle,
@@ -73,20 +65,11 @@ from .pairs import (
     objects_of,
     pairs_of,
 )
-from .parallel import ParallelLabeler, label_parallel, parallel_crowdsourced_pairs
 from .result import LabelingResult, PairOutcome
 from .sweep import PendingPairIndex
-from .sequential import (
-    SequentialLabeler,
-    crowdsourced_count,
-    label_non_transitive,
-    label_sequential,
-)
 from .union_find import UnionFind
 
 __all__ = [
-    "AnswerPolicy",
-    "AvailabilityPoint",
     "CandidatePair",
     "ClusterGraph",
     "Conflict",
@@ -99,8 +82,6 @@ __all__ = [
     "GroundTruthOracle",
     "IdentityOrderSorter",
     "InconsistentLabelError",
-    "InstantLabeler",
-    "InstantRunResult",
     "Label",
     "LabelOracle",
     "LabeledPair",
@@ -111,17 +92,14 @@ __all__ = [
     "Pair",
     "PairOutcome",
     "PendingPairIndex",
-    "ParallelLabeler",
     "Provenance",
     "RandomOrderSorter",
-    "SequentialLabeler",
     "Sorter",
     "TransitiveJoinFramework",
     "UnionFind",
     "WorstOrderSorter",
     "brute_force_expected_optimal",
     "candidate",
-    "crowdsourced_count",
     "crowdsourcing_probabilities",
     "deduce_by_path_enumeration",
     "deduce_by_search",
@@ -133,17 +111,12 @@ __all__ = [
     "find_violations",
     "is_consistent",
     "label_baseline",
-    "label_instant",
-    "label_non_transitive",
-    "label_parallel",
-    "label_sequential",
     "label_with_transitivity",
     "make_pair",
     "make_sorter",
     "objects_of",
     "optimal_order",
     "pairs_of",
-    "parallel_crowdsourced_pairs",
     "random_order",
     "worst_order",
 ]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cluster_graph import ClusterGraph
-from .oracle import MappingOracle
 from .pairs import CandidatePair, Label, Pair
 from .union_find import UnionFind
 
@@ -105,13 +104,9 @@ def enumerate_consistent_assignments(
 def crowdsourced_count(
     order: Sequence[CandidatePair], assignment: Dict[Pair, Label]
 ) -> int:
-    """``C(omega)`` under a fixed true assignment — by simulating the
-    sequential labeler against a mapping oracle."""
-    # Imported late: .sequential is a facade over repro.engine, whose
-    # package in turn imports this module (via repro.engine.expected).
-    from .sequential import label_sequential
-
-    return label_sequential(order, MappingOracle(assignment)).n_crowdsourced
+    """``C(omega)`` under a fixed true assignment: how many pairs of the
+    order the sequential labeler crowdsources."""
+    return sum(crowdsourced_indicator([c.pair for c in order], assignment))
 
 
 def crowdsourced_indicator(

@@ -17,21 +17,15 @@ experiment can compare against it through the same interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence, Union
 
-from ..engine.dispatch import (
-    AnswerPolicy,
-    InstantDispatch,
-    InstantRunResult,
-    RoundParallelDispatch,
-    SequentialDispatch,
-)
+from ..engine.async_dispatch import AsyncDispatch, RuntimeMode
+from ..engine.dispatch import AnswerPolicy, InstantDispatch, InstantRunResult
 from .cluster_graph import ConflictPolicy
 from .oracle import CountingOracle, LabelOracle
 from .ordering import ExpectedOrderSorter, Sorter
-from .pairs import CandidatePair
+from .pairs import CandidatePair, Pair, Provenance
 from .result import LabelingResult
-from .sequential import label_non_transitive
 
 LabelerName = Literal["sequential", "parallel", "instant", "instant+nf"]
 
@@ -100,9 +94,11 @@ class TransitiveJoinFramework:
         counting = CountingOracle(oracle)
         instant_run: Optional[InstantRunResult] = None
         if self._labeler_name == "sequential":
-            result = SequentialDispatch(policy=self._policy).run(order, counting)
+            dispatch = AsyncDispatch(RuntimeMode.SEQUENTIAL, policy=self._policy)
+            result = dispatch.run(order, counting)
         elif self._labeler_name == "parallel":
-            result = RoundParallelDispatch(policy=self._policy).run(order, counting)
+            dispatch = AsyncDispatch(RuntimeMode.ROUNDS, policy=self._policy)
+            result = dispatch.run(order, counting)
         else:
             answer_policy = (
                 AnswerPolicy.NON_MATCHING_FIRST
@@ -136,7 +132,18 @@ def label_with_transitivity(
 
 
 def label_baseline(
-    candidates: Sequence[CandidatePair], oracle: LabelOracle
+    candidates: Sequence[Union[Pair, CandidatePair]], oracle: LabelOracle
 ) -> LabelingResult:
-    """The Non-Transitive baseline: every candidate is crowdsourced."""
-    return label_non_transitive(list(candidates), oracle)
+    """The Non-Transitive baseline: crowdsource every pair (paper Section 6.1).
+
+    All pairs are published in a single round since no pair depends on any
+    other.
+    """
+    pairs = [
+        item.pair if isinstance(item, CandidatePair) else item for item in candidates
+    ]
+    result = LabelingResult(order=pairs)
+    result.rounds.append(list(pairs))
+    for pair in pairs:
+        result.record(pair, oracle.label(pair), Provenance.CROWDSOURCED, 0)
+    return result

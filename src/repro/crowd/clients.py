@@ -242,9 +242,10 @@ class SimulatedPlatformClient(_PlatformClientBase):
 
         One perfect worker, one assignment per HIT, zero latency: the
         oracle is consulted exactly once per published pair, in publication
-        order, and completions arrive FIFO — which is what lets the
-        synchronous dispatch facades reproduce the pre-refactor labelers
-        exactly while running the shared async code path.
+        order, and completions arrive FIFO — which is what lets
+        :class:`~repro.engine.async_dispatch.AsyncDispatch` reproduce the
+        pre-refactor labelers exactly while running the shared async code
+        path.
         """
         platform = SimulatedPlatform(
             workers=[Worker(worker_id=0, model=PerfectWorker())],

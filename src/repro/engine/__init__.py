@@ -4,16 +4,18 @@ One :class:`LabelingEngine` replaces the four hand-rolled labeling loops of
 the seed repo (sequential, round-parallel, instant, and the HIT-granularity
 campaign loop).  The engine owns the deduction graph, the incremental
 pending-pair frontier (:class:`repro.core.sweep.PendingPairIndex`), and the
-shared must-crowdsource selection; a pluggable :class:`DispatchStrategy`
-decides when to publish which frontier pairs.
+shared must-crowdsource selection; a dispatch strategy decides when to
+publish which frontier pairs.
 
-Since the async-first refactor the primary driver is the event loop, not
-the simulator: :class:`CrowdRuntime` drives the engine from asyncio over
-the :class:`~repro.crowd.clients.PlatformClient` seam (simulated, polling,
-or webhook-push crowds), applying out-of-order completions, re-issuing
-expired HITs, and enforcing budget/latency policies at submission time.
-The synchronous strategies and the campaign runners are thin facades that
-run the simulated client to completion.
+The primary driver is the event loop, not the simulator:
+:class:`CrowdRuntime` drives the engine from asyncio over the
+:class:`~repro.crowd.clients.PlatformClient` seam (simulated, polling, or
+webhook-push crowds), applying out-of-order completions, re-issuing expired
+HITs, and enforcing budget/latency policies at submission time.
+:class:`AsyncDispatch` is the one pair-granularity entry point over it
+(sequential or round-parallel; ``run`` for synchronous callers), and the
+campaign runners in :mod:`repro.crowd.campaign` run the same runtime at HIT
+granularity.
 
 Public surface:
 
@@ -38,18 +40,15 @@ Public surface:
               host:port``)
 * runtime:    :class:`CrowdRuntime`, :class:`RuntimeMode`,
               :class:`RuntimeReport`, :class:`AsyncDispatch`
-* strategies: :class:`SequentialDispatch`, :class:`RoundParallelDispatch`,
-              :class:`InstantDispatch` (+ :class:`AnswerPolicy`,
-              :class:`InstantRunResult`, :class:`AvailabilityPoint`)
+* simulator:  :class:`InstantDispatch` (+ :class:`AnswerPolicy`,
+              :class:`InstantRunResult`, :class:`AvailabilityPoint`) — the
+              Figure-15 answer-policy simulation
 * ordering:   :class:`ExpectedValueDispatch`,
               :class:`ExpectedDeductionScorer`,
               :func:`expected_value_choice` — adaptive next-question
               selection by expected transitive deductions (also available
               on the runtime via ``ordering="expected-value"``)
 * adapter:    :class:`HITDispatchAdapter` (HIT-granularity campaigns)
-
-The legacy labeler classes in :mod:`repro.core` remain available as thin
-compatibility facades over these strategies.
 """
 
 from .async_dispatch import (
@@ -62,11 +61,8 @@ from .async_dispatch import (
 from .dispatch import (
     AnswerPolicy,
     AvailabilityPoint,
-    DispatchStrategy,
     InstantDispatch,
     InstantRunResult,
-    RoundParallelDispatch,
-    SequentialDispatch,
 )
 from .distributed import (
     PROTOCOL_VERSION,
@@ -95,7 +91,6 @@ __all__ = [
     "CrowdRuntime",
     "DEFAULT_PARALLEL_THRESHOLD",
     "DEFAULT_SHARD_THRESHOLD",
-    "DispatchStrategy",
     "EngineBackend",
     "ExpectedDeductionScorer",
     "ExpectedValueDispatch",
@@ -110,10 +105,8 @@ __all__ = [
     "PauseGate",
     "ProcessShardExecutor",
     "ProtocolError",
-    "RoundParallelDispatch",
     "RuntimeMode",
     "RuntimeReport",
-    "SequentialDispatch",
     "ShardCoordinator",
     "ShardWorkerError",
     "ShardWorkerHost",

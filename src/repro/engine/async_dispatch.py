@@ -24,12 +24,10 @@ free:
 Dispatch semantics are a :class:`RuntimeMode`: the paper's sequential and
 round-based labelers, the HIT-granularity campaign modes (instant decision
 or re-publish-on-drain), the publish-everything baseline, and the serial
-HIT replay.  The synchronous strategies (`SequentialDispatch`,
-`RoundParallelDispatch`) and the campaign runners in
-:mod:`repro.crowd.campaign` are thin facades that run this runtime over
-the simulated client to completion — there is exactly one code path for
-applying crowd answers.  :class:`AsyncDispatch` exposes the same semantics
-as an awaitable strategy for callers that already live in an event loop.
+HIT replay.  :class:`AsyncDispatch` is the one pair-granularity entry point
+(the sequential and round-based labelers, awaitable or synchronous), and
+the campaign runners in :mod:`repro.crowd.campaign` run the HIT-granularity
+modes — there is exactly one code path for applying crowd answers.
 """
 
 from __future__ import annotations
@@ -54,14 +52,9 @@ from ..crowd.hit import HIT, n_hits_needed
 from ..crowd.latency import TimeoutPolicy
 from ..crowd.platform import HITCompletion
 from ..crowd.review import ReviewDecision, ReviewPolicy
-from .engine import (
-    DEFAULT_SHARD_THRESHOLD,
-    LabelingEngine,
-    _pack_ints,
-    _unpack_ints,
-)
+from .dispatch import _engine_config
+from .engine import LabelingEngine, _pack_ints, _unpack_ints
 from .hit_adapter import HITDispatchAdapter
-from .parallel import DEFAULT_PARALLEL_THRESHOLD
 
 #: Sentinel distinguishing "argument not given" from an explicit ``None``
 #: (with a spec, an explicit ``None`` *overrides* the spec's policy).
@@ -77,6 +70,19 @@ ORDERINGS = ("static", "expected-value")
 #: weight are counted as low-margin in the report (matches the default
 #: :class:`~repro.crowd.review.EscalateOnLowConfidence` threshold).
 LOW_CONFIDENCE = 0.75
+
+
+def _check_ordering(ordering: str, mode: RuntimeMode) -> None:
+    """Reject an unknown ordering, or expected-value outside SEQUENTIAL."""
+    if ordering not in ORDERINGS:
+        raise ValueError(
+            f"unknown ordering {ordering!r}; expected one of {ORDERINGS}"
+        )
+    if ordering == "expected-value" and mode is not RuntimeMode.SEQUENTIAL:
+        raise ValueError(
+            "expected-value ordering requires SEQUENTIAL mode (it picks "
+            f"one next question at a time), got mode {mode.value!r}"
+        )
 
 
 def _pack_hit_batches(hit_batches, position) -> dict:
@@ -324,16 +330,7 @@ class CrowdRuntime:
         self._engine = engine
         self._client = client
         self._mode = RuntimeMode(mode)
-        if ordering not in ORDERINGS:
-            raise ValueError(
-                f"unknown ordering {ordering!r}; expected one of {ORDERINGS}"
-            )
-        if ordering == "expected-value" and self._mode is not RuntimeMode.SEQUENTIAL:
-            raise ValueError(
-                "expected-value ordering requires SEQUENTIAL mode (it picks "
-                "one next question at a time), got mode "
-                f"{self._mode.value!r}"
-            )
+        _check_ordering(ordering, self._mode)
         if max_escalations < 0:
             raise ValueError(
                 f"max_escalations must be non-negative, got {max_escalations}"
@@ -1071,14 +1068,16 @@ class CrowdRuntime:
 
 
 class AsyncDispatch:
-    """Awaitable dispatch strategy over any :class:`PlatformClient`.
+    """The pair-granularity labelers, over any :class:`PlatformClient`.
 
-    The async counterpart of :class:`~repro.engine.dispatch.SequentialDispatch`
-    and :class:`~repro.engine.dispatch.RoundParallelDispatch`: same labeling
-    semantics (property-tested identical against the frozen pre-refactor
-    references), but answers are *awaited* from a platform client instead of
-    pulled from a stepped simulator — out of order, with expiry and
-    re-issue, against either engine backend.
+    Runs the paper's sequential (Section 3.2) or round-parallel
+    (Section 5.1, Algorithms 2-3) labeler: builds a :class:`LabelingEngine`
+    and a :class:`CrowdRuntime` per run and drives them to completion
+    (property-tested identical against the frozen pre-refactor references).
+    Answers are *awaited* from a platform client (by default the
+    deterministic simulated crowd) — out of order, with expiry and
+    re-issue, against any engine backend; ``run`` is the synchronous entry
+    point.
 
     Args:
         mode: ``RuntimeMode.SEQUENTIAL`` or ``RuntimeMode.ROUNDS`` (the two
@@ -1086,7 +1085,8 @@ class AsyncDispatch:
             :mod:`repro.crowd.campaign`).
         spec: optional :class:`~repro.spec.CampaignSpec` supplying the mode,
             engine configuration, and runtime policies in one object; the
-            explicit keyword arguments below override the spec's values.
+            explicit keyword arguments below override the spec's values
+            (an explicit ``None`` clears a spec-carried runtime policy).
             (The spec's ``order`` and ``platform`` are ignored here —
             ``run_async`` takes the order, the client factory the platform.)
         client_factory: builds the platform client for a run, given the
@@ -1097,21 +1097,15 @@ class AsyncDispatch:
         backend: engine backend (``"auto"``, ``"monolithic"``, ``"sharded"``,
             ``"vectorized"``, ``"parallel"``, or ``"distributed"``, as a
             string or :class:`~repro.engine.engine.EngineBackend`).
-        shard_threshold: the ``auto`` backend's cut-over point.
+        shard_threshold / parallel_threshold / n_workers: engine knobs (see
+            :class:`LabelingEngine`).
         workers: ``"host:port"`` addresses of already-running shard worker
             hosts (``backend="distributed"`` only).
         spawn_local_workers: spawn this many local worker hosts instead of
             (or in addition to) ``workers`` (``backend="distributed"`` only).
-        budget: optional runtime spending cap.
-        timeout: optional per-HIT expiry deadline + re-issue cap.
-        review: optional assignment review policy (see :class:`CrowdRuntime`).
-        max_rounds: ROUNDS-mode safety cap.
-        ordering: labeling-order strategy (``"static"`` or
-            ``"expected-value"``; see :class:`CrowdRuntime`).
-        aggregation: optional quality-aware
-            :class:`~repro.crowd.aggregation.WeightedAggregation` applied
-            to assignment-bearing completions.
-        max_escalations: per-pair bound on review-policy escalations.
+        budget / timeout / review / max_rounds / ordering / aggregation /
+            max_escalations: runtime policies, passed to
+            :class:`CrowdRuntime` (see there).
 
     After a run, :attr:`last_report` holds the runtime's
     :class:`RuntimeReport` (publish bursts, expiries, re-issues, spend).
@@ -1146,62 +1140,31 @@ class AsyncDispatch:
                 "AsyncDispatch labels at pair granularity: mode must be "
                 f"SEQUENTIAL or ROUNDS, got {mode}"
             )
-        if policy is None:
-            policy = spec.policy if spec is not None else ConflictPolicy.STRICT
-        if backend is None:
-            backend = spec.backend if spec is not None else "auto"
-        if shard_threshold is None:
-            shard_threshold = spec.shard_threshold if spec is not None else None
-            if shard_threshold is None:
-                shard_threshold = DEFAULT_SHARD_THRESHOLD
-        if parallel_threshold is None:
-            parallel_threshold = spec.parallel_threshold if spec is not None else None
-            if parallel_threshold is None:
-                parallel_threshold = DEFAULT_PARALLEL_THRESHOLD
-        if n_workers is None and spec is not None:
-            n_workers = spec.n_workers
-        if workers is None and spec is not None:
-            workers = spec.workers
-        if spawn_local_workers is None and spec is not None:
-            spawn_local_workers = spec.spawn_local_workers
-        if budget is _UNSET:
-            budget = spec.budget if spec is not None else None
-        if timeout is _UNSET:
-            timeout = spec.timeout if spec is not None else None
-        if review is _UNSET:
-            review = spec.review if spec is not None else None
-        if max_rounds is _UNSET:
-            max_rounds = spec.max_rounds if spec is not None else None
         if ordering is None:
             ordering = spec.ordering if spec is not None else "static"
-        if aggregation is _UNSET:
-            aggregation = spec.make_aggregation() if spec is not None else None
-        if ordering not in ORDERINGS:
-            raise ValueError(
-                f"unknown ordering {ordering!r}; expected one of {ORDERINGS}"
-            )
-        if ordering == "expected-value" and mode is not RuntimeMode.SEQUENTIAL:
-            raise ValueError(
-                "expected-value ordering requires SEQUENTIAL mode, got "
-                f"{mode.value!r}"
-            )
+        _check_ordering(ordering, mode)
         self._mode = mode
-        self._client_factory = client_factory
-        self._policy = policy
-        self._backend = backend
-        self._shard_threshold = shard_threshold
-        self._parallel_threshold = parallel_threshold
-        self._n_workers = n_workers
-        self._workers = workers
-        self._spawn_local_workers = spawn_local_workers
-        self._mp_start_method = spec.mp_start_method if spec is not None else None
-        self._budget = budget
-        self._timeout = timeout
-        self._review = review
-        self._max_rounds = max_rounds
         self._ordering = ordering
-        self._aggregation = aggregation
-        self._max_escalations = max_escalations
+        self._spec = spec
+        self._client_factory = client_factory
+        self._engine_kwargs = _engine_config(
+            spec,
+            policy=policy,
+            backend=backend,
+            shard_threshold=shard_threshold,
+            parallel_threshold=parallel_threshold,
+            n_workers=n_workers,
+            workers=workers,
+            spawn_local_workers=spawn_local_workers,
+        )
+        self._runtime_kwargs = {
+            "budget": budget,
+            "timeout": timeout,
+            "review": review,
+            "max_rounds": max_rounds,
+            "aggregation": aggregation,
+            "max_escalations": max_escalations,
+        }
         self.last_report: Optional[RuntimeReport] = None
 
     def _make_client(self, oracle: LabelOracle) -> PlatformClient:
@@ -1217,7 +1180,6 @@ class AsyncDispatch:
         """Label every pair in ``order`` from inside an event loop."""
         engine = LabelingEngine(
             order,
-            policy=self._policy,
             # The static sequential loop deduces at visit time and never
             # sweeps, so the incremental index would be pure overhead; the
             # expected-value ordering sweeps whenever every remaining pair
@@ -1226,25 +1188,15 @@ class AsyncDispatch:
                 self._mode is not RuntimeMode.SEQUENTIAL
                 or self._ordering == "expected-value"
             ),
-            backend=self._backend,
-            shard_threshold=self._shard_threshold,
-            parallel_threshold=self._parallel_threshold,
-            n_workers=self._n_workers,
-            workers=self._workers,
-            spawn_local_workers=self._spawn_local_workers,
-            mp_start_method=self._mp_start_method,
+            **self._engine_kwargs,
         )
         runtime = CrowdRuntime(
             engine,
             self._make_client(oracle),
+            spec=self._spec,
             mode=self._mode,
-            budget=self._budget,
-            timeout=self._timeout,
-            review=self._review,
-            max_rounds=self._max_rounds,
             ordering=self._ordering,
-            aggregation=self._aggregation,
-            max_escalations=self._max_escalations,
+            **self._runtime_kwargs,
         )
         self.last_report = await runtime.run()
         return engine.result

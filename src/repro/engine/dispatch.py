@@ -1,34 +1,25 @@
-"""Pluggable dispatch strategies over the :class:`LabelingEngine`.
+"""The instant-decision simulator and the shared engine configuration.
 
-The engine owns the deduction state and the must-crowdsource frontier; a
-*dispatch strategy* decides when to publish which frontier pairs and how the
-crowd's answers are simulated.  The three strategies here reproduce the
-paper's three labelers:
+The paper's sequential (Section 3.2) and round-parallel (Section 5.1,
+Algorithms 2-3) labelers are the two pair-granularity modes of
+:class:`~repro.engine.async_dispatch.AsyncDispatch`, which drives the
+shared :class:`LabelingEngine` through the same
+:class:`~repro.engine.async_dispatch.CrowdRuntime` event loop that live
+campaigns use.  This module holds what sits beside it:
 
-* :class:`SequentialDispatch` — one pair per round (Section 3.2);
-* :class:`RoundParallelDispatch` — the full frontier per round, waiting for
-  every answer before re-deciding (Section 5.1, Algorithms 2-3);
-* :class:`InstantDispatch` — answer-at-a-time with the instant-decision and
-  non-matching-first optimisations (Section 5.2, Figure 15).
+* :class:`InstantDispatch` — answer-at-a-time labeling with the
+  instant-decision and non-matching-first optimisations (Section 5.2,
+  Figure 15).  It keeps its own loop: its answer *policies* (which
+  published pair the crowd answers next) simulate the Figure-15 crowd
+  itself, which is not a platform concern.
+* :func:`_engine_config` — the engine keyword arguments every dispatch
+  strategy resolves the same way (explicit argument > spec value >
+  default).
 
 The companion paper on the Expected Optimal Labeling Order problem
-(arXiv:1409.7472) treats ordering and dispatch as orthogonal components; the
-same separation here means hot-path work (the incremental frontier, future
-batching/async/sharding) lands once in the engine and benefits every
-strategy.  The legacy classes in :mod:`repro.core.sequential`,
-:mod:`repro.core.parallel`, and :mod:`repro.core.instant` are thin facades
-over these strategies.
-
-Since the async-first refactor, :class:`SequentialDispatch` and
-:class:`RoundParallelDispatch` are themselves synchronous facades: each run
-builds a :class:`~repro.engine.async_dispatch.CrowdRuntime` over the
-deterministic simulated client
-(:meth:`~repro.crowd.clients.SimulatedPlatformClient.for_oracle`) and drives
-it to completion — the same event loop, answer-application path, and expiry
-handling that live campaigns use, property-tested identical to the frozen
-pre-refactor labelers.  :class:`InstantDispatch` keeps its bespoke loop: its
-answer *policies* (which published pair the crowd answers next) simulate the
-Figure-15 crowd itself, which is not a platform concern.
+(arXiv:1409.7472) treats ordering and dispatch as orthogonal components;
+the same separation here means hot-path work lands once in the engine and
+benefits every strategy.
 """
 
 from __future__ import annotations
@@ -36,14 +27,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Dict, List, Optional, Sequence, Union
 
-from ..core.cluster_graph import ClusterGraph, ConflictPolicy
+from ..core.cluster_graph import ConflictPolicy
 from ..core.oracle import LabelOracle
 from ..core.pairs import CandidatePair, Label, Pair
 from ..core.result import LabelingResult
-from ..crowd.clients import SimulatedPlatformClient
-from .async_dispatch import CrowdRuntime, RuntimeMode
 from .engine import DEFAULT_SHARD_THRESHOLD, LabelingEngine
 from .parallel import DEFAULT_PARALLEL_THRESHOLD
 
@@ -89,143 +78,6 @@ def _engine_config(
     }
     resolved.update({k: v for k, v in overrides.items() if v is not None})
     return resolved
-
-
-@runtime_checkable
-class DispatchStrategy(Protocol):
-    """A labeling loop: drives a :class:`LabelingEngine` against an oracle."""
-
-    def run(
-        self,
-        order: Sequence[Union[Pair, CandidatePair]],
-        oracle: LabelOracle,
-    ) -> LabelingResult:
-        """Label every pair in ``order``; return the full result."""
-        ...  # pragma: no cover - protocol
-
-
-class SequentialDispatch:
-    """Publish one must-crowdsource pair per round (paper Section 3.2).
-
-    Walks the order; each pair is either deduced for free or crowdsourced as
-    its own round.  Attains the minimum crowdsourced count for the order but
-    serialises crowd work — the latency problem the parallel strategies
-    solve.
-    """
-
-    def __init__(
-        self,
-        policy: Optional[ConflictPolicy] = None,
-        backend: Optional[str] = None,
-        shard_threshold: Optional[int] = None,
-        parallel_threshold: Optional[int] = None,
-        n_workers: Optional[int] = None,
-        workers: Optional[Sequence[str]] = None,
-        spawn_local_workers: Optional[int] = None,
-        *,
-        spec=None,
-    ) -> None:
-        self._engine_kwargs = _engine_config(
-            spec,
-            policy=policy,
-            backend=backend,
-            shard_threshold=shard_threshold,
-            parallel_threshold=parallel_threshold,
-            n_workers=n_workers,
-            workers=workers,
-            spawn_local_workers=spawn_local_workers,
-        )
-
-    def run(
-        self,
-        order: Sequence[Union[Pair, CandidatePair]],
-        oracle: LabelOracle,
-        graph: Optional[ClusterGraph] = None,
-    ) -> LabelingResult:
-        """Label every pair in ``order``; oracle calls follow the order.
-
-        Args:
-            order: the labeling order.
-            oracle: answers crowdsourced queries.
-            graph: optional pre-populated deduction graph to continue from
-                (its pairs count as already labeled).
-        """
-        # The sequential loop deduces at visit time and never sweeps, so the
-        # incremental index would be pure overhead; it also must accept
-        # foreign graphs (e.g. the one-to-one extension's).
-        engine = LabelingEngine(
-            order,
-            graph=graph,
-            use_index=False,
-            **self._engine_kwargs,
-        )
-        CrowdRuntime(
-            engine,
-            SimulatedPlatformClient.for_oracle(oracle),
-            mode=RuntimeMode.SEQUENTIAL,
-        ).run_sync()
-        return engine.result
-
-
-class RoundParallelDispatch:
-    """Publish the whole must-crowdsource frontier per round (Algorithm 2).
-
-    Every round publishes every pair that must be crowdsourced no matter how
-    the outstanding pairs turn out, collects all answers, sweeps deductions,
-    and repeats.  Money cost provably never exceeds the sequential strategy
-    on the same order (property-tested); only the round count shrinks.
-    """
-
-    def __init__(
-        self,
-        policy: Optional[ConflictPolicy] = None,
-        backend: Optional[str] = None,
-        shard_threshold: Optional[int] = None,
-        parallel_threshold: Optional[int] = None,
-        n_workers: Optional[int] = None,
-        workers: Optional[Sequence[str]] = None,
-        spawn_local_workers: Optional[int] = None,
-        *,
-        spec=None,
-    ) -> None:
-        self._engine_kwargs = _engine_config(
-            spec,
-            policy=policy,
-            backend=backend,
-            shard_threshold=shard_threshold,
-            parallel_threshold=parallel_threshold,
-            n_workers=n_workers,
-            workers=workers,
-            spawn_local_workers=spawn_local_workers,
-        )
-
-    def run(
-        self,
-        order: Sequence[Union[Pair, CandidatePair]],
-        oracle: LabelOracle,
-        max_rounds: Optional[int] = None,
-    ) -> LabelingResult:
-        """Label every pair in ``order`` using batched crowd rounds.
-
-        Args:
-            order: the labeling order.
-            oracle: answers crowdsourced queries (one call per published
-                pair).
-            max_rounds: safety cap; the algorithm provably terminates (each
-                round crowdsources at least the first unlabeled pair), so the
-                cap exists only to fail fast on bugs.
-
-        Raises:
-            RuntimeError: if ``max_rounds`` is exceeded.
-        """
-        engine = LabelingEngine(order, **self._engine_kwargs)
-        CrowdRuntime(
-            engine,
-            SimulatedPlatformClient.for_oracle(oracle),
-            mode=RuntimeMode.ROUNDS,
-            max_rounds=max_rounds,
-        ).run_sync()
-        return engine.result
 
 
 class AnswerPolicy(enum.Enum):
@@ -319,8 +171,9 @@ class InstantDispatch:
             naive full scan is kept for cross-validation and produces
             identical results.
         backend: engine deduction/frontier backend (``"auto"``,
-            ``"monolithic"``, ``"sharded"``, ``"vectorized"``, or
-            ``"parallel"``; see :class:`LabelingEngine`).
+            ``"monolithic"``, ``"sharded"``, ``"vectorized"``,
+            ``"parallel"``, or ``"distributed"``; see
+            :class:`LabelingEngine`).
         shard_threshold: the ``auto`` backend's sharding cut-over point.
     """
 

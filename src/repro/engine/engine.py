@@ -18,9 +18,9 @@ event handling exactly once:
   invariant that every pair is recorded exactly once.
 
 Dispatch policy — *when* to publish *which* must-crowdsource pairs — is
-pluggable (see :mod:`repro.engine.dispatch` for the synchronous strategies
-and :mod:`repro.engine.async_dispatch` for the asyncio runtime that drives
-them all); the engine itself never calls an oracle or a platform, and never
+pluggable (see :mod:`repro.engine.async_dispatch` for the asyncio runtime
+and its modes, and :mod:`repro.engine.dispatch` for the Figure-15
+simulator); the engine itself never calls an oracle or a platform, and never
 waits — which is exactly what lets the async runtime apply crowd answers in
 whatever order they arrive.  Events flow in through three entry points:
 
@@ -114,13 +114,12 @@ class _DuplicateOrder(Exception):
 class GraphEngineCore:
     """The engine core of the monolithic and sharded backends.
 
-    Holds the in-process deduction graph (a :class:`ClusterGraph`, a
-    :class:`ShardedClusterGraph`, or a caller's ``graph=``), the frontier
+    Holds the in-process deduction graph (a :class:`ClusterGraph`, or a
+    :class:`ShardedClusterGraph` on the sharded backend), the frontier
     selection — one :class:`FrontierCursor`, or a per-component
     :class:`ShardedFrontier` on the sharded backend — and the deduction
     sweep: incremental through a :class:`PendingPairIndex`, or a rescan of
-    the pending list for foreign graphs without the listener slot and for
-    ``use_index=False``.  Both selections reproduce
+    the pending list for ``use_index=False``.  Both selections reproduce
     :func:`~repro.engine.frontier.must_crowdsource_frontier`, and both
     sweeps resolve the same pairs (property-tested).
 
@@ -148,17 +147,13 @@ class GraphEngineCore:
         self._published = published
         self._withheld = withheld
         # Built on the first frontier() call: strategies that deduce at
-        # visit time (SequentialDispatch) never pay for it, and a fresh
+        # visit time (the sequential mode) never pay for it, and a fresh
         # ShardedFrontier starts all-dirty, so building late reads the
         # current state in full.
         self._selector_type = ShardedFrontier if sharded else FrontierCursor
         self._selector: Union[ShardedFrontier, FrontierCursor, None] = None
         self._index: Optional[PendingPairIndex] = None
-        if (
-            use_index
-            and isinstance(graph, (ClusterGraph, ShardedClusterGraph))
-            and graph.listener is None
-        ):
+        if use_index:
             self._index = PendingPairIndex(graph, pairs)
         # Order-preserving pending list for the full-scan fallback sweep.
         self._unlabeled: List[Pair] = list(pairs)
@@ -262,16 +257,10 @@ class LabelingEngine:
     Args:
         order: the labeling order (pairs or candidate pairs; candidate
             likelihoods are retained for likelihood-aware dispatch).
-        policy: conflict policy for a freshly created graph (ignored when
-            ``graph`` is given).
-        graph: optional pre-populated deduction graph to continue from; any
-            object with the ``ClusterGraph`` ``add``/``deduce`` contract is
-            accepted (e.g. :class:`repro.ext.one_to_one.OneToOneClusterGraph`).
-            An explicit graph pins the engine to the monolithic path.
+        policy: conflict policy of the deduction graph.
         use_index: keep the pending-pair frontier incrementally via
-            :class:`PendingPairIndex`.  Disabled automatically for foreign
-            graph types without the listener slot; the full-scan fallback
-            produces identical results (property-tested) and exists for
+            :class:`PendingPairIndex`; the full-scan fallback produces
+            identical results (property-tested) and exists for
             cross-validation.
         backend: ``"monolithic"`` (one :class:`ClusterGraph` + one
             :class:`FrontierCursor`), ``"sharded"`` (per-component
@@ -318,7 +307,6 @@ class LabelingEngine:
         order: Sequence[Union[Pair, CandidatePair]],
         *,
         policy: ConflictPolicy = ConflictPolicy.STRICT,
-        graph: Optional[ClusterGraph] = None,
         use_index: bool = True,
         backend: str = "auto",
         shard_threshold: int = DEFAULT_SHARD_THRESHOLD,
@@ -374,36 +362,22 @@ class LabelingEngine:
         self._withheld: Set[Pair] = set()
         #: The in-process deduction graph (monolithic and sharded backends;
         #: None where the graph lives in arrays or worker processes).
-        self.graph = graph
-        self._policy = policy if graph is None else getattr(graph, "policy", None)
-        if graph is not None:
-            # A caller-provided graph (pre-populated or foreign) pins the
-            # monolithic path: its contents cannot be redistributed.
-            # Explicitly requesting sharding alongside one is a contradiction
-            # the caller must resolve, not a silent downgrade.
-            if backend in ("sharded", "vectorized", "parallel", "distributed"):
-                raise ValueError(
-                    f"backend={backend!r} cannot be combined with an explicit "
-                    "graph: a pre-populated graph cannot be redistributed "
-                    "into shards or re-encoded as arrays (drop the graph "
-                    "argument or use backend='auto'/'monolithic')"
-                )
-            self.backend = "monolithic"
-        else:
-            if backend == "auto":
-                if len(self.pairs) < shard_threshold:
-                    backend = "monolithic"
-                else:
-                    backend = "vectorized" if vectorized_available() else "sharded"
-            elif backend == "vectorized" and not vectorized_available():
-                # numpy is an optional dependency (the ``perf`` extra): the
-                # documented graceful fallback to the pure-Python backend.
-                backend = "sharded"
-            elif backend == "parallel" and len(self.pairs) < parallel_threshold:
-                # Process orchestration only pays for itself at scale: the
-                # documented auto-fallback to in-process sharding.
-                backend = "sharded"
-            self.backend = backend
+        self.graph: Union[ClusterGraph, ShardedClusterGraph, None] = None
+        self._policy = policy
+        if backend == "auto":
+            if len(self.pairs) < shard_threshold:
+                backend = "monolithic"
+            else:
+                backend = "vectorized" if vectorized_available() else "sharded"
+        elif backend == "vectorized" and not vectorized_available():
+            # numpy is an optional dependency (the ``perf`` extra): the
+            # documented graceful fallback to the pure-Python backend.
+            backend = "sharded"
+        elif backend == "parallel" and len(self.pairs) < parallel_threshold:
+            # Process orchestration only pays for itself at scale: the
+            # documented auto-fallback to in-process sharding.
+            backend = "sharded"
+        self.backend = backend
         if self.backend == "vectorized":
             self._core = VectorizedEngineCore(
                 self.pairs, policy=policy, positions=self._position
@@ -434,12 +408,11 @@ class LabelingEngine:
                 mp_start_method=mp_start_method,
             )
         else:
-            if self.graph is None:
-                self.graph = (
-                    ShardedClusterGraph(policy=policy)
-                    if self.backend == "sharded"
-                    else ClusterGraph(policy=policy)
-                )
+            self.graph = (
+                ShardedClusterGraph(policy=policy)
+                if self.backend == "sharded"
+                else ClusterGraph(policy=policy)
+            )
             self._core = GraphEngineCore(
                 self.graph,
                 self.pairs,
@@ -580,11 +553,10 @@ class LabelingEngine:
             round_sizes.append(len(batch))
             for pair in batch:
                 round_flat.append(position[pair])
-        policy = self._policy
         snapshot = {
             "version": ENGINE_SNAPSHOT_VERSION,
             "backend": self.backend,
-            "policy": policy.value if policy is not None else None,
+            "policy": self._policy.value,
             "n_pairs": len(self.pairs),
             "order_digest": self.order_digest(),
             # Event/position lists ship as packed base64 columns (see
@@ -640,11 +612,11 @@ class LabelingEngine:
             raise ValueError(
                 "snapshot was taken over a different labeling order"
             )
-        policy = self._policy
-        if policy is not None and snapshot.get("policy") not in (None, policy.value):
+        policy = self._policy.value
+        if snapshot.get("policy") not in (None, policy):
             raise ValueError(
                 f"snapshot policy {snapshot['policy']!r} does not match "
-                f"engine policy {policy.value!r}"
+                f"engine policy {policy!r}"
             )
         pairs = self.pairs
         packed = snapshot["events"]

@@ -45,6 +45,7 @@ from ..core.oracle import LabelOracle
 from ..core.pairs import CandidatePair, Label, Pair
 from ..core.result import LabelingResult
 from ..core.union_find import UnionFind
+from .dispatch import _engine_config
 from .engine import LabelingEngine
 
 #: Components with more distinct cluster-level variables than this fall back
@@ -375,8 +376,8 @@ class ExpectedValueDispatch:
     evidence, spending strictly fewer expected questions on reference
     workloads (gated in ``benchmarks/bench_core_micro.py``).  It is the
     sequential-granularity strategy — one pair in flight at a time — so its
-    crowdsourced count is directly comparable to
-    :class:`~repro.engine.dispatch.SequentialDispatch`.
+    crowdsourced count is directly comparable to the sequential mode of
+    :class:`~repro.engine.async_dispatch.AsyncDispatch`.
 
     Args:
         policy / backend / shard_threshold / parallel_threshold / n_workers:
@@ -398,8 +399,6 @@ class ExpectedValueDispatch:
         *,
         spec=None,
     ) -> None:
-        from .dispatch import _engine_config  # local import to avoid a cycle
-
         self._enumeration_limit = enumeration_limit
         self._engine_kwargs = _engine_config(
             spec,

@@ -8,9 +8,8 @@ ones, which never lowers a path's non-matching count.
 
 This module is the single shared implementation of that test.  Every
 dispatch strategy (round-parallel, instant-decision, the HIT-granularity
-campaign adapter) and the ``parallel_crowdsourced_pairs`` compatibility
-wrapper in :mod:`repro.core.parallel` call into it, so the optimistic
-semantics live in exactly one place.
+campaign adapter) calls into it, so the optimistic semantics live in
+exactly one place.
 
 Reproduction note: the paper's Algorithm 3 pseudocode inserts only the
 *selected* pairs as matching and leaves optimistically-deducible pairs out of

@@ -11,7 +11,7 @@ as the threshold drops.
 from __future__ import annotations
 
 from ..core.ordering import optimal_order
-from ..core.sequential import label_sequential
+from ..engine.async_dispatch import AsyncDispatch, RuntimeMode
 from .config import ExperimentConfig
 from .harness import prepare
 from .reporting import ExperimentResult
@@ -30,10 +30,11 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
             "savings_pct",
         ],
     )
+    sequential = AsyncDispatch(RuntimeMode.SEQUENTIAL)
     for threshold in config.thresholds:
         candidates = prepared.candidates_above(threshold)
         ordered = optimal_order(candidates, prepared.truth)
-        transitive = label_sequential(ordered, prepared.truth)
+        transitive = sequential.run(ordered, prepared.truth)
         non_transitive = len(candidates)  # the baseline crowdsources all
         savings = (
             100.0 * (non_transitive - transitive.n_crowdsourced) / non_transitive

@@ -10,7 +10,7 @@ of magnitude above Optimal on the Paper dataset at low thresholds.
 from __future__ import annotations
 
 from ..core.ordering import expected_order, optimal_order, random_order, worst_order
-from ..core.sequential import label_sequential
+from ..engine.async_dispatch import AsyncDispatch, RuntimeMode
 from .config import ExperimentConfig
 from .harness import prepare
 from .reporting import ExperimentResult
@@ -26,6 +26,7 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
         title=f"crowdsourced pairs by labeling order ({config.dataset})",
         columns=["threshold", *ORDER_NAMES],
     )
+    sequential = AsyncDispatch(RuntimeMode.SEQUENTIAL)
     for threshold in config.thresholds:
         candidates = prepared.candidates_above(threshold)
         orders = {
@@ -36,7 +37,7 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
         }
         row = {"threshold": threshold}
         for name, ordered in orders.items():
-            row[name] = label_sequential(ordered, prepared.truth).n_crowdsourced
+            row[name] = sequential.run(ordered, prepared.truth).n_crowdsourced
         result.rows.append(row)
     for name in ORDER_NAMES:
         result.series[name] = [row[name] for row in result.rows]

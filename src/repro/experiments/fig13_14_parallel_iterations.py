@@ -12,7 +12,7 @@ hence even fewer iterations.
 from __future__ import annotations
 
 from ..core.ordering import expected_order
-from ..core.parallel import label_parallel
+from ..engine.async_dispatch import AsyncDispatch, RuntimeMode
 from .config import ExperimentConfig
 from .harness import prepare
 from .reporting import ExperimentResult
@@ -24,7 +24,7 @@ def run(
     """Reproduce Figure 13 (threshold 0.3) or 14 (threshold 0.4)."""
     prepared = prepare(config)
     candidates = expected_order(prepared.candidates_above(threshold))
-    parallel = label_parallel(candidates, prepared.truth)
+    parallel = AsyncDispatch(RuntimeMode.ROUNDS).run(candidates, prepared.truth)
     figure = "figure13" if abs(threshold - 0.3) < 1e-9 else "figure14"
     result = ExperimentResult(
         experiment_id=figure,

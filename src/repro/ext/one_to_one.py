@@ -126,9 +126,10 @@ def label_sequential_one_to_one(
 ) -> LabelingResult:
     """Sequential labeling with one-to-one deduction.
 
-    Identical to :func:`repro.core.sequential.label_sequential` except that
-    the one-to-one rule lets strictly more pairs be deduced, so the
-    crowdsourced count can only be lower or equal (property-tested).
+    Identical to the sequential labeler
+    (``AsyncDispatch(RuntimeMode.SEQUENTIAL)``) except that the one-to-one
+    rule lets strictly more pairs be deduced, so the crowdsourced count can
+    only be lower or equal (property-tested).
     """
     graph = OneToOneClusterGraph(source_of, policy=policy)
     pairs = [item.pair if isinstance(item, CandidatePair) else item for item in order]

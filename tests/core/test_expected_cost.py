@@ -16,6 +16,7 @@ from repro.core.expected_cost import (
     brute_force_expected_optimal,
     consistent_assignments_count,
     crowdsourced_count,
+    crowdsourced_indicator,
     crowdsourcing_probabilities,
     enumerate_consistent_assignments,
     expected_cost,
@@ -25,9 +26,10 @@ from repro.core.expected_cost import (
     sample_assignment,
 )
 from repro.core.pairs import Pair
-from repro.core.oracle import GroundTruthOracle
+from repro.core.oracle import GroundTruthOracle, MappingOracle
 from repro.core.ordering import expected_order
 from repro.core.pairs import Label, candidate
+from repro.engine import AsyncDispatch, RuntimeMode
 
 from ..strategies import worlds
 
@@ -174,6 +176,30 @@ class TestExpectedCostProperties:
             return
         probabilities = crowdsourcing_probabilities(unique)
         assert probabilities[0] == pytest.approx(1.0)
+
+
+class TestIndicatorAgainstEngine:
+    """``crowdsourced_indicator`` replays an order on one ClusterGraph; the
+    engine's sequential mode must crowdsource exactly the pairs it flags."""
+
+    @given(worlds(max_objects=8, max_pairs=7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sequential_mode_crowdsources_the_flagged_pairs(self, world, data):
+        candidates, entity_of = world
+        truth = GroundTruthOracle(entity_of)
+        # Revisiting a pair is legal: its later occurrences are deduced.
+        repeats = data.draw(st.lists(st.sampled_from(candidates), max_size=3))
+        order = data.draw(st.permutations(candidates + repeats))
+        pairs = [c.pair for c in order]
+        assignment = {pair: truth.label(pair) for pair in pairs}
+        flags = crowdsourced_indicator(pairs, assignment)
+        result = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(
+            order, MappingOracle(assignment)
+        )
+        assert result.crowdsourced_pairs() == [
+            pair for pair, flag in zip(pairs, flags) if flag
+        ]
+        assert crowdsourced_count(order, assignment) == result.n_crowdsourced
 
 
 class TestHeuristicQuality:

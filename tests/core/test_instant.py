@@ -1,56 +1,58 @@
-"""Tests for the event-driven labeler with instant-decision and
-non-matching-first optimisations (Section 5.2 / Figure 15)."""
+"""Tests for the event-driven labeler (InstantDispatch) with instant-decision
+and non-matching-first optimisations (Section 5.2 / Figure 15)."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 
-from repro.core.instant import (
-    AnswerPolicy,
-    InstantLabeler,
-    label_instant,
-)
 from repro.core.oracle import CountingOracle, GroundTruthOracle
-from repro.core.parallel import label_parallel
-from repro.core.sequential import label_sequential
+from repro.engine import AnswerPolicy, AsyncDispatch, InstantDispatch, RuntimeMode
 
 from ..strategies import worlds
+
+SEQUENTIAL = AsyncDispatch(RuntimeMode.SEQUENTIAL)
+ROUNDS = AsyncDispatch(RuntimeMode.ROUNDS)
+
+
+def run_instant(order, oracle, **options):
+    """Run :class:`InstantDispatch` (ID on, RANDOM answers by default)."""
+    return InstantDispatch(**options).run(order, oracle)
 
 
 class TestInstantLabelerBasics:
     def test_labels_everything(self, figure3_candidates, figure3_truth):
-        run = label_instant(figure3_candidates, figure3_truth)
+        run = run_instant(figure3_candidates, figure3_truth)
         assert run.result.n_pairs == 8
 
     def test_labels_correct(self, figure3_candidates, figure3_truth):
-        run = label_instant(figure3_candidates, figure3_truth)
+        run = run_instant(figure3_candidates, figure3_truth)
         for pair, label in run.result.labels().items():
             assert label is figure3_truth.label(pair)
 
     def test_trace_records_every_answer(self, figure3_candidates, figure3_truth):
-        run = label_instant(figure3_candidates, figure3_truth)
+        run = run_instant(figure3_candidates, figure3_truth)
         assert len(run.trace) == run.n_crowdsourced
         assert run.trace[-1].n_answered == run.n_crowdsourced
 
     def test_pool_empty_at_end(self, figure3_candidates, figure3_truth):
-        run = label_instant(figure3_candidates, figure3_truth)
+        run = run_instant(figure3_candidates, figure3_truth)
         assert run.trace[-1].n_available == 0
 
     def test_oracle_calls_equal_crowdsourced(self, figure3_candidates, figure3_truth):
         counting = CountingOracle(figure3_truth)
-        run = label_instant(figure3_candidates, counting)
+        run = run_instant(figure3_candidates, counting)
         assert counting.n_calls == run.n_crowdsourced
 
     def test_deterministic_given_seed(self, figure3_candidates, figure3_truth):
-        run1 = label_instant(figure3_candidates, figure3_truth, seed=5)
-        run2 = label_instant(figure3_candidates, figure3_truth, seed=5)
+        run1 = run_instant(figure3_candidates, figure3_truth, seed=5)
+        run2 = run_instant(figure3_candidates, figure3_truth, seed=5)
         assert run1.trace == run2.trace
 
 
 class TestAnswerPolicies:
     def test_fifo_answers_in_publication_order(self, figure3_candidates, figure3_truth):
-        run = label_instant(
+        run = run_instant(
             figure3_candidates, figure3_truth, answer_policy=AnswerPolicy.FIFO
         )
         crowdsourced = run.result.crowdsourced_pairs()
@@ -62,7 +64,7 @@ class TestAnswerPolicies:
         assert set(crowdsourced) == set(answered)
 
     def test_nf_answers_least_likely_first(self, figure3_candidates, figure3_truth):
-        run = label_instant(
+        run = run_instant(
             figure3_candidates,
             figure3_truth,
             answer_policy=AnswerPolicy.NON_MATCHING_FIRST,
@@ -81,8 +83,8 @@ class TestCostEquivalence:
     def test_instant_never_costs_more_than_sequential(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        sequential = label_sequential(candidates, truth)
-        run = label_instant(candidates, truth, seed=3)
+        sequential = SEQUENTIAL.run(candidates, truth)
+        run = run_instant(candidates, truth, seed=3)
         assert run.n_crowdsourced <= sequential.n_crowdsourced
 
     @given(worlds())
@@ -90,8 +92,8 @@ class TestCostEquivalence:
     def test_instant_crowdsourced_subset_of_sequential(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        sequential = label_sequential(candidates, truth)
-        run = label_instant(candidates, truth, seed=3)
+        sequential = SEQUENTIAL.run(candidates, truth)
+        run = run_instant(candidates, truth, seed=3)
         assert set(run.result.crowdsourced_pairs()) <= set(
             sequential.crowdsourced_pairs()
         )
@@ -103,8 +105,8 @@ class TestCostEquivalence:
         round-based algorithm's batches."""
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        parallel = label_parallel(candidates, truth)
-        run = label_instant(candidates, truth, instant_decision=False, seed=1)
+        parallel = ROUNDS.run(candidates, truth)
+        run = run_instant(candidates, truth, instant_decision=False, seed=1)
         assert run.result.round_sizes() == parallel.round_sizes()
         assert [set(b) for b in run.result.rounds] == [set(b) for b in parallel.rounds]
 
@@ -113,8 +115,8 @@ class TestCostEquivalence:
     def test_nf_policy_never_costs_more(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        sequential = label_sequential(candidates, truth)
-        run = label_instant(
+        sequential = SEQUENTIAL.run(candidates, truth)
+        run = run_instant(
             candidates, truth, answer_policy=AnswerPolicy.NON_MATCHING_FIRST
         )
         assert run.n_crowdsourced <= sequential.n_crowdsourced
@@ -124,7 +126,7 @@ class TestCostEquivalence:
     def test_labels_match_truth(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        run = label_instant(candidates, truth, seed=9)
+        run = run_instant(candidates, truth, seed=9)
         for pair, label in run.result.labels().items():
             assert label is truth.label(pair)
 
@@ -135,10 +137,10 @@ class TestAvailabilityBehaviour:
     def test_id_keeps_pool_at_least_as_full_on_average(
         self, figure3_candidates, figure3_truth
     ):
-        plain = label_instant(
+        plain = run_instant(
             figure3_candidates, figure3_truth, instant_decision=False, seed=11
         )
-        with_id = label_instant(
+        with_id = run_instant(
             figure3_candidates, figure3_truth, instant_decision=True, seed=11
         )
         assert with_id.mean_availability() >= plain.mean_availability() - 1e-9
@@ -146,7 +148,7 @@ class TestAvailabilityBehaviour:
     def test_plain_parallel_drains_pool_between_rounds(
         self, figure3_candidates, figure3_truth
     ):
-        plain = label_instant(
+        plain = run_instant(
             figure3_candidates, figure3_truth, instant_decision=False, seed=2
         )
         # the pool hits zero once per round boundary
@@ -156,11 +158,11 @@ class TestAvailabilityBehaviour:
     def test_publish_events_cover_all_crowdsourced(
         self, figure3_candidates, figure3_truth
     ):
-        run = label_instant(figure3_candidates, figure3_truth, seed=4)
+        run = run_instant(figure3_candidates, figure3_truth, seed=4)
         published = sum(size for _, size in run.publish_events)
         assert published == run.n_crowdsourced
 
     def test_starvation_count_is_zero_for_figure3_id(self, figure3_candidates, figure3_truth):
-        run = label_instant(figure3_candidates, figure3_truth, seed=4)
+        run = run_instant(figure3_candidates, figure3_truth, seed=4)
         # mid-run the ID labeler never leaves the platform empty here
         assert run.starvation_count(below=1) == 0

@@ -21,9 +21,16 @@ from repro.core.ordering import (
     worst_order,
 )
 from repro.core.pairs import CandidatePair, Label, Pair, candidate
-from repro.core.sequential import crowdsourced_count
+from repro.engine import AsyncDispatch, RuntimeMode
 
 from ..strategies import worlds
+
+SEQUENTIAL = AsyncDispatch(RuntimeMode.SEQUENTIAL)
+
+
+def sequential_cost(order, oracle) -> int:
+    """``C(omega)``: the pairs the sequential labeler crowdsources."""
+    return SEQUENTIAL.run(order, oracle).n_crowdsourced
 
 
 class TestExpectedOrder:
@@ -115,11 +122,11 @@ class TestSection31Example:
 
     def test_good_order_needs_two(self, truth):
         order = [Pair("o1", "o2"), Pair("o2", "o3"), Pair("o1", "o3")]
-        assert crowdsourced_count(order, truth) == 2
+        assert sequential_cost(order, truth) == 2
 
     def test_bad_order_needs_three(self, truth):
         order = [Pair("o2", "o3"), Pair("o1", "o3"), Pair("o1", "o2")]
-        assert crowdsourced_count(order, truth) == 3
+        assert sequential_cost(order, truth) == 3
 
 
 class TestSection41Example:
@@ -133,7 +140,7 @@ class TestSection41Example:
     def test_all_six_orders(self, truth):
         p1, p2, p3 = Pair("o1", "o2"), Pair("o2", "o3"), Pair("o1", "o3")
         costs = [
-            crowdsourced_count(order, truth)
+            sequential_cost(order, truth)
             for order in (
                 [p1, p2, p3],
                 [p1, p3, p2],
@@ -154,8 +161,8 @@ class TestTheorem1:
     def test_optimal_beats_random(self, world, seed):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        cost_optimal = crowdsourced_count(optimal_order(candidates, truth), truth)
-        cost_random = crowdsourced_count(random_order(candidates, seed=seed), truth)
+        cost_optimal = sequential_cost(optimal_order(candidates, truth), truth)
+        cost_random = sequential_cost(random_order(candidates, seed=seed), truth)
         assert cost_optimal <= cost_random
 
     @given(worlds(max_objects=8, max_pairs=12))
@@ -163,14 +170,14 @@ class TestTheorem1:
     def test_optimal_beats_worst(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        cost_optimal = crowdsourced_count(optimal_order(candidates, truth), truth)
-        cost_worst = crowdsourced_count(worst_order(candidates, truth), truth)
+        cost_optimal = sequential_cost(optimal_order(candidates, truth), truth)
+        cost_worst = sequential_cost(worst_order(candidates, truth), truth)
         assert cost_optimal <= cost_worst
 
     def test_figure3_optimal_cost_is_six(self, figure3_candidates, figure3_truth):
         """Example 2: six is the optimal number of crowdsourced pairs."""
         ordered = optimal_order(figure3_candidates, figure3_truth)
-        assert crowdsourced_count(ordered, figure3_truth) == 6
+        assert sequential_cost(ordered, figure3_truth) == 6
 
 
 class TestSwapLemmas:
@@ -195,7 +202,7 @@ class TestSwapLemmas:
             return
         swapped = list(order)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        assert crowdsourced_count(swapped, truth) <= crowdsourced_count(order, truth)
+        assert sequential_cost(swapped, truth) <= sequential_cost(order, truth)
 
     @given(worlds(max_objects=8, max_pairs=10), st.integers(0, 50))
     @settings(max_examples=60)
@@ -211,4 +218,4 @@ class TestSwapLemmas:
             return
         swapped = list(order)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        assert crowdsourced_count(swapped, truth) == crowdsourced_count(order, truth)
+        assert sequential_cost(swapped, truth) == sequential_cost(order, truth)

@@ -1,4 +1,5 @@
-"""Tests for the parallel labeler (Section 5.1, Algorithms 2-3), including
+"""Tests for the parallel labeler (Section 5.1, Algorithms 2-3: the
+must-crowdsource frontier and the ROUNDS mode of AsyncDispatch), including
 paper Example 5 and the cost-equivalence property against the sequential
 labeler."""
 
@@ -9,14 +10,12 @@ from hypothesis import given, settings
 
 from repro.core.oracle import CountingOracle, GroundTruthOracle
 from repro.core.pairs import Label, Pair
-from repro.core.parallel import (
-    ParallelLabeler,
-    label_parallel,
-    parallel_crowdsourced_pairs,
-)
-from repro.core.sequential import label_sequential
+from repro.engine import AsyncDispatch, RuntimeMode, must_crowdsource_frontier
 
 from ..strategies import worlds
+
+SEQUENTIAL = AsyncDispatch(RuntimeMode.SEQUENTIAL)
+ROUNDS = AsyncDispatch(RuntimeMode.ROUNDS)
 
 
 class TestParallelCrowdsourcedPairs:
@@ -24,7 +23,7 @@ class TestParallelCrowdsourcedPairs:
         """Example 5: with nothing labeled, {p1, p2, p3, p5, p6} must be
         crowdsourced in parallel."""
         order = [figure3_pairs[f"p{i}"] for i in range(1, 9)]
-        batch = parallel_crowdsourced_pairs(order, labeled={})
+        batch = must_crowdsource_frontier(order, labeled={})
         expected = [figure3_pairs[name] for name in ("p1", "p2", "p3", "p5", "p6")]
         assert batch == expected
 
@@ -38,43 +37,43 @@ class TestParallelCrowdsourcedPairs:
         # deductions from round one
         labeled[figure3_pairs["p4"]] = Label.MATCHING
         labeled[figure3_pairs["p8"]] = Label.NON_MATCHING
-        batch = parallel_crowdsourced_pairs(order, labeled)
+        batch = must_crowdsource_frontier(order, labeled)
         assert batch == [figure3_pairs["p7"]]
 
     def test_section51_chain_is_fully_parallel(self):
         """Section 5.1 example: (o1,o2), (o2,o3), (o3,o4) can all be
         crowdsourced together."""
         order = [Pair("o1", "o2"), Pair("o2", "o3"), Pair("o3", "o4")]
-        assert parallel_crowdsourced_pairs(order, labeled={}) == order
+        assert must_crowdsource_frontier(order, labeled={}) == order
 
     def test_exclude_suppresses_published_pairs(self, figure3_pairs):
         order = [figure3_pairs[f"p{i}"] for i in range(1, 9)]
         published = {figure3_pairs["p1"], figure3_pairs["p2"]}
-        batch = parallel_crowdsourced_pairs(order, labeled={}, exclude=published)
+        batch = must_crowdsource_frontier(order, labeled={}, exclude=published)
         assert figure3_pairs["p1"] not in batch
         assert figure3_pairs["p2"] not in batch
         assert figure3_pairs["p3"] in batch
 
     def test_empty_order(self):
-        assert parallel_crowdsourced_pairs([], labeled={}) == []
+        assert must_crowdsource_frontier([], labeled={}) == []
 
     def test_triangle_third_pair_not_selected(self):
         """In a triangle the third pair is optimistically deducible."""
         order = [Pair("a", "b"), Pair("b", "c"), Pair("a", "c")]
-        batch = parallel_crowdsourced_pairs(order, labeled={})
+        batch = must_crowdsource_frontier(order, labeled={})
         assert batch == [Pair("a", "b"), Pair("b", "c")]
 
 
 class TestParallelLabeler:
     def test_example5_round_structure(self, figure3_candidates, figure3_truth):
-        result = label_parallel(figure3_candidates, figure3_truth)
+        result = ROUNDS.run(figure3_candidates, figure3_truth)
         assert result.n_rounds == 2
         assert result.round_sizes() == [5, 1]
         assert result.n_crowdsourced == 6
         assert result.n_deduced == 2
 
     def test_labels_correct(self, figure3_candidates, figure3_truth):
-        result = label_parallel(figure3_candidates, figure3_truth)
+        result = ROUNDS.run(figure3_candidates, figure3_truth)
         for pair, label in result.labels().items():
             assert label is figure3_truth.label(pair)
 
@@ -82,22 +81,22 @@ class TestParallelLabeler:
         self, figure3_candidates, figure3_truth
     ):
         counting = CountingOracle(figure3_truth)
-        result = label_parallel(figure3_candidates, counting)
+        result = ROUNDS.run(figure3_candidates, counting)
         assert counting.n_calls == result.n_crowdsourced
 
     def test_max_rounds_guard(self, figure3_candidates, figure3_truth):
-        labeler = ParallelLabeler()
+        labeler = AsyncDispatch(RuntimeMode.ROUNDS, max_rounds=1)
         with pytest.raises(RuntimeError):
-            labeler.run(figure3_candidates, figure3_truth, max_rounds=1)
+            labeler.run(figure3_candidates, figure3_truth)
 
     def test_empty_order(self, figure3_truth):
-        result = label_parallel([], figure3_truth)
+        result = ROUNDS.run([], figure3_truth)
         assert result.n_pairs == 0
         assert result.n_rounds == 0
 
     def test_all_independent_pairs_take_one_round(self, figure3_truth):
         order = [Pair("o1", "o2"), Pair("o3", "o4"), Pair("o5", "o6")]
-        result = label_parallel(order, figure3_truth)
+        result = ROUNDS.run(order, figure3_truth)
         assert result.n_rounds == 1
         assert result.round_sizes() == [3]
 
@@ -112,8 +111,8 @@ class TestCostEquivalence:
     def test_never_costs_more_than_sequential(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        sequential = label_sequential(candidates, truth)
-        parallel = label_parallel(candidates, truth)
+        sequential = SEQUENTIAL.run(candidates, truth)
+        parallel = ROUNDS.run(candidates, truth)
         assert parallel.n_crowdsourced <= sequential.n_crowdsourced
 
     @given(worlds())
@@ -123,8 +122,8 @@ class TestCostEquivalence:
         its prefix, so the sequential labeler crowdsources it too."""
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        sequential = label_sequential(candidates, truth)
-        parallel = label_parallel(candidates, truth)
+        sequential = SEQUENTIAL.run(candidates, truth)
+        parallel = ROUNDS.run(candidates, truth)
         assert set(parallel.crowdsourced_pairs()) <= set(sequential.crowdsourced_pairs())
 
     @given(worlds())
@@ -132,7 +131,7 @@ class TestCostEquivalence:
     def test_labels_match_truth(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        result = label_parallel(candidates, truth)
+        result = ROUNDS.run(candidates, truth)
         for pair, label in result.labels().items():
             assert label is truth.label(pair)
 
@@ -141,7 +140,7 @@ class TestCostEquivalence:
     def test_rounds_never_exceed_crowdsourced(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        result = label_parallel(candidates, truth)
+        result = ROUNDS.run(candidates, truth)
         assert result.n_rounds <= max(result.n_crowdsourced, 1)
 
     @given(worlds())
@@ -153,5 +152,5 @@ class TestCostEquivalence:
         truth = GroundTruthOracle(entity_of)
         if not candidates:
             return
-        result = label_parallel(candidates, truth)
+        result = ROUNDS.run(candidates, truth)
         assert candidates[0].pair in result.rounds[0]

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster_graph import ClusterGraph
-from repro.core.instant import AnswerPolicy, InstantLabeler
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
 from repro.core.sweep import PendingPairIndex
+from repro.engine import AnswerPolicy, InstantDispatch
 
 from ..strategies import worlds
 
@@ -95,7 +95,7 @@ class TestEquivalenceWithNaiveSweep:
         truth = GroundTruthOracle(entity_of)
         runs = {}
         for use_index in (False, True):
-            labeler = InstantLabeler(
+            labeler = InstantDispatch(
                 instant_decision=True,
                 answer_policy=AnswerPolicy.RANDOM,
                 seed=seed,

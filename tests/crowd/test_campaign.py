@@ -7,11 +7,11 @@ from hypothesis import given, settings
 
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import CandidatePair, Label, Pair
-from repro.core.sequential import label_sequential
 from repro.crowd.campaign import run_non_parallel, run_non_transitive, run_transitive
 from repro.crowd.latency import FixedLatency
 from repro.crowd.platform import SimulatedPlatform
 from repro.crowd.worker import make_worker_pool
+from repro.engine import AsyncDispatch, RuntimeMode
 
 from ..conftest import FIGURE3_ENTITIES, FIGURE3_PAIRS
 from ..strategies import worlds
@@ -110,7 +110,7 @@ class TestTransitive:
         report = run_transitive(
             [c.pair for c in candidates], make_platform(truth, batch_size=2, seed=3)
         )
-        sequential = label_sequential(candidates, truth)
+        sequential = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(candidates, truth)
         assert report.labels == sequential.labels()
 
     @given(worlds(max_objects=8, max_pairs=14))
@@ -123,7 +123,7 @@ class TestTransitive:
         report = run_transitive(
             [c.pair for c in candidates], make_platform(truth, batch_size=2, seed=4)
         )
-        sequential = label_sequential(candidates, truth)
+        sequential = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(candidates, truth)
         assert report.n_crowdsourced <= sequential.n_crowdsourced
 
     def test_round_based_mode(self, figure3_order, truth):

@@ -1,4 +1,5 @@
-"""The documented snippets must run: doctest over every docs/*.md.
+"""The documented snippets must run: doctest over README.md and every
+docs/*.md.
 
 Same check the CI ``docs`` job runs via ``python -m doctest``; living in
 tier-1 too means a drifted doc fails on a laptop before a PR is pushed.
@@ -13,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
-DOCS = sorted((Path(__file__).resolve().parent.parent.parent / "docs").glob("*.md"))
+ROOT = Path(__file__).resolve().parent.parent.parent
+DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 
 
 def test_docs_exist():
     assert [p.name for p in DOCS] == [
+        "README.md",
         "backends.md",
         "crowd.md",
         "engine.md",
@@ -46,4 +49,4 @@ def test_docs_have_executable_examples():
         for page in DOCS
         if parser.get_examples(page.read_text(), page.name)
     }
-    assert {"backends.md", "crowd.md", "index.md"} <= with_examples
+    assert {"README.md", "backends.md", "crowd.md", "index.md"} <= with_examples

@@ -11,11 +11,13 @@ Every cell of the matrix is pinned to the frozen pre-refactor references in
 ``tests/engine/reference.py`` (see docs/engine.md, "Testing: the frozen
 reference pattern"):
 
-* ``SequentialDispatch`` and ``AsyncDispatch(SEQUENTIAL)`` must replicate
-  ``reference_sequential`` — labels, outcome records, per-round published
-  lists, and oracle-call order;
-* ``RoundParallelDispatch`` and ``AsyncDispatch(ROUNDS)`` must replicate
-  ``reference_parallel`` the same way;
+* ``AsyncDispatch(SEQUENTIAL)`` must replicate ``reference_sequential`` —
+  labels, outcome records, per-round published lists, and oracle-call
+  order — through both of its entry points: the synchronous ``run`` (the
+  ``sequential`` column) and ``run_async`` awaited on a running loop (the
+  ``async-sequential`` column);
+* ``AsyncDispatch(ROUNDS)`` must replicate ``reference_parallel`` the same
+  way (the ``rounds`` and ``async-rounds`` columns);
 * ``InstantDispatch`` makes seeded rng-driven choices with no sequential
   reference, so its non-monolithic cells are pinned to the *monolithic* run
   instead: identical frontiers mean identical published pools, so labels,
@@ -48,15 +50,9 @@ from hypothesis import strategies as st
 
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
-from repro.engine import (
-    AsyncDispatch,
-    InstantDispatch,
-    LabelingEngine,
-    RoundParallelDispatch,
-    RuntimeMode,
-    SequentialDispatch,
-)
+from repro.engine import AsyncDispatch, InstantDispatch, LabelingEngine, RuntimeMode
 
+from ..aio import run_async
 from ..strategies import worlds
 from .reference import RecordingOracle, reference_parallel, reference_sequential
 
@@ -81,37 +77,26 @@ def backend_options(backend: str) -> dict:
     return options
 
 
-def sequential_strategy(backend: str):
-    return SequentialDispatch(**backend_options(backend))
-
-
-def async_sequential_strategy(backend: str):
+def sequential_strategy(backend: str) -> AsyncDispatch:
     return AsyncDispatch(RuntimeMode.SEQUENTIAL, **backend_options(backend))
 
 
-def rounds_strategy(backend: str):
-    return RoundParallelDispatch(**backend_options(backend))
-
-
-def async_rounds_strategy(backend: str):
+def rounds_strategy(backend: str) -> AsyncDispatch:
     return AsyncDispatch(RuntimeMode.ROUNDS, **backend_options(backend))
 
 
-SEQUENTIAL_STRATEGIES = {
-    "sequential": sequential_strategy,
-    "async-sequential": async_sequential_strategy,
-}
-ROUNDS_STRATEGIES = {
-    "rounds": rounds_strategy,
-    "async-rounds": async_rounds_strategy,
-}
+def run_column(column: str, dispatch: AsyncDispatch, order, oracle):
+    """The ``async-*`` columns await ``run_async``; the others call ``run``."""
+    if column.startswith("async-"):
+        return run_async(dispatch.run_async(order, oracle))
+    return dispatch.run(order, oracle)
 
 
 class TestSequentialMatrix:
     """One-pair-per-round labelers vs the frozen sequential reference."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("strategy", sorted(SEQUENTIAL_STRATEGIES))
+    @pytest.mark.parametrize("strategy", ["async-sequential", "sequential"])
     @given(worlds())
     @settings(max_examples=15, deadline=None)
     def test_matches_reference(self, backend, strategy, world):
@@ -120,7 +105,9 @@ class TestSequentialMatrix:
         ref_oracle = RecordingOracle(truth)
         new_oracle = RecordingOracle(truth)
         reference = reference_sequential(candidates, ref_oracle)
-        result = SEQUENTIAL_STRATEGIES[strategy](backend).run(candidates, new_oracle)
+        result = run_column(
+            strategy, sequential_strategy(backend), candidates, new_oracle
+        )
         assert result.labels() == reference.labels()
         assert result.outcomes == reference.outcomes
         assert result.rounds == reference.rounds
@@ -131,7 +118,7 @@ class TestRoundsMatrix:
     """Frontier-per-round labelers vs the frozen parallel reference."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("strategy", sorted(ROUNDS_STRATEGIES))
+    @pytest.mark.parametrize("strategy", ["async-rounds", "rounds"])
     @given(worlds())
     @settings(max_examples=15, deadline=None)
     def test_matches_reference(self, backend, strategy, world):
@@ -140,7 +127,7 @@ class TestRoundsMatrix:
         ref_oracle = RecordingOracle(truth)
         new_oracle = RecordingOracle(truth)
         reference = reference_parallel(candidates, ref_oracle)
-        result = ROUNDS_STRATEGIES[strategy](backend).run(candidates, new_oracle)
+        result = run_column(strategy, rounds_strategy(backend), candidates, new_oracle)
         assert result.labels() == reference.labels()
         assert result.outcomes == reference.outcomes
         assert result.rounds == reference.rounds

@@ -51,7 +51,6 @@ from repro.engine import (
     FrameDecoder,
     LabelingEngine,
     ProtocolError,
-    RoundParallelDispatch,
     RuntimeMode,
     ShardCoordinator,
     ShardWorkerError,
@@ -233,7 +232,7 @@ class TestDifferentialParity:
         ref_oracle = RecordingOracle(truth)
         new_oracle = RecordingOracle(truth)
         reference = reference_parallel(order, ref_oracle)
-        result = RoundParallelDispatch(**DISTRIBUTED).run(order, new_oracle)
+        result = AsyncDispatch(**DISTRIBUTED).run(order, new_oracle)
         assert result.outcomes == reference.outcomes
         assert new_oracle.calls == ref_oracle.calls
 

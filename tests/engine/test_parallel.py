@@ -38,7 +38,6 @@ from repro.engine import (
     CrowdRuntime,
     LabelingEngine,
     ProcessShardExecutor,
-    RoundParallelDispatch,
     RuntimeMode,
     ShardWorkerError,
     must_crowdsource_frontier,
@@ -138,8 +137,8 @@ class TestWorkerCountEquivalence:
     def test_one_vs_many_workers_full_run(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        one = RoundParallelDispatch(n_workers=1, **PARALLEL).run(candidates, truth)
-        many = RoundParallelDispatch(n_workers=3, **PARALLEL).run(candidates, truth)
+        one = AsyncDispatch(n_workers=1, **PARALLEL).run(candidates, truth)
+        many = AsyncDispatch(n_workers=3, **PARALLEL).run(candidates, truth)
         assert one.outcomes == many.outcomes
         assert one.rounds == many.rounds
 
@@ -182,7 +181,7 @@ class TestMergeStorms:
         rnd.shuffle(order)
         truth = GroundTruthOracle({i: 0 for i in range(n)})
         reference = reference_parallel(order, truth)
-        result = RoundParallelDispatch(n_workers=2, **PARALLEL).run(order, truth)
+        result = AsyncDispatch(n_workers=2, **PARALLEL).run(order, truth)
         assert result.outcomes == reference.outcomes
         assert result.rounds == reference.rounds
 
@@ -372,17 +371,6 @@ class TestBackendRegistration:
             assert forced.executor is not None
         finally:
             forced.close()
-
-    def test_explicit_graph_rejected(self):
-        from repro.core.cluster_graph import ClusterGraph
-
-        with pytest.raises(ValueError, match="parallel"):
-            LabelingEngine(
-                [Pair("a", "b")],
-                graph=ClusterGraph(),
-                backend="parallel",
-                parallel_threshold=0,
-            )
 
     def test_result_readable_after_close(self):
         order, truth = block_world(n_blocks=2, objects_per_block=3)

@@ -31,8 +31,9 @@ from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
 from repro.core.sweep import PendingPairIndex
 from repro.engine import (
+    AsyncDispatch,
     LabelingEngine,
-    RoundParallelDispatch,
+    RuntimeMode,
     ShardedClusterGraph,
     ShardedFrontier,
     must_crowdsource_frontier,
@@ -323,24 +324,6 @@ class TestBackendSelection:
         engine.record_answer(Pair("a", "b"), Label.MATCHING, 0)
         assert engine.graph.n_shards == 1
 
-    def test_explicit_graph_pins_monolithic(self):
-        graph = ClusterGraph()
-        engine = LabelingEngine(
-            [Pair("a", "b")], graph=graph, backend="auto", shard_threshold=0
-        )
-        assert engine.backend == "monolithic"
-        assert engine.graph is graph
-
-    def test_explicit_graph_with_sharded_backend_rejected(self):
-        """Requesting sharding alongside a pre-populated graph is a
-        contradiction, not a silent downgrade."""
-        try:
-            LabelingEngine([Pair("a", "b")], graph=ClusterGraph(), backend="sharded")
-        except ValueError:
-            pass
-        else:  # pragma: no cover - failure path
-            raise AssertionError("expected ValueError")
-
     def test_invalid_backend_rejected(self):
         try:
             LabelingEngine([Pair("a", "b")], backend="bogus")
@@ -363,7 +346,7 @@ class TestBackendSelection:
             if pair not in seen:
                 seen.add(pair)
                 order.append(pair)
-        result = RoundParallelDispatch(backend="sharded").run(order, truth)
+        result = AsyncDispatch(RuntimeMode.ROUNDS, backend="sharded").run(order, truth)
         assert result.n_pairs == len(order)
         for pair in order:
             assert result.label_of(pair) is truth.label(pair)

@@ -283,12 +283,6 @@ class TestVectorizedGraphContract:
         )
         assert DEFAULT_SHARD_THRESHOLD > 12
 
-    def test_explicit_graph_is_rejected(self):
-        with pytest.raises(ValueError):
-            LabelingEngine(
-                [Pair("a", "b")], graph=ClusterGraph(), backend="vectorized"
-            )
-
     def test_foreign_objects_are_rejected(self):
         core = VectorizedEngineCore([Pair("a", "b")])
         with pytest.raises(ValueError):

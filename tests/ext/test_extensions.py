@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from repro.core.cluster_graph import ClusterGraph, ConflictPolicy
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
-from repro.core.parallel import parallel_crowdsourced_pairs
-from repro.core.sequential import label_sequential
+from repro.engine import AsyncDispatch, RuntimeMode, must_crowdsource_frontier
 from repro.er.metrics import evaluate_labels
 from repro.ext.budget import coverage_curve, label_with_budget
 from repro.ext.one_to_one import OneToOneClusterGraph, label_sequential_one_to_one
@@ -83,7 +82,7 @@ class TestOneToOneLabeler:
         entity_of, source_of = bipartite_world(4)
         truth = GroundTruthOracle(entity_of)
         order = [Pair(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
-        plain = label_sequential(order, truth)
+        plain = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(order, truth)
         one_to_one = label_sequential_one_to_one(order, truth, source_of)
         # in a dense 1-1 grid the saving must be strict
         assert one_to_one.n_crowdsourced < plain.n_crowdsourced
@@ -109,7 +108,7 @@ class TestOneToOneLabeler:
             for j in range(n_entities)
         ]
         random.Random(seed).shuffle(order)
-        plain = label_sequential(order, truth)
+        plain = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(order, truth)
         one_to_one = label_sequential_one_to_one(order, truth, source_of)
         assert one_to_one.n_crowdsourced <= plain.n_crowdsourced
         for pair, label in one_to_one.labels().items():
@@ -215,7 +214,7 @@ class TestConflictImpossibility:
         for _ in range(len(pairs) + 1):
             if not remaining:
                 break
-            batch = parallel_crowdsourced_pairs(pairs, labeled)
+            batch = must_crowdsource_frontier(pairs, labeled)
             for pair in batch:
                 answer = noisy.label(pair)
                 implied = graph.deduce(pair)
@@ -246,16 +245,15 @@ class TestAuditing:
             if i // 5 == j // 5 or (i * j) % 7 == 0
         ]
         noisy = FreshNoisyOracle(truth, error_rate=error_rate, seed=seed)
-        from repro.core.cluster_graph import ConflictPolicy
-        from repro.core.sequential import SequentialLabeler
-
-        result = SequentialLabeler(policy=ConflictPolicy.FIRST_WINS).run(order, noisy)
+        result = AsyncDispatch(
+            RuntimeMode.SEQUENTIAL, policy=ConflictPolicy.FIRST_WINS
+        ).run(order, noisy)
         return result, truth, noisy
 
     def test_perfect_oracle_finds_no_disagreements(self):
         entity_of = {"a": 1, "b": 1, "c": 1}
         truth = GroundTruthOracle(entity_of)
-        result = label_sequential(
+        result = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(
             [Pair("a", "b"), Pair("b", "c"), Pair("a", "c")], truth
         )
         report = audit_deductions(result, truth, fraction=1.0, votes=3)

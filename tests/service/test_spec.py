@@ -12,14 +12,12 @@ from repro import (
     InstantDispatch,
     JournalConfig,
     PlatformConfig,
-    RoundParallelDispatch,
-    SequentialDispatch,
     SpecError,
 )
 from repro.core.cluster_graph import ConflictPolicy
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import CandidatePair, make_pair
-from repro.crowd.budget import BudgetPolicy, CostModel
+from repro.crowd.budget import BudgetExceededError, BudgetPolicy, CostModel
 from repro.crowd.campaign import run_transitive
 from repro.crowd.latency import TimeoutPolicy
 from repro.crowd.aggregation import WeightedAggregation
@@ -28,6 +26,7 @@ from repro.engine.async_dispatch import AsyncDispatch, CrowdRuntime, RuntimeMode
 from repro.spec import SPEC_SCHEMA_VERSION
 
 from ..aio import run_async
+from ..engine.reference import RecordingOracle, block_world
 
 PAIRS = [(i, i + 1) for i in range(0, 10, 2)]
 ENTITY_OF = {i: i // 2 for i in range(10)}
@@ -140,10 +139,10 @@ def test_build_engine_honours_spec_knobs():
 def test_sync_dispatch_strategies_accept_spec():
     oracle = GroundTruthOracle(ENTITY_OF)
     spec = CampaignSpec(order=PAIRS, policy=ConflictPolicy.STRICT)
-    plain = SequentialDispatch().run(PAIRS_AS_PAIRS(), oracle)
+    plain = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(PAIRS_AS_PAIRS(), oracle)
     for dispatch in (
-        SequentialDispatch(spec=spec),
-        RoundParallelDispatch(spec=spec),
+        AsyncDispatch(RuntimeMode.SEQUENTIAL, spec=spec),
+        AsyncDispatch(RuntimeMode.ROUNDS, spec=spec),
     ):
         result = dispatch.run(PAIRS_AS_PAIRS(), oracle)
         assert result.labels() == plain.labels()
@@ -155,6 +154,35 @@ def PAIRS_AS_PAIRS():
     return [make_pair(a, b) for a, b in PAIRS]
 
 
+def test_async_dispatch_honours_spec_runtime_settings():
+    """The spec's budget, max_rounds and ordering reach the runtime; an
+    explicit ``budget=None`` clears the spec's budget."""
+    order, truth = block_world(n_blocks=1, objects_per_block=12)
+    capped = CampaignSpec(
+        order=order, mode="rounds", budget=BudgetPolicy(max_assignments=3)
+    )
+    with pytest.raises(BudgetExceededError):
+        AsyncDispatch(spec=capped).run(order, truth)
+    uncapped = AsyncDispatch(spec=capped, budget=None).run(order, truth)
+    assert uncapped.labels() == {pair: truth.label(pair) for pair in order}
+
+    one_round = CampaignSpec(order=order, mode="rounds", max_rounds=1)
+    with pytest.raises(RuntimeError, match="exceeded 1 rounds"):
+        AsyncDispatch(spec=one_round).run(order, truth)
+
+    adaptive = CampaignSpec(order=order, mode="sequential", ordering="expected-value")
+    calls = {}
+    for name, dispatch in {
+        "spec": AsyncDispatch(spec=adaptive),
+        "explicit": AsyncDispatch(RuntimeMode.SEQUENTIAL, ordering="expected-value"),
+        "static": AsyncDispatch(RuntimeMode.SEQUENTIAL),
+    }.items():
+        oracle = RecordingOracle(truth)
+        dispatch.run(order, oracle)
+        calls[name] = oracle.calls
+    assert calls["spec"] == calls["explicit"] != calls["static"]
+
+
 def test_async_dispatch_and_runtime_accept_spec():
     oracle = GroundTruthOracle(ENTITY_OF)
     spec = CampaignSpec(order=PAIRS, mode="rounds")
@@ -164,7 +192,7 @@ def test_async_dispatch_and_runtime_accept_spec():
         return await dispatch.run_async(PAIRS_AS_PAIRS(), oracle)
 
     result = run_async(scenario())
-    reference = SequentialDispatch().run(PAIRS_AS_PAIRS(), oracle)
+    reference = AsyncDispatch(RuntimeMode.SEQUENTIAL).run(PAIRS_AS_PAIRS(), oracle)
     assert result.labels() == reference.labels()
 
 
@@ -221,32 +249,9 @@ def test_curated_public_api():
     # every curated name resolves ...
     missing = [name for name in repro.__all__ if not hasattr(repro, name)]
     assert missing == []
-    # ... the service layer is first-class ...
+    # ... and the service layer is first-class.
     for name in ("CampaignSpec", "CampaignService", "CampaignHTTPServer", "Journal"):
         assert name in repro.__all__
-    # ... and the deprecated facades are importable but uncurated.
-    for name in ("SequentialLabeler", "ParallelLabeler", "InstantLabeler"):
-        assert hasattr(repro, name)
-        assert name not in repro.__all__
-
-
-@pytest.mark.parametrize(
-    "name", ["SequentialLabeler", "ParallelLabeler", "InstantLabeler"]
-)
-def test_legacy_labelers_warn_on_construction(name):
-    cls = getattr(repro, name)
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        cls()
-
-
-def test_label_wrappers_do_not_warn():
-    import warnings
-
-    oracle = GroundTruthOracle(ENTITY_OF)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        repro.label_sequential(PAIRS_AS_PAIRS(), oracle)
-        repro.label_parallel(PAIRS_AS_PAIRS(), oracle)
 
 
 class TestOrderingField:
