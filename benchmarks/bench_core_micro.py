@@ -636,7 +636,7 @@ def _drive_parallel_scale(backend: str, candidates, truth, answer_ticks=None):
 
     if backend == "distributed":
         # Local worker hosts over loopback sockets: the real wire protocol,
-        # same worker count as the pipe executor.
+        # same worker count as the parallel backend's pipe workers.
         backend_kwargs = dict(spawn_local_workers=PARALLEL_WORKERS)
     else:
         backend_kwargs = dict(parallel_threshold=0, n_workers=PARALLEL_WORKERS)
@@ -756,9 +756,10 @@ def test_parallel_backend_scales_sweep_and_frontier():
 def test_distributed_backend_scales_sweep_and_frontier():
     """The socket transport at >=1M candidate pairs: local ``ShardWorkerHost``
     processes over loopback TCP run the same batched campaign-tick loop as
-    the pipe executor, byte-identical to in-process sharding.  The fan-out
-    win must survive the JSON-over-socket framing: gated at >=1.5x over
-    in-process sharding on a >=4-CPU host (the pipe executor's bar is 2x;
+    the parallel backend's pipe workers, byte-identical to in-process
+    sharding.  The fan-out win must survive the JSON-over-socket framing:
+    gated at >=1.5x over in-process sharding on a >=4-CPU host (the pipe
+    workers' bar is 2x;
     the lower bar is the documented transport overhead budget).  On smaller
     hosts the timings are recorded without gating and the artifact's
     ``n_cpus`` field says why.

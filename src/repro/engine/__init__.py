@@ -28,16 +28,15 @@ Public surface:
 * vectorized: :class:`VectorizedEngineCore`, :func:`vectorized_available`
               — array-native sweep/deduce/frontier kernels over numpy
               (``backend="vectorized"``; the optional ``perf`` extra)
-* parallel:   :class:`ProcessShardExecutor`, :class:`ShardWorkerError`
+* workers:    :class:`ShardCoordinator`, :class:`ShardWorkerError`
               (+ ``DEFAULT_PARALLEL_THRESHOLD``) — the sharded decomposition
-              fanned out across worker processes (``backend="parallel"``)
-* distributed: :class:`ShardCoordinator`, :class:`ShardWorkerHost`
-              (+ :func:`encode_frame`, :class:`FrameDecoder`,
-              :class:`ProtocolError`, ``PROTOCOL_VERSION``) — the same
-              command protocol over TCP sockets with heartbeat-based
-              worker-loss re-assignment (``backend="distributed"``;
-              runbook: ``python -m repro.engine.distributed --worker
-              host:port``)
+              fanned out across worker processes with worker-loss
+              re-assignment: pipe-attached local workers
+              (``backend="parallel"``) or socket-attached
+              :class:`ShardWorkerHost` processes (``backend="distributed"``;
+              wire protocol: :func:`encode_frame`, :class:`FrameDecoder`,
+              :class:`ProtocolError`, ``PROTOCOL_VERSION``; runbook:
+              ``python -m repro.engine.distributed --worker host:port``)
 * runtime:    :class:`CrowdRuntime`, :class:`RuntimeMode`,
               :class:`RuntimeReport`, :class:`AsyncDispatch`
 * simulator:  :class:`InstantDispatch` (+ :class:`AnswerPolicy`,
@@ -80,7 +79,7 @@ from .expected import (
 )
 from .frontier import FrontierCursor, OptimisticGraph, must_crowdsource_frontier
 from .hit_adapter import HITDispatchAdapter
-from .parallel import DEFAULT_PARALLEL_THRESHOLD, ProcessShardExecutor, ShardWorkerError
+from .parallel import DEFAULT_PARALLEL_THRESHOLD, ShardWorkerError
 from .sharding import ShardedClusterGraph, ShardedFrontier
 from .vectorized import VectorizedEngineCore, vectorized_available
 
@@ -103,7 +102,6 @@ __all__ = [
     "OptimisticGraph",
     "PROTOCOL_VERSION",
     "PauseGate",
-    "ProcessShardExecutor",
     "ProtocolError",
     "RuntimeMode",
     "RuntimeReport",

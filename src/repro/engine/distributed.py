@@ -1,59 +1,66 @@
-"""Distributed shard execution: the PR-4 executor protocol over TCP sockets.
+"""Shard execution across worker processes and hosts: one coordinator, two transports.
 
-:class:`~repro.engine.parallel.ProcessShardExecutor` already speaks a
-shared-nothing command protocol — component snapshots ship once, then the hot
-path carries only order positions and label codes.  This module swaps the
-multiprocessing pipe for a socket, which turns worker *processes* into worker
-*hosts*: the path past one machine for 100M+ pair workloads.
+The parallel and distributed backends share one shared-nothing command
+protocol: component snapshots ship once, then the hot path carries only
+order positions and label codes.  :class:`ShardCoordinator` speaks it to
+every worker through one channel seam (send / receive / close), with two
+channels behind it:
 
-Two halves:
-
-* :class:`ShardWorkerHost` — an ``asyncio`` TCP server (stdlib only) that a
-  coordinator connects to.  Each connection gets an independent session: the
-  coordinator ships component snapshots (``load``), and the session executes
-  answers, deduction sweeps, and frontier recomputes with the *same*
-  :class:`~repro.engine.parallel._WorkerState` the in-process pool uses —
-  byte-identical behaviour is the whole point, and the differential suite
-  pins it.  A background task heartbeats while the session is idle; a
-  handler that stalls starves its own heartbeat, which is exactly how the
-  coordinator detects a hung worker.  Run one standalone with
+* **sockets** — :class:`ShardWorkerHost`, an ``asyncio`` TCP server (stdlib
+  only) that a coordinator connects to, which turns worker *processes* into
+  worker *hosts*: the path past one machine for 100M+ pair workloads.  Each
+  connection gets an independent session; the coordinator ships component
+  snapshots (``load``).  A background task heartbeats while the session is
+  idle; a handler that stalls starves its own heartbeat, which is exactly
+  how the coordinator detects a hung worker.  Run one standalone with
   ``python -m repro.engine.distributed --worker host:port``.
-* :class:`ShardCoordinator` — the engine core of ``backend="distributed"``:
-  it implements the same core methods as ``ProcessShardExecutor``, and
-  ``LabelingEngine`` forwards every event to it.  It connects out to each
-  worker with plain *blocking* sockets — engine calls are synchronous, and on
-  the async runtime they happen inside a running event loop, where nesting
-  ``asyncio.run`` is impossible — and keeps an **authoritative event log**
-  per static component.
+  ``backend="distributed"`` uses these, remote or spawned on loopback.
+* **pipes** — locally spawned worker processes (``backend="parallel"``)
+  that receive their initial components at spawn (inherited under
+  ``fork``) and then serve the same command lists, pickled.  Liveness is the
+  process itself plus the reply deadline; there is no heartbeat bound, so a
+  long handler on a big order is never declared dead.
 
-Wire format: length-prefixed JSON — a 4-byte big-endian size then a UTF-8
-JSON array, no new dependencies.  Snapshots reuse the PR-8 column packing
-(:func:`~repro.engine.engine._pack_ints`: base64 little-endian int arrays),
-so a 250k-position bundle decodes with a memcpy instead of a 250k-element
-JSON array parse.  Object ids must be JSON scalars (str/int/float/bool/None)
-— the same contract :func:`repro.spec.encode_object` enforces — and the
-coordinator validates this up front.
+Both kinds of worker run the same :class:`_WorkerSession` dispatch over the
+same :class:`~repro.engine.parallel._WorkerState` the in-process backends
+mirror — byte-identical behaviour is the whole point, and the differential
+suite pins it.  The coordinator uses plain *blocking* I/O — engine calls are
+synchronous, and on the async runtime they happen inside a running event
+loop, where nesting ``asyncio.run`` is impossible — and keeps an
+**authoritative event log** per static component.
 
-Failure contract (the extension of :class:`ShardWorkerError` this PR adds):
-a dropped connection, heartbeat silence, or reply timeout marks a worker
-**dead** — but instead of poisoning the executor, the coordinator re-ships
-the dead worker's components to the surviving workers from its authoritative
-snapshot (the static entries plus the committed event log) and replays the
-in-flight command.  Events commit to the log only after the owning worker
-acknowledged them, so a worker that died *after* applying a command but
-*before* replying is replayed without it and the retried command applies it
-exactly once.  Only when **no** workers survive does the executor poison
-itself and raise :class:`ShardWorkerError`, the PR-4 contract.
+Wire format on sockets: length-prefixed JSON — a 4-byte big-endian size then
+a UTF-8 JSON array, no new dependencies.  Snapshots reuse the engine
+snapshot's column packing (:func:`~repro.engine.engine._pack_ints`: base64
+little-endian int arrays), so a 250k-position bundle decodes with a memcpy
+instead of a 250k-element JSON array parse.  Object ids must be JSON scalars
+(str/int/float/bool/None) — the same contract
+:func:`repro.spec.encode_object` enforces — and a coordinator with any
+socket worker validates this up front; pipe-only coordinators take any
+picklable id.
+
+Failure contract: a closed pipe or dropped connection, a dead local
+process, heartbeat silence, or a reply timeout marks a worker **dead** — but
+instead of poisoning the coordinator, it re-ships the dead worker's
+components to the surviving workers from its authoritative snapshot (the
+static entries plus the committed event log) and replays the in-flight
+command.  Events commit to the log only after the owning worker acknowledged
+them, so a worker that died *after* applying a command but *before*
+replying is replayed without it and the retried command applies it exactly
+once.  Only when **no** workers survive does the coordinator poison itself
+and raise :class:`ShardWorkerError`.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import heapq
 import json
 import multiprocessing
 import os
+import select
 import socket
 import struct
 import sys
@@ -65,6 +72,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -103,9 +111,9 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: own heartbeat), so the default is generous; chaos tests tune it down.
 DEFAULT_HEARTBEAT_TIMEOUT = 60.0
 
-#: Socket poll slice while waiting for a reply — liveness (connection state,
-#: heartbeat recency, deadline) is re-checked this often, mirroring the
-#: ``conn.poll(0.05)`` cadence of the pipe executor.
+#: Poll slice while waiting for a reply on either channel — liveness
+#: (connection or process state, heartbeat recency, deadline) is re-checked
+#: this often.
 _POLL_INTERVAL = 0.05
 
 _HELLO = "hello"
@@ -239,34 +247,71 @@ def _parse_address(address: str) -> Tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# worker host (asyncio server)
+# worker side: the shared session, the asyncio host, the pipe worker
 # ----------------------------------------------------------------------
 class _WorkerSession:
-    """Per-connection shard state on a worker host.
+    """One worker's shard state, behind the command dispatch both worker
+    kinds share (a :class:`ShardWorkerHost` connection, a pipe worker).
 
-    One :class:`_WorkerState` *bundle* per ``load`` command — the initial
-    snapshot plus one per re-assignment — each holding whole components, so
-    bundles never interact.  Routing by order position picks the bundle; the
+    One :class:`_WorkerState` *bundle* per snapshot — the initial one plus
+    one per re-assignment — each holding whole components, so bundles never
+    interact.  Routing by order position picks the bundle that owns it; the
     broadcast commands (sweep/frontier/stats/...) merge across bundles
     exactly as the coordinator merges across workers.
     """
 
-    def __init__(self) -> None:
-        self.worker_id: Optional[int] = None
-        self._bundles: Dict[int, _WorkerState] = {}
-        self._bundle_of: Dict[int, _WorkerState] = {}
-        self._frontiers: Dict[int, List[int]] = {}
-        self._next_bundle = 0
+    #: The command names :meth:`dispatch` serves.
+    COMMANDS = frozenset(
+        (
+            "load", "answer", "deduced", "publish", "withhold", "sweep",
+            "frontier", "deduce", "stats", "clusters", "check",
+        )
+    )
+
+    def __init__(self, worker_id: Optional[int] = None) -> None:
+        self.worker_id = worker_id
+        self._bundles: List[_WorkerState] = []
+        self._frontiers: List[List[int]] = []
+
+    def dispatch(
+        self, frame: list, fault_hook: Optional[Callable[[Optional[int], str], None]]
+    ) -> list:
+        """Run one command frame ``[name, seq, *args]`` and return its reply
+        frame: ``["ok", seq, payload]``, or ``["exc", seq, type name,
+        message]`` for a handler error (shipped by name, re-raised by the
+        coordinator).  ``fault_hook(worker_id, name)`` runs first: raising
+        models a handler error, ``os._exit`` a crash, sleeping a hang."""
+        name, seq = frame[0], frame[1]
+        try:
+            if fault_hook is not None:
+                fault_hook(self.worker_id, name)
+            if name not in self.COMMANDS:
+                raise ProtocolError(f"unknown command {name!r}")
+            payload = getattr(self, name)(*frame[2:])
+        except Exception as exc:  # shipped to the coordinator
+            return ["exc", seq, type(exc).__name__, str(exc)]
+        return ["ok", seq, payload]
 
     # -- command handlers ---------------------------------------------
     def load(self, bundle: dict, policy_value: str, events: List[list]) -> int:
         from .engine import _unpack_ints  # lazy: engine imports this module
 
-        positions = list(_unpack_ints(bundle["pos"]))
         entries = [
             (gpos, Pair(left, right))
-            for gpos, left, right in zip(positions, bundle["left"], bundle["right"])
+            for gpos, left, right in zip(
+                _unpack_ints(bundle["pos"]), bundle["left"], bundle["right"]
+            )
         ]
+        return self.add_bundle(entries, policy_value, events)
+
+    def add_bundle(
+        self,
+        entries: List[Tuple[int, Pair]],
+        policy_value: str,
+        events: Sequence[list] = (),
+    ) -> int:
+        """Build a bundle from ascending ``(position, pair)`` entries and
+        replay its committed events; returns the pair count."""
         state = _WorkerState(entries, ConflictPolicy(policy_value))
         for event in events:
             kind = event[0]
@@ -280,16 +325,23 @@ class _WorkerSession:
                 state.withhold(event[1])
             else:  # pragma: no cover - coordinator never sends others
                 raise ProtocolError(f"unknown replay event kind {kind!r}")
-        key = self._next_bundle
-        self._next_bundle += 1
-        self._bundles[key] = state
-        self._frontiers[key] = []
-        for gpos in positions:
-            self._bundle_of[gpos] = state
+        self._bundles.append(state)
+        self._frontiers.append([])
         return len(entries)
 
+    def _bundle(self, gpos: int) -> _WorkerState:
+        """The bundle owning order position ``gpos``.  Bundles are few (one
+        until a re-assignment lands here), so a scan beats a per-position
+        index the size of the shard."""
+        if len(self._bundles) == 1:
+            return self._bundles[0]
+        for state in self._bundles:
+            if state.owns(gpos):
+                return state
+        raise KeyError(gpos)
+
     def answer(self, gpos: int, code: int) -> list:
-        applied, conflict = self._bundle_of[gpos].answer(gpos, code)
+        applied, conflict = self._bundle(gpos).answer(gpos, code)
         packed = (
             None
             if conflict is None
@@ -298,12 +350,12 @@ class _WorkerSession:
         return [applied, packed]
 
     def deduced(self, gpos: int, code: int) -> None:
-        self._bundle_of[gpos].deduced(gpos, code)
+        self._bundle(gpos).deduced(gpos, code)
 
     def _grouped(self, positions: Sequence[int]) -> List[Tuple[_WorkerState, List[int]]]:
         groups: Dict[int, Tuple[_WorkerState, List[int]]] = {}
         for gpos in positions:
-            state = self._bundle_of[gpos]
+            state = self._bundle(gpos)
             groups.setdefault(id(state), (state, []))[1].append(gpos)
         return list(groups.values())
 
@@ -315,34 +367,30 @@ class _WorkerSession:
         for state, group in self._grouped(positions):
             state.withhold(group)
 
-    def sweep(self) -> List[List[int]]:
-        runs = [state.sweep() for state in self._bundles.values()]
+    def sweep(self) -> List[Tuple[int, int]]:
+        runs = [state.sweep() for state in self._bundles]
         runs = [run for run in runs if run]
-        if not runs:
-            return []
-        if len(runs) == 1:
-            return [list(item) for item in runs[0]]
-        return [list(item) for item in heapq.merge(*runs)]
+        if len(runs) > 1:
+            return list(heapq.merge(*runs))
+        return runs[0] if runs else []
 
     def frontier(self) -> Union[str, List[int]]:
         changed = False
-        for key, state in self._bundles.items():
+        for key, state in enumerate(self._bundles):
             reply = state.frontier()
             if reply != _UNCHANGED:
                 self._frontiers[key] = reply
                 changed = True
         if not changed:
             return _UNCHANGED
-        runs = [run for run in self._frontiers.values() if run]
-        if not runs:
-            return []
-        if len(runs) == 1:
-            return list(runs[0])
-        return list(heapq.merge(*runs))
+        runs = [run for run in self._frontiers if run]
+        if len(runs) > 1:
+            return list(heapq.merge(*runs))
+        return runs[0] if runs else []
 
     def deduce(self, left: Hashable, right: Hashable) -> Optional[int]:
         pair = Pair(left, right)
-        for state in self._bundles.values():
+        for state in self._bundles:
             code = state.deduce(pair)
             if code is not None:
                 return code
@@ -350,19 +398,19 @@ class _WorkerSession:
 
     def stats(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
-        for state in self._bundles.values():
+        for state in self._bundles:
             for key, value in state.stats().items():
                 totals[key] = totals.get(key, 0) + value
         return totals
 
     def clusters(self) -> List[List[Hashable]]:
         out: List[List[Hashable]] = []
-        for state in self._bundles.values():
+        for state in self._bundles:
             out.extend(sorted(cluster, key=repr) for cluster in state.clusters())
         return out
 
     def check(self) -> None:
-        for state in self._bundles.values():
+        for state in self._bundles:
             state.check()
 
 
@@ -459,19 +507,10 @@ class ShardWorkerHost:
                 if name == "stop":
                     await _write_frame(writer, encode_frame(["ok", seq, None]))
                     return
-                try:
-                    if self._fault_hook is not None:
-                        self._fault_hook(session.worker_id, name)
-                    handler = getattr(session, name, None)
-                    if handler is None or name.startswith("_"):
-                        raise ProtocolError(f"unknown command {name!r}")
-                    payload = handler(*frame[2:])
-                except Exception as exc:  # shipped to the coordinator
-                    reply = ["exc", seq, type(exc).__name__, str(exc)]
-                else:
-                    reply = ["ok", seq, payload]
-                frame = encode_frame(reply, self._max_frame_bytes)
-                if not await _write_frame(writer, frame):
+                reply = session.dispatch(frame, self._fault_hook)
+                if not await _write_frame(
+                    writer, encode_frame(reply, self._max_frame_bytes)
+                ):
                     return
         finally:
             if heartbeat_task is not None:
@@ -484,7 +523,7 @@ class ShardWorkerHost:
 
 
 def _local_worker_host_main(conn, fault_hook, max_frame_bytes: int) -> None:
-    """Child-process entry point for ``spawn_local_workers``: serve on a
+    """Child-process entry point for a spawned socket worker: serve on a
     fresh loopback port and report it through the pipe once bound."""
 
     def report(port: int) -> None:
@@ -500,8 +539,36 @@ def _local_worker_host_main(conn, fault_hook, max_frame_bytes: int) -> None:
         pass
 
 
+def _pipe_worker_main(
+    worker_id: int,
+    conn,
+    entries: List[Tuple[int, Pair]],
+    policy_value: str,
+    fault_hook: Optional[Callable[[Optional[int], str], None]],
+) -> None:
+    """Child-process entry point for a pipe-attached worker: build the
+    spawn-time snapshot, then serve command frames until the coordinator
+    goes away (it terminates pipe workers rather than asking them to stop).
+    Handler errors ship back through :meth:`_WorkerSession.dispatch`."""
+    session = _WorkerSession(worker_id)
+    session.add_bundle(entries, policy_value)
+    # The snapshot (and, under fork, the entire inherited parent heap) is
+    # permanent for this worker's lifetime: move it out of the collector's
+    # reach so gen-2 passes during the serve loop never scan it — and, under
+    # fork, never unshare its copy-on-write pages by touching gc headers.
+    # (No gc.collect() first: a full pass over a large inherited heap costs
+    # more than the bounded garbage it would reclaim.)
+    gc.freeze()
+    while True:
+        try:
+            frame = conn.recv()
+            conn.send(session.dispatch(frame, fault_hook))
+        except (EOFError, OSError):  # the coordinator went away
+            return
+
+
 # ----------------------------------------------------------------------
-# coordinator (blocking sockets; usable from inside a running event loop)
+# coordinator (blocking channels; usable from inside a running event loop)
 # ----------------------------------------------------------------------
 class _WorkerDied(Exception):
     """Internal control flow: a worker was detected dead mid-operation."""
@@ -512,41 +579,162 @@ class _WorkerDied(Exception):
         self.reason = reason
 
 
+class _ChannelLost(Exception):
+    """Internal: a channel found its worker gone; the message is the cause."""
+
+
+class _SocketChannel:
+    """Length-prefixed JSON frames to a :class:`ShardWorkerHost` over a
+    blocking TCP socket.  Liveness while waiting for a reply: EOF or reset,
+    heartbeat silence, and the reply deadline."""
+
+    def __init__(
+        self,
+        sock: socket.socket,
+        address: Tuple[str, int],
+        *,
+        max_frame_bytes: int,
+        heartbeat_timeout: float,
+        send_timeout: float,
+    ) -> None:
+        self._sock: Optional[socket.socket] = sock
+        self.where = f"at {address[0]}:{address[1]}"
+        self._decoder = FrameDecoder(max_frame_bytes)
+        self._max_frame_bytes = max_frame_bytes
+        self._heartbeat_timeout = heartbeat_timeout
+        self._send_timeout = send_timeout
+        self._last_heard = time.monotonic()
+
+    def send(self, message: list) -> None:
+        frame = encode_frame(message, self._max_frame_bytes)
+        if self._sock is None:
+            raise _ChannelLost("connection closed")
+        try:
+            self._sock.settimeout(self._send_timeout)
+            self._sock.sendall(frame)
+        except OSError as exc:
+            raise _ChannelLost(f"send failed: {exc}") from None
+        finally:
+            if self._sock is not None:
+                try:
+                    self._sock.settimeout(_POLL_INTERVAL)
+                except OSError:  # pragma: no cover - closed concurrently
+                    pass
+
+    def recv(self, deadline: float) -> list:
+        """The next frame that is not a heartbeat."""
+        while True:
+            try:
+                frame = self._decoder.next_frame()
+            except (ProtocolError, json.JSONDecodeError) as exc:
+                raise _ChannelLost(f"bad frame: {exc}") from None
+            if frame is not None:
+                if frame[0] != "hb":
+                    return frame
+                continue
+            if self._sock is None:
+                raise _ChannelLost("connection closed")
+            try:
+                chunk = self._sock.recv(1 << 20)
+            except socket.timeout:
+                now = time.monotonic()
+                if now - self._last_heard > self._heartbeat_timeout:
+                    raise _ChannelLost(
+                        f"no heartbeat for {self._heartbeat_timeout:.1f}s"
+                    ) from None
+                if now > deadline:
+                    raise _ChannelLost("reply deadline exceeded") from None
+                continue
+            except OSError as exc:
+                raise _ChannelLost(f"recv failed: {exc}") from None
+            if not chunk:
+                raise _ChannelLost("connection dropped")
+            self._last_heard = time.monotonic()
+            self._decoder.feed(chunk)
+
+    def close(self, stop: bool = False) -> None:
+        """Close the socket; with ``stop``, first ask the host to end the
+        session (fire-and-forget on a short clock, so a dead or wedged
+        worker never holds shutdown up)."""
+        if self._sock is None:
+            return
+        if stop:
+            try:
+                self._sock.settimeout(0.5)
+                self._sock.sendall(encode_frame(["stop", 0]))
+            except OSError:
+                pass
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        self._sock = None
+
+
+class _PipeChannel:
+    """Pickled command lists to a local worker process over a
+    :func:`multiprocessing.Pipe`.  Liveness while waiting for a reply: the
+    process itself and the reply deadline.  There is no heartbeat bound, so
+    a long handler on a big order is never declared dead."""
+
+    where = "on a local pipe"
+
+    def __init__(self, conn, process: "multiprocessing.process.BaseProcess") -> None:
+        self._conn = conn
+        self._process = process
+        # One poll object for the channel's lifetime: Connection.poll()
+        # builds a fresh selector per call, a large share of a round trip.
+        self._readable = select.poll()
+        self._readable.register(conn.fileno(), select.POLLIN)
+
+    def send(self, message: list) -> None:
+        try:
+            self._conn.send(message)
+        except OSError as exc:
+            raise self._lost(f"send failed: {exc}") from None
+
+    def recv(self, deadline: float) -> list:
+        try:
+            while not self._readable.poll(_POLL_INTERVAL * 1000):
+                if not self._process.is_alive():
+                    raise self._lost("process exited")
+                if time.monotonic() > deadline:
+                    raise _ChannelLost("reply deadline exceeded")
+            return self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._lost(f"recv failed: {exc!r}") from None
+
+    def _lost(self, cause: str) -> _ChannelLost:
+        if not self._conn.closed:
+            # The worker's end went away: reap it, so its exit code is
+            # reportable.
+            self._process.join(timeout=0.5)
+        code = self._process.exitcode
+        return _ChannelLost(cause if code is None else f"died with exit code {code}")
+
+    def close(self, stop: bool = False) -> None:
+        """Close the pipe (a pipe worker is terminated, not asked to stop)."""
+        self._conn.close()
+
+
 @dataclass
 class _WorkerLink:
     worker_id: int
-    address: Tuple[str, int]
-    sock: Optional[socket.socket]
-    decoder: FrameDecoder
+    channel: Union[_SocketChannel, _PipeChannel]
     pid: Optional[int] = None
     process: Optional["multiprocessing.process.BaseProcess"] = None
     seq: int = 0
-    last_heard: float = 0.0
     alive: bool = True
     n_pairs: int = 0
     roots: Set[Hashable] = field(default_factory=set)
 
 
 def _shutdown_links(links: List[_WorkerLink]) -> None:
-    """Best-effort shutdown shared by close() and the GC finalizer.  Sends
-    ``stop`` without waiting for acknowledgements — shutdown never hangs on
-    a dead or wedged worker — then reaps any local child processes."""
+    """Best-effort shutdown shared by close() and the GC finalizer: socket
+    hosts get a fire-and-forget ``stop``, every channel closes, and local
+    child processes are reaped (terminate, escalating to kill)."""
     for link in links:
-        if link.sock is None:
-            continue
-        try:
-            link.sock.settimeout(0.5)
-            link.seq += 1
-            link.sock.sendall(encode_frame(["stop", link.seq]))
-        except OSError:
-            pass
-    for link in links:
-        if link.sock is not None:
-            try:
-                link.sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            link.sock = None
+        link.channel.close(stop=True)
     for link in links:
         process = link.process
         if process is None:
@@ -559,46 +747,62 @@ def _shutdown_links(links: List[_WorkerLink]) -> None:
 
 
 class ShardCoordinator:
-    """The engine core of ``backend="distributed"``: the
-    ``ProcessShardExecutor`` core methods over socket-attached workers, with
-    re-assignment on worker loss.
+    """The engine core of ``backend="parallel"`` and
+    ``backend="distributed"``: the shard protocol over pipe- or
+    socket-attached workers, with re-assignment on worker loss.
 
     The labeling order is partitioned by static candidate-graph component and
     whole components are assigned to workers greedily (largest first onto the
-    least-loaded worker — deterministic), exactly as the in-process pool.
-    Each worker receives its components once as a snapshot bundle; hot-path
-    messages carry only order positions and label codes.
+    least-loaded worker — deterministic), so every event for a component is
+    handled by exactly one worker.  Each worker receives its components once
+    as a snapshot — at spawn for pipe workers, as a ``load`` bundle for
+    socket workers — and hot-path messages carry only order positions and
+    label codes.  ``sweep()`` and ``frontier()`` broadcast, the workers
+    recompute their dirty components concurrently, and the coordinator only
+    merges position lists.
 
-    Unlike the pipe executor, a worker death does not poison the campaign:
-    the coordinator re-ships the dead worker's components (static entries +
-    the committed per-component event log) to the survivors and replays the
-    in-flight command.  See the module docstring for the exact contract.
+    A worker death does not poison the campaign: the coordinator re-ships
+    the dead worker's components (static entries + the committed
+    per-component event log) to the survivors and replays the in-flight
+    command.  See the module docstring for the exact contract.
 
     Args:
-        order: the labeling order (object ids must be JSON scalars).
+        order: the labeling order (pairs or candidate pairs; duplicates must
+            already be collapsed, as ``LabelingEngine`` does).  With any
+            socket worker, object ids must be JSON scalars.
         positions: optional pair -> order position map (reuses the engine's).
         policy: conflict policy for the workers' deduction graphs.
         workers: ``"host:port"`` addresses of running
             :class:`ShardWorkerHost` processes to connect to.
-        spawn_local_workers: additionally spawn this many loopback worker
-            hosts as child processes (the tests/examples convenience).  When
-            neither knob is given, spawns ``min(cpus, 8)`` local workers.
-        heartbeat_interval: keepalive cadence workers are instructed to use.
-        heartbeat_timeout: heartbeat silence after which a worker is declared
-            dead while a command is in flight.  Bounds single-handler compute
-            time — see :data:`DEFAULT_HEARTBEAT_TIMEOUT`.
-        response_timeout: hard per-command reply deadline (a worker that
-            heartbeats but never replies is declared dead too).
-        connect_timeout: TCP connect + handshake deadline per worker.
+        spawn_local_workers: additionally spawn this many local worker
+            processes.  When neither knob is given, spawns ``min(cpus, 8)``;
+            an explicit total of zero workers is a ``ValueError``.  The
+            count is capped at the number of components.
+        local_transport: how spawned local workers attach — ``"socket"``
+            (loopback :class:`ShardWorkerHost` processes, the distributed
+            backend's tests/examples convenience) or ``"pipe"`` (the
+            parallel backend: components handed over at spawn, no
+            heartbeat bound).
+        heartbeat_interval: keepalive cadence socket workers are instructed
+            to use.
+        heartbeat_timeout: heartbeat silence after which a socket worker is
+            declared dead while a command is in flight.  Bounds
+            single-handler compute time — see
+            :data:`DEFAULT_HEARTBEAT_TIMEOUT`.
+        response_timeout: hard per-command reply deadline (a worker that is
+            alive but never replies is declared dead too).
+        connect_timeout: TCP connect + handshake deadline per socket worker.
         fault_hook: test-only callable ``(worker_id, command_name)`` invoked
-            before each command frame is sent — the coordinator-side
-            transport injection point (close the socket, SIGKILL the worker,
-            ...).  Worker-side injection is ``ShardWorkerHost(fault_hook=)``,
+            before each command is sent — the coordinator-side transport
+            injection point (close the channel, SIGKILL the worker, ...).
+            Worker-side injection is ``ShardWorkerHost(fault_hook=)``,
             forwarded to spawned locals via ``worker_fault_hook``.
-        worker_fault_hook: forwarded to spawned local worker hosts (must be
-            picklable under the spawn start method).
-        mp_start_method: start method for spawned local workers.
-        max_frame_bytes: oversized-frame rejection limit.
+        worker_fault_hook: forwarded to spawned local workers of either
+            transport (must be picklable under the spawn start method).
+        mp_start_method: start method for spawned local workers (default:
+            ``fork`` where available — zero-copy snapshots for pipe workers —
+            else ``spawn``); recorded as :attr:`start_method`.
+        max_frame_bytes: oversized-frame rejection limit (sockets).
     """
 
     def __init__(
@@ -609,6 +813,7 @@ class ShardCoordinator:
         policy: ConflictPolicy = ConflictPolicy.STRICT,
         workers: Optional[Sequence[str]] = None,
         spawn_local_workers: Optional[int] = None,
+        local_transport: str = "socket",
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         response_timeout: float = 600.0,
@@ -618,15 +823,30 @@ class ShardCoordinator:
         mp_start_method: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
+        if local_transport not in ("socket", "pipe"):
+            raise ValueError(
+                f"local_transport must be 'socket' or 'pipe', got {local_transport!r}"
+            )
+        pipes = local_transport == "pipe"
+        addresses = [_parse_address(address) for address in (workers or [])]
+        n_spawn = spawn_local_workers
+        if n_spawn is None:
+            n_spawn = 0 if addresses else min(available_cpus(), _MAX_DEFAULT_WORKERS)
+        if n_spawn < 0 or not (addresses or n_spawn):
+            raise ValueError(
+                "a shard coordinator needs at least one worker, got "
+                f"{len(addresses)} worker addresses and {n_spawn} local workers"
+            )
         self._pairs = _as_pairs(order)
-        for pair in self._pairs:
-            for obj in (pair.left, pair.right):
-                if not isinstance(obj, _SCALAR_TYPES):
-                    raise TypeError(
-                        "the distributed backend ships object ids as JSON "
-                        f"and requires scalar ids (str/int/float/bool/None), "
-                        f"got {type(obj).__name__}: {obj!r}"
-                    )
+        if addresses or not pipes:
+            for pair in self._pairs:
+                for obj in (pair.left, pair.right):
+                    if not isinstance(obj, _SCALAR_TYPES):
+                        raise TypeError(
+                            "socket shard workers receive object ids as JSON "
+                            f"and require scalar ids (str/int/float/bool/None), "
+                            f"got {type(obj).__name__}: {obj!r}"
+                        )
         if positions is None:
             positions = {pair: i for i, pair in enumerate(self._pairs)}
         self._position = positions
@@ -639,7 +859,9 @@ class ShardCoordinator:
         self._max_frame_bytes = max_frame_bytes
         self._failure: Optional[str] = None
         self._closed = False
-        #: Chronological FIRST_WINS conflicts, coordinator-side.
+        #: Chronological FIRST_WINS conflicts, coordinator-side (workers
+        #: report each rejected insert with its reply, so global order is the
+        #: answer-application order, exactly as on the in-process backends).
         self.conflicts: List[Conflict] = []
         #: One record per worker-loss recovery (for tests and diagnostics).
         self.reassignments: List[Dict[str, Any]] = []
@@ -657,19 +879,14 @@ class ShardCoordinator:
             root: [] for root in grouped
         }
 
-        addresses = [_parse_address(address) for address in (workers or [])]
-        n_spawn = spawn_local_workers or 0
-        if n_spawn < 0:
-            raise ValueError(f"spawn_local_workers must be >= 0, got {n_spawn}")
-        if not addresses and not n_spawn:
-            n_spawn = min(available_cpus(), _MAX_DEFAULT_WORKERS)
-        n_workers = len(addresses) + n_spawn
-        n_workers = min(n_workers, self.n_components)
+        n_workers = min(len(addresses) + n_spawn, self.n_components)
         self.n_workers = n_workers
         addresses = addresses[:n_workers]
-        n_spawn = n_workers - len(addresses)
+        first_local = len(addresses)
 
-        # Greedy balanced assignment, identical to the pipe executor.
+        # Greedy balanced assignment: biggest components first, each onto the
+        # least-loaded worker.  Sort keys are pair counts and first order
+        # positions, so the assignment is deterministic for a given order.
         assigned_roots: List[List[Hashable]] = [[] for _ in range(n_workers)]
         self._worker_of_root: Dict[Hashable, int] = {}
         if n_workers:
@@ -684,27 +901,56 @@ class ShardCoordinator:
                 self._worker_of_root[root] = wid
                 heapq.heappush(load, (n_pairs + len(entries), wid))
 
+        #: Start method of the spawned local workers (None when none spawned).
+        self.start_method: Optional[str] = None
         self._links: Dict[int, _WorkerLink] = {}
         self._worker_frontiers: Dict[int, List[int]] = {}
-        spawned: List[Tuple["multiprocessing.process.BaseProcess", Any]] = []
+        hosts: List[Tuple["multiprocessing.process.BaseProcess", Any]] = []
         try:
-            if n_spawn:
+            if first_local < n_workers:
                 if mp_start_method is None:
                     methods = multiprocessing.get_all_start_methods()
                     mp_start_method = "fork" if "fork" in methods else "spawn"
+                self.start_method = mp_start_method
                 ctx = multiprocessing.get_context(mp_start_method)
-                for index in range(n_spawn):
+                # Pipe workers get their snapshots at spawn, all sorted before
+                # the first fork so no worker's start waits on another's sort.
+                snapshots = {
+                    wid: sorted(
+                        entry for root in assigned_roots[wid] for entry in grouped[root]
+                    )
+                    for wid in range(first_local, n_workers)
+                } if pipes else {}
+                for wid in range(first_local, n_workers):
                     parent_conn, child_conn = ctx.Pipe()
+                    if pipes:
+                        target, args = _pipe_worker_main, (
+                            wid, child_conn, snapshots.pop(wid), policy.value,
+                            worker_fault_hook,
+                        )
+                    else:
+                        target, args = _local_worker_host_main, (
+                            child_conn, worker_fault_hook, max_frame_bytes
+                        )
                     process = ctx.Process(
-                        target=_local_worker_host_main,
-                        args=(child_conn, worker_fault_hook, max_frame_bytes),
-                        name=f"repro-shard-host-{index}",
+                        target=target,
+                        args=args,
+                        name=f"repro-shard-worker-{wid}",
                         daemon=True,
                     )
                     process.start()
                     child_conn.close()
-                    spawned.append((process, parent_conn))
-                for process, parent_conn in spawned:
+                    if pipes:
+                        link = self._links[wid] = _WorkerLink(
+                            worker_id=wid,
+                            channel=_PipeChannel(parent_conn, process),
+                            pid=process.pid,
+                            process=process,
+                        )
+                        self._adopt(link, assigned_roots[wid])
+                    else:
+                        hosts.append((process, parent_conn))
+                for process, parent_conn in hosts:
                     if not parent_conn.poll(self._connect_timeout):
                         raise ShardWorkerError(
                             f"local worker host pid {process.pid} did not "
@@ -714,38 +960,35 @@ class ShardCoordinator:
                     parent_conn.close()
 
             for wid, address in enumerate(addresses):
-                process = spawned[wid - (n_workers - n_spawn)][0] if (
-                    wid >= n_workers - n_spawn
-                ) else None
-                link = self._connect(wid, address, process)
-                self._links[wid] = link
-                self._worker_frontiers[wid] = []
+                process = hosts[wid - first_local][0] if wid >= first_local else None
+                self._links[wid] = self._connect(wid, address, process)
 
-            # Initial snapshot shipment; a worker lost here already goes
-            # through the normal re-assignment path.
-            failures: List[_WorkerDied] = []
-            for wid, roots in enumerate(assigned_roots):
-                link = self._links[wid]
-                try:
-                    self._load_roots(link, roots)
-                except _WorkerDied as died:
-                    failures.append(died)
-                    continue
-                for root in roots:
-                    link.roots.add(root)
-                    link.n_pairs += len(grouped[root])
-            for died in failures:
-                for root in assigned_roots[died.link.worker_id]:
-                    # never loaded anywhere: make them the dead link's to move
-                    died.link.roots.add(root)
+            # Socket workers get their snapshots as concurrent ``load``
+            # commands; a worker lost here goes through the normal
+            # re-assignment path.
+            replies, deaths = self._gather(
+                (self._links[wid], "load", self._load_args(assigned_roots[wid]))
+                for wid in range(len(addresses))
+            )
+            for kind, payload in replies.values():
+                if kind == "exc":
+                    raise payload
+            for wid in replies:
+                self._adopt(self._links[wid], assigned_roots[wid])
+            for died in deaths:
+                # never loaded anywhere: make them the dead link's to move
+                died.link.roots.update(assigned_roots[died.link.worker_id])
                 self._recover(died.link, died.reason)
         except BaseException:
             _shutdown_links(list(self._links.values()))
-            for process, parent_conn in spawned:
+            for process, _ in hosts:
                 if all(link.process is not process for link in self._links.values()):
                     process.terminate()
                     process.join(timeout=2.0)
             raise
+        # GC/exit backstop: daemon workers die with the interpreter anyway,
+        # but the finalizer reclaims them promptly when a coordinator is
+        # dropped without close() — e.g. a failing test.
         self._finalizer = weakref.finalize(
             self, _shutdown_links, list(self._links.values())
         )
@@ -768,29 +1011,30 @@ class ShardCoordinator:
             ) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(_POLL_INTERVAL)
-        link = _WorkerLink(
-            worker_id=worker_id,
-            address=address,
-            sock=sock,
-            decoder=FrameDecoder(self._max_frame_bytes),
-            process=process,
-            last_heard=time.monotonic(),
+        channel = _SocketChannel(
+            sock,
+            address,
+            max_frame_bytes=self._max_frame_bytes,
+            heartbeat_timeout=self._heartbeat_timeout,
+            send_timeout=self._response_timeout,
         )
+        link = _WorkerLink(worker_id=worker_id, channel=channel, process=process)
         try:
-            hello = self._recv_frame(link, _HELLO, deadline_override=self._connect_timeout)
+            try:
+                hello = channel.recv(time.monotonic() + self._connect_timeout)
+            except _ChannelLost as lost:
+                raise _WorkerDied(
+                    link, self._death_message(link, _HELLO, str(lost))
+                ) from None
             if hello[0] != _HELLO or hello[1] != PROTOCOL_VERSION:
                 raise ProtocolError(
                     f"worker {worker_id} spoke protocol {hello[:2]!r}, "
                     f"expected ['hello', {PROTOCOL_VERSION}]"
                 )
             link.pid = hello[2]
-            kind, payload = self._recv_payload(
-                link, "init", self._send_command(link, "init", [worker_id, self._heartbeat_interval])
-            )
-            if kind != "ok":
-                raise payload
+            self._request(link, "init", [worker_id, self._heartbeat_interval])
         except (_WorkerDied, ProtocolError) as exc:
-            sock.close()
+            channel.close()
             raise ShardWorkerError(
                 f"handshake with shard worker {worker_id} at "
                 f"{address[0]}:{address[1]} failed: {exc}"
@@ -808,124 +1052,54 @@ class ShardCoordinator:
         return ShardWorkerError(message)
 
     def _send_command(self, link: _WorkerLink, name: str, args: Sequence) -> int:
-        """Frame and send one command; returns its sequence number."""
+        """Send one command; returns its sequence number."""
         if self._fault_hook is not None:
             self._fault_hook(link.worker_id, name)
         link.seq += 1
-        frame = encode_frame([name, link.seq, *args], self._max_frame_bytes)
-        if link.sock is None:
-            raise _WorkerDied(link, self._death_message(link, name, "connection closed"))
         try:
-            link.sock.settimeout(self._response_timeout)
-            link.sock.sendall(frame)
-        except OSError as exc:
+            link.channel.send([name, link.seq, *args])
+        except _ChannelLost as lost:
             raise _WorkerDied(
-                link, self._death_message(link, name, f"send failed: {exc}")
+                link, self._death_message(link, name, str(lost))
             ) from None
-        finally:
-            if link.sock is not None:
-                try:
-                    link.sock.settimeout(_POLL_INTERVAL)
-                except OSError:  # pragma: no cover - closed concurrently
-                    pass
         return link.seq
 
     def _death_message(self, link: _WorkerLink, command: str, cause: str) -> str:
         return (
-            f"shard worker {link.worker_id} at "
-            f"{link.address[0]}:{link.address[1]} (pid {link.pid}, "
-            f"{len(link.roots)} components / {link.n_pairs} pairs) was lost "
-            f"while handling {command!r}: {cause}"
+            f"shard worker {link.worker_id} {link.channel.where} "
+            f"(pid {link.pid}, {len(link.roots)} components / {link.n_pairs} "
+            f"pairs) was lost while handling {command!r}: {cause}"
         )
-
-    def _recv_frame(
-        self,
-        link: _WorkerLink,
-        command_name: str,
-        *,
-        deadline_override: Optional[float] = None,
-    ) -> Any:
-        """One frame, liveness-checked while waiting: EOF, reset, heartbeat
-        silence, and the reply deadline all surface as :class:`_WorkerDied`
-        (never a hang)."""
-        deadline = time.monotonic() + (
-            self._response_timeout if deadline_override is None else deadline_override
-        )
-        while True:
-            try:
-                frame = link.decoder.next_frame()
-            except (ProtocolError, json.JSONDecodeError) as exc:
-                raise _WorkerDied(
-                    link, self._death_message(link, command_name, f"bad frame: {exc}")
-                ) from None
-            if frame is not None:
-                link.last_heard = time.monotonic()
-                return frame
-            if link.sock is None:
-                raise _WorkerDied(
-                    link,
-                    self._death_message(link, command_name, "connection closed"),
-                )
-            try:
-                chunk = link.sock.recv(1 << 20)
-            except socket.timeout:
-                now = time.monotonic()
-                if now - link.last_heard > self._heartbeat_timeout:
-                    raise _WorkerDied(
-                        link,
-                        self._death_message(
-                            link,
-                            command_name,
-                            f"no heartbeat for {self._heartbeat_timeout:.1f}s",
-                        ),
-                    ) from None
-                if now > deadline:
-                    raise _WorkerDied(
-                        link,
-                        self._death_message(
-                            link, command_name, "reply deadline exceeded"
-                        ),
-                    ) from None
-                continue
-            except OSError as exc:
-                raise _WorkerDied(
-                    link,
-                    self._death_message(link, command_name, f"recv failed: {exc}"),
-                ) from None
-            if not chunk:
-                raise _WorkerDied(
-                    link,
-                    self._death_message(link, command_name, "connection dropped"),
-                ) from None
-            link.last_heard = time.monotonic()
-            link.decoder.feed(chunk)
 
     def _recv_payload(
         self, link: _WorkerLink, command_name: str, seq: int
     ) -> Tuple[str, Any]:
         """The reply to command ``seq``: ``("ok", payload)`` or ``("exc",
-        exception_instance)`` — heartbeats are consumed along the way."""
-        while True:
-            frame = self._recv_frame(link, command_name)
-            if frame[0] == "hb":
-                continue
-            kind, reply_seq = frame[0], frame[1]
-            if reply_seq != seq or kind not in ("ok", "exc"):
-                raise _WorkerDied(
+        exception_instance)``, liveness-checked while waiting — a lost
+        worker surfaces as :class:`_WorkerDied`, never a hang."""
+        try:
+            frame = link.channel.recv(time.monotonic() + self._response_timeout)
+        except _ChannelLost as lost:
+            raise _WorkerDied(
+                link, self._death_message(link, command_name, str(lost))
+            ) from None
+        kind, reply_seq = frame[0], frame[1]
+        if reply_seq != seq or kind not in ("ok", "exc"):
+            raise _WorkerDied(
+                link,
+                self._death_message(
                     link,
-                    self._death_message(
-                        link,
-                        command_name,
-                        f"protocol desync (got {kind!r} seq {reply_seq}, "
-                        f"expected seq {seq})",
-                    ),
-                )
-            if kind == "ok":
-                return "ok", frame[2]
-            exc_type = _EXC_TYPES.get(frame[2])
-            if exc_type is None:
-                return "exc", RuntimeError(f"{frame[2]}: {frame[3]}")
-            return "exc", exc_type(frame[3])
+                    command_name,
+                    f"protocol desync (got {kind!r} seq {reply_seq}, "
+                    f"expected seq {seq})",
+                ),
+            )
+        if kind == "ok":
+            return "ok", frame[2]
+        exc_type = _EXC_TYPES.get(frame[2])
+        if exc_type is None:
+            return "exc", RuntimeError(f"{frame[2]}: {frame[3]}")
+        return "exc", exc_type(frame[3])
 
     def _request(self, link: _WorkerLink, name: str, args: Sequence = ()) -> Any:
         seq = self._send_command(link, name, args)
@@ -934,6 +1108,29 @@ class ShardCoordinator:
             raise payload
         return payload
 
+    def _gather(
+        self, requests: Iterable[Tuple[_WorkerLink, str, Sequence]]
+    ) -> Tuple[Dict[int, Tuple[str, Any]], List[_WorkerDied]]:
+        """Send every ``(link, name, args)`` request, then consume every
+        reply — the workers handle their commands concurrently, and no
+        shipped handler error can desync a sibling's request stream.
+        Returns each answering worker's ``(kind, payload)`` reply and the
+        workers lost on the way."""
+        sent: List[Tuple[_WorkerLink, str, int]] = []
+        deaths: List[_WorkerDied] = []
+        for link, name, args in requests:
+            try:
+                sent.append((link, name, self._send_command(link, name, args)))
+            except _WorkerDied as died:
+                deaths.append(died)
+        replies: Dict[int, Tuple[str, Any]] = {}
+        for link, name, seq in sent:
+            try:
+                replies[link.worker_id] = self._recv_payload(link, name, seq)
+            except _WorkerDied as died:
+                deaths.append(died)
+        return replies, deaths
+
     # ------------------------------------------------------------------
     # death, recovery, re-assignment
     # ------------------------------------------------------------------
@@ -941,12 +1138,7 @@ class ShardCoordinator:
         if not link.alive:
             return
         link.alive = False
-        if link.sock is not None:
-            try:
-                link.sock.close()
-            except OSError:  # pragma: no cover
-                pass
-            link.sock = None
+        link.channel.close()
         if link.process is not None:
             # A local worker declared dead must actually die (it may merely
             # be wedged): kill it so it cannot write stale frames later.
@@ -970,11 +1162,17 @@ class ShardCoordinator:
         }
         return bundle, events
 
-    def _load_roots(self, link: _WorkerLink, roots: Sequence[Hashable]) -> None:
-        if not roots:
-            return
+    def _load_args(self, roots: Sequence[Hashable]) -> list:
+        """The arguments of a ``load`` command shipping ``roots``."""
         bundle, events = self._encode_bundle(roots)
-        self._request(link, "load", [bundle, self._policy.value, events])
+        return [bundle, self._policy.value, events]
+
+    def _adopt(self, link: _WorkerLink, roots: Sequence[Hashable]) -> None:
+        """Record that ``link``'s worker now holds ``roots``."""
+        for root in roots:
+            link.roots.add(root)
+            link.n_pairs += len(self._entries_of_root[root])
+            self._worker_of_root[root] = link.worker_id
 
     def _recover(self, dead: _WorkerLink, reason: str) -> Set[int]:
         """Re-ship a dead worker's components to the survivors.
@@ -1013,7 +1211,7 @@ class ShardCoordinator:
             for wid, roots in plan.items():
                 link = self._links[wid]
                 try:
-                    self._load_roots(link, roots)
+                    self._request(link, "load", self._load_args(roots))
                 except _WorkerDied as died:
                     self._note_death(died.link, died.reason)
                     homeless.extend(roots)
@@ -1021,10 +1219,7 @@ class ShardCoordinator:
                     died.link.roots = set()
                     touched.discard(wid)
                     continue
-                for root in roots:
-                    link.roots.add(root)
-                    link.n_pairs += len(self._entries_of_root[root])
-                    self._worker_of_root[root] = wid
+                self._adopt(link, roots)
                 touched.add(wid)
         self.reassignments.append(
             {
@@ -1078,30 +1273,15 @@ class ShardCoordinator:
                 if pending_exc is not None:
                     raise pending_exc
                 return collected
-            sent: List[Tuple[_WorkerLink, int]] = []
-            deaths: List[_WorkerDied] = []
-            for link in targets:
-                try:
-                    sent.append((link, self._send_command(link, name, args)))
-                except _WorkerDied as died:
-                    deaths.append(died)
-            # Consume every outstanding reply before raising anything, so a
-            # shipped handler error cannot desync sibling request streams.
-            for link, seq in sent:
-                try:
-                    kind, payload = self._recv_payload(link, name, seq)
-                except _WorkerDied as died:
-                    deaths.append(died)
-                    continue
+            replies, deaths = self._gather((link, name, args) for link in targets)
+            for wid, (kind, payload) in replies.items():
+                done.add(wid)
                 if kind == "exc":
                     pending_exc = payload
-                    done.add(link.worker_id)
-                    continue
-                if accumulate:
-                    collected.setdefault(link.worker_id, []).append(payload)
+                elif accumulate:
+                    collected.setdefault(wid, []).append(payload)
                 else:
-                    collected[link.worker_id] = payload
-                done.add(link.worker_id)
+                    collected[wid] = payload
             for died in deaths:
                 collected.pop(died.link.worker_id, None)
                 done.discard(died.link.worker_id)
@@ -1118,14 +1298,14 @@ class ShardCoordinator:
         gpos = self._position.get(pair)
         if gpos is None:
             raise ValueError(
-                f"{pair!r} is not in the labeling order: the distributed "
-                "backend routes events by order position and cannot place "
-                "foreign pairs"
+                f"{pair!r} is not in the labeling order: shard workers "
+                "receive events by order position and cannot place foreign "
+                "pairs"
             )
         return self._components.find(pair.left)
 
     # ------------------------------------------------------------------
-    # the engine core methods (as ProcessShardExecutor)
+    # the engine core methods
     # ------------------------------------------------------------------
     def record_answer(self, pair: Pair, label: Label) -> bool:
         """Apply a crowd answer on the owning worker; commits to the
@@ -1283,14 +1463,11 @@ class ShardCoordinator:
         return sorted(wid for wid, link in self._links.items() if link.alive)
 
     def drop_connection(self, worker_id: int) -> None:
-        """Sever the TCP connection to ``worker_id`` without telling it —
-        the sanctioned fault-injection surface for "network died
-        mid-command" chaos tests.  The next interaction detects the loss
-        and triggers re-assignment."""
-        link = self._links[worker_id]
-        if link.sock is not None:
-            link.sock.close()
-            link.sock = None
+        """Sever the channel to ``worker_id`` (its TCP connection or pipe)
+        without telling it — the sanctioned fault-injection surface for
+        "link died mid-command" chaos tests.  The next interaction detects
+        the loss and triggers re-assignment."""
+        self._links[worker_id].channel.close()
 
     @property
     def closed(self) -> bool:

@@ -34,9 +34,9 @@ The engine keeps the state every backend shares (the label map, the
 published and withheld sets, the result, snapshots, the fingerprint) and
 forwards each event once to its backend's *engine core*:
 :class:`GraphEngineCore` for the monolithic and sharded backends,
-:class:`~repro.engine.vectorized.VectorizedEngineCore`,
-:class:`~repro.engine.parallel.ProcessShardExecutor` or
-:class:`~repro.engine.distributed.ShardCoordinator`.
+:class:`~repro.engine.vectorized.VectorizedEngineCore`, or a
+:class:`~repro.engine.distributed.ShardCoordinator` over pipe-attached
+(parallel) or socket-attached (distributed) workers.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ from ..core.pairs import (
 )
 from ..core.result import LabelingResult, PairOutcome
 from ..core.sweep import PendingPairIndex
+from .distributed import ShardCoordinator
 from .frontier import FrontierCursor
-from .parallel import DEFAULT_PARALLEL_THRESHOLD, ProcessShardExecutor
+from .parallel import DEFAULT_PARALLEL_THRESHOLD
 from .sharding import ShardedClusterGraph, ShardedFrontier
 from .vectorized import VectorizedEngineCore, vectorized_available
 
@@ -269,20 +270,21 @@ class LabelingEngine:
             encoding, see :mod:`repro.engine.vectorized`; requires numpy —
             the ``perf`` extra — and silently falls back to ``"sharded"``
             without it), ``"parallel"`` (the sharded decomposition fanned
-            out across a :class:`~repro.engine.parallel.ProcessShardExecutor`
-            worker pool; falls back to in-process sharding below
-            ``parallel_threshold`` pairs, where pipe latency would dominate),
-            ``"distributed"`` (the same decomposition across socket-attached
+            out by a :class:`~repro.engine.distributed.ShardCoordinator`
+            across pipe-attached local worker processes; falls back to
+            in-process sharding below ``parallel_threshold`` pairs, where
+            pipe latency would dominate), ``"distributed"`` (the same
+            coordinator over socket-attached
             :class:`~repro.engine.distributed.ShardWorkerHost` processes —
-            local or remote — with re-assignment on worker loss; never
-            auto-selected and never silently downgraded: requesting remote
-            workers is an explicit topology decision),
-            or ``"auto"`` — monolithic below ``shard_threshold`` pairs,
-            vectorized at or above it when numpy is importable, sharded
-            otherwise (process parallelism is never auto-selected).  All
-            backends are property-tested identical in observable behaviour;
-            sharding, vectorization, and process parallelism are purely
-            scaling features.
+            local or remote; never auto-selected and never silently
+            downgraded: requesting remote workers is an explicit topology
+            decision), or ``"auto"`` — monolithic below ``shard_threshold``
+            pairs, vectorized at or above it when numpy is importable,
+            sharded otherwise (process parallelism is never auto-selected).
+            All backends are property-tested identical in observable
+            behaviour; sharding, vectorization, and process parallelism are
+            purely scaling features.  Both worker-backed backends re-assign
+            a lost worker's components to the surviving workers.
         shard_threshold: the ``auto`` cut-over point.
         parallel_threshold: below this many pairs ``backend="parallel"``
             silently uses the in-process sharded backend instead (pass 0 to
@@ -290,7 +292,8 @@ class LabelingEngine:
         n_workers: worker process count for the parallel backend (defaults
             to the available CPUs, capped at 8); on the distributed backend
             it is the ``spawn_local_workers`` default when neither
-            ``workers`` nor ``spawn_local_workers`` is given.
+            ``workers`` nor ``spawn_local_workers`` is given.  An explicit
+            total of zero workers raises ``ValueError`` on both.
         mp_start_method: multiprocessing start method for the parallel
             backend and for spawned local distributed workers (default:
             ``fork`` where available, else ``spawn``).
@@ -382,29 +385,19 @@ class LabelingEngine:
             self._core = VectorizedEngineCore(
                 self.pairs, policy=policy, positions=self._position
             )
-        elif self.backend == "parallel":
-            self._core = ProcessShardExecutor(
-                self.pairs,
-                positions=self._position,
-                policy=policy,
-                n_workers=n_workers,
-                start_method=mp_start_method,
-            )
-        elif self.backend == "distributed":
-            # Imported lazily: the coordinator reuses this module's
-            # snapshot packing, so a top-level import would be circular.
-            from .distributed import ShardCoordinator
-
-            if workers is None and spawn_local_workers is None:
-                # No explicit topology: n_workers doubles as the local
-                # worker count, mirroring the parallel backend's knob.
+        elif self.backend in ("parallel", "distributed"):
+            parallel = self.backend == "parallel"
+            if parallel or (workers is None and spawn_local_workers is None):
+                # n_workers is the local worker count: the parallel
+                # backend's one topology knob, and the distributed default.
                 spawn_local_workers = n_workers
             self._core = ShardCoordinator(
                 self.pairs,
                 positions=self._position,
                 policy=policy,
-                workers=workers,
+                workers=None if parallel else workers,
                 spawn_local_workers=spawn_local_workers,
+                local_transport="pipe" if parallel else "socket",
                 mp_start_method=mp_start_method,
             )
         else:
@@ -709,19 +702,16 @@ class LabelingEngine:
     def core(self):
         """The backend's engine core, which every event is forwarded to:
         a :class:`GraphEngineCore` (monolithic, sharded), a
-        :class:`~repro.engine.vectorized.VectorizedEngineCore`, a
-        :class:`~repro.engine.parallel.ProcessShardExecutor` (parallel) or
-        a :class:`~repro.engine.distributed.ShardCoordinator`
-        (distributed)."""
+        :class:`~repro.engine.vectorized.VectorizedEngineCore`, or a
+        :class:`~repro.engine.distributed.ShardCoordinator` (parallel:
+        pipe-attached workers; distributed: socket-attached workers)."""
         return self._core
 
     @property
     def executor(self):
-        """The worker-backed core — the parallel backend's
-        :class:`~repro.engine.parallel.ProcessShardExecutor` or the
-        distributed backend's
-        :class:`~repro.engine.distributed.ShardCoordinator` — or None on
-        the in-process backends."""
+        """The worker-backed core — the
+        :class:`~repro.engine.distributed.ShardCoordinator` of the parallel
+        and distributed backends — or None on the in-process backends."""
         return self._core if self.backend in ("parallel", "distributed") else None
 
     def close(self) -> None:

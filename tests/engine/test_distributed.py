@@ -1,19 +1,21 @@
-"""The distributed backend: differential, chaos, and protocol suites.
+"""The shard coordinator: differential, chaos, and protocol suites.
 
-``backend="distributed"`` runs the PR-4 shard command protocol over real TCP
-sockets (``src/repro/engine/distributed.py``); these tests make its failure
-contract trustworthy:
+``backend="distributed"`` runs the shard command protocol over real TCP
+sockets and ``backend="parallel"`` over pipes, both through one
+:class:`ShardCoordinator` (``src/repro/engine/distributed.py``); these tests
+make its failure contract trustworthy:
 
 * **differential** — the socket transport must be invisible: parity with the
   frozen PR-1 references under FIFO, shuffled, and expiring clients (the
   strategy × backend matrix in ``test_backend_matrix.py`` adds the full
   grid), plus worker-count 1-vs-N equality at *every* frontier;
-* **chaos** — injected faults (dropped connections, a handler stalled past
-  the heartbeat timeout, real SIGKILL of a worker host) must recover via
-  component re-assignment to a ``state_fingerprint()`` byte-identical to the
-  fault-free run, across sequential and hit-rounds runtime modes; shutdown
-  must never hang; losing *every* worker must poison with the PR-4
-  :class:`ShardWorkerError` contract;
+* **chaos** — injected faults (dropped connections and closed pipes, a
+  socket handler stalled past the heartbeat timeout, a worker lost during
+  the initial load, real SIGKILL of a worker host or pipe worker) must
+  recover via component re-assignment to a ``state_fingerprint()``
+  byte-identical to the fault-free run, across sequential and hit-rounds
+  runtime modes; shutdown must never hang; losing *every* worker must
+  poison with :class:`ShardWorkerError`;
 * **protocol** — framing round-trips arbitrary JSON through torn reads,
   rejects oversized frames before allocating, and snapshot re-ship +
   event-log replay converges from any prefix (the reconnect property).
@@ -41,7 +43,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.cluster_graph import ConflictPolicy, InconsistentLabelError
-from repro.core.oracle import GroundTruthOracle
+from repro.core.oracle import GroundTruthOracle, MappingOracle
 from repro.core.pairs import Label, Pair
 from repro.crowd.clients import SimulatedPlatformClient
 from repro.engine import (
@@ -80,15 +82,17 @@ def fingerprint(engine: LabelingEngine) -> str:
     return json.dumps(engine.state_fingerprint(), sort_keys=True)
 
 
-def run_engine_campaign(mode, order, oracle, *, n_workers=3, fault=None):
-    """One full campaign on ``backend="distributed"``.
+def run_engine_campaign(
+    mode, order, oracle, *, n_workers=3, fault=None, backend="distributed"
+):
+    """One full campaign on ``backend="distributed"`` (or ``"parallel"``).
 
     ``fault`` is a callable ``coordinator -> fault_hook`` installed on the
     coordinator's transport before the runtime starts.  Returns the
     fingerprint, the coordinator (closed), and the installed hook.
     """
     engine = LabelingEngine(
-        order, backend="distributed", spawn_local_workers=n_workers
+        order, backend=backend, parallel_threshold=0, n_workers=n_workers
     )
     coordinator = engine.executor
     hook = None
@@ -142,8 +146,8 @@ class DropConnectionAt:
 
 class SleepOnFirstSweep:
     """Worker-side hook: worker 0 stalls its first sweep past the
-    coordinator's heartbeat timeout (the hung-worker model — a busy handler
-    starves its own session's heartbeat)."""
+    coordinator's heartbeat timeout (the hung-worker model on sockets — a
+    busy handler starves its own session's heartbeat)."""
 
     def __init__(self, seconds: float) -> None:
         self.seconds = seconds
@@ -153,6 +157,11 @@ class SleepOnFirstSweep:
         if worker_id == 0 and command == "sweep" and not self.fired:
             self.fired = True
             time.sleep(self.seconds)
+
+
+def exit_worker0_on_load(worker_id, command: str) -> None:
+    if worker_id == 0 and command == "load":
+        os._exit(7)
 
 
 def drive_lockstep(coordinators, oracle, order):
@@ -248,16 +257,46 @@ class TestDifferentialParity:
                 rounds = drive_lockstep([solo, trio], truth, order)
         assert len(rounds) >= 2, "world too small to exercise rounds"
 
-    def test_worker_count_capped_at_components(self):
+    @pytest.mark.parametrize(
+        "backend, knob",
+        (
+            ("distributed", "spawn_local_workers"),
+            ("distributed", "n_workers"),
+            ("parallel", "n_workers"),
+        ),
+        ids=("spawn", "n-dist", "n-par"),
+    )
+    def test_worker_count_capped_at_components(self, backend, knob):
+        """Counts are capped at the component count, and an explicit zero
+        is an error on either backend — not the CPU-count default."""
         order, _ = block_world(n_blocks=2, objects_per_block=3)
-        with ShardCoordinator(order, spawn_local_workers=5) as coordinator:
+        options = dict(backend=backend, parallel_threshold=0)
+        with LabelingEngine(order, **options, **{knob: 5}) as engine:
+            coordinator = engine.executor
             assert coordinator.n_workers == 2
             assert coordinator.live_worker_ids() == [0, 1]
             assert len(coordinator.worker_pids()) == 2
+        with pytest.raises(ValueError, match="at least one worker"):
+            LabelingEngine(order, **options, **{knob: 0})
 
     def test_non_scalar_object_ids_rejected(self):
         with pytest.raises(TypeError, match="scalar"):
             ShardCoordinator([Pair(("a", 1), ("b", 2))], spawn_local_workers=1)
+
+    def test_tuple_object_ids_on_parallel_reach_reference_labels(self):
+        """Pipe workers take any picklable object id, so the JSON-scalar
+        contract binds only coordinators with a socket worker."""
+        order, truth = block_world(n_blocks=3, objects_per_block=4)
+        tuple_order = [Pair(tuple(p.left), tuple(p.right)) for p in order]
+        tuple_truth = MappingOracle(
+            {new: truth.label(old) for old, new in zip(order, tuple_order)}
+        )
+        reference = reference_parallel(tuple_order, tuple_truth)
+        result = AsyncDispatch(
+            backend="parallel", parallel_threshold=0, n_workers=2
+        ).run(tuple_order, tuple_truth)
+        assert result.labels() == reference.labels()
+        assert result.rounds == reference.rounds
 
     def test_strict_conflict_ships_inconsistent_label_error(self):
         order = [Pair("a", "b"), Pair("b", "c"), Pair("a", "c")]
@@ -456,6 +495,40 @@ class TestChaosRecovery:
             assert "no heartbeat" in coordinator.reassignments[0]["reason"]
             assert coordinator.live_worker_ids() == [1]
 
+    def test_pipe_handler_past_heartbeat_timeout_is_not_reassigned(self):
+        """Pipe workers have no heartbeat bound: a long handler is slow, not
+        dead."""
+        order, truth = block_world(n_blocks=4, objects_per_block=4)
+        with ShardCoordinator(order, spawn_local_workers=2) as clean:
+            with ShardCoordinator(
+                order,
+                spawn_local_workers=2,
+                local_transport="pipe",
+                worker_fault_hook=SleepOnFirstSweep(1.5),
+                heartbeat_interval=0.1,
+                heartbeat_timeout=0.3,
+            ) as coordinator:
+                started = time.monotonic()
+                drive_lockstep([clean, coordinator], truth, order)
+                assert time.monotonic() - started >= 1.5  # the stall ran
+                assert coordinator.reassignments == []
+                assert coordinator.live_worker_ids() == [0, 1]
+
+    def test_worker_lost_during_initial_load_is_recovered(self):
+        """The concurrent initial ``load``: a worker that dies on its
+        snapshot goes through re-assignment like any later loss."""
+        order, truth = block_world(n_blocks=4, objects_per_block=4)
+        with ShardCoordinator(order, spawn_local_workers=2) as clean:
+            with ShardCoordinator(
+                order,
+                spawn_local_workers=2,
+                worker_fault_hook=exit_worker0_on_load,
+            ) as coordinator:
+                assert len(coordinator.reassignments) == 1
+                assert coordinator.reassignments[0]["worker_id"] == 0
+                assert coordinator.live_worker_ids() == [1]
+                drive_lockstep([clean, coordinator], truth, order)
+
     def test_consecutive_losses_until_one_survivor(self):
         """Losing workers one at a time keeps converging while anyone
         survives."""
@@ -493,6 +566,57 @@ class TestChaosRecovery:
             with pytest.raises(ShardWorkerError, match="no shard workers survive"):
                 coordinator.publish(order, withhold=False)
             # Poisoned for good, like the pipe executor.
+            with pytest.raises(ShardWorkerError):
+                coordinator.stats()
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("kill_at", (1, 7, 33))
+    def test_parallel_sigkill_recovers_byte_identical(self, mode, kill_at):
+        """The same contract on ``backend="parallel"``: a SIGKILLed pipe
+        worker's components re-ship to the survivors."""
+        order, truth = block_world(n_blocks=6, objects_per_block=4)
+        clean, _, _ = run_engine_campaign(mode, order, truth, backend="parallel")
+        got, coordinator, hook = run_engine_campaign(
+            mode, order, truth,
+            backend="parallel",
+            fault=lambda c: KillWorkerAt(c, kill_at),
+        )
+        assert hook.fired, "kill point beyond the campaign's command count"
+        assert got == clean
+        assert len(coordinator.reassignments) == 1
+        record = coordinator.reassignments[0]
+        assert "died with exit code -9" in record["reason"]
+        assert record["moved_components"] >= 1
+        assert record["targets"], "components must land on survivors"
+        assert len(coordinator.live_worker_ids()) == 2
+
+    @pytest.mark.parametrize("drop_at", (1, 12, 40))
+    def test_parallel_closed_pipe_recovers_byte_identical(self, drop_at):
+        order, truth = block_world(n_blocks=6, objects_per_block=4)
+        clean, _, _ = run_engine_campaign(
+            RuntimeMode.ROUNDS, order, truth, backend="parallel"
+        )
+        got, coordinator, hook = run_engine_campaign(
+            RuntimeMode.ROUNDS, order, truth,
+            backend="parallel",
+            fault=lambda c: DropConnectionAt(c, drop_at),
+        )
+        assert hook.fired
+        assert got == clean
+        assert len(coordinator.reassignments) == 1
+
+    def test_parallel_all_workers_lost_poisons(self):
+        order, _ = block_world(n_blocks=2, objects_per_block=4)
+        with LabelingEngine(
+            order, backend="parallel", parallel_threshold=0, n_workers=2
+        ) as engine:
+            coordinator = engine.executor
+            for pid in coordinator.worker_pids():
+                os.kill(pid, signal.SIGKILL)
+            with pytest.raises(
+                ShardWorkerError, match="no shard workers survive.*exit code -9"
+            ):
+                coordinator.publish(order, withhold=False)
             with pytest.raises(ShardWorkerError):
                 coordinator.stats()
 

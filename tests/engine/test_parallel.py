@@ -1,11 +1,12 @@
-"""Differential tests for the process-parallel shard executor.
+"""Differential tests for the process-parallel backend.
 
-``backend="parallel"`` must be *observationally identical* to the in-process
+``backend="parallel"`` runs the shard coordinator over pipe-attached local
+workers, and must be *observationally identical* to the in-process
 backends and to the frozen PR-1 references — labeling-order sensitivity
 (Wang et al., "The Expected Optimal Labeling Order Problem") means any
 divergence in what a frontier selects or when a deduction lands silently
-changes what the crowd is asked.  These tests pin the executor on seeded
-random answer streams, including:
+changes what the crowd is asked.  These tests pin it on seeded random
+answer streams, including:
 
 * shuffled completion orders and injected expiry + re-issue through the
   async runtime (answers reach the workers out of publication order);
@@ -13,14 +14,16 @@ random answer streams, including:
   answer-graph shard inside a worker through the lazy ``absorb`` seam;
 * worker-count equivalence: 1 worker vs N workers vs the in-process
   backends, at every intermediate frontier;
-* spawn-safety: the executor works under the ``spawn`` start method (the
+* spawn-safety: pipe workers run under the ``spawn`` start method (the
   default is ``fork`` where available, for zero-copy snapshots).
 
-Crash safety is covered via the executor's injectable ``fault_hook``: a
-worker process that dies mid-command must surface a :class:`ShardWorkerError`
-naming the worker, exit code, and command — never hang — and poison the
-executor for further use.  The async runtime must propagate that error out
-of a live campaign.
+Crash safety is covered via the coordinator's ``worker_fault_hook``: when
+every worker dies mid-command there is no survivor to re-ship components
+to, which must surface a :class:`ShardWorkerError` naming a worker, its exit
+code, and the command — never hang — and poison the coordinator for further
+use.  The async runtime must propagate that error out of a live campaign.
+Recovery from the loss of *some* workers is pinned by the chaos cases in
+``test_distributed.py``, which run on both transports.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from repro.engine import (
     AsyncDispatch,
     CrowdRuntime,
     LabelingEngine,
-    ProcessShardExecutor,
     RuntimeMode,
+    ShardCoordinator,
     ShardWorkerError,
     must_crowdsource_frontier,
 )
@@ -54,6 +57,14 @@ from .reference import (
 )
 
 PARALLEL = dict(backend="parallel", parallel_threshold=0)
+
+
+def pipe_coordinator(order, n_workers, **options) -> ShardCoordinator:
+    """The parallel backend's engine core, built as ``LabelingEngine``
+    builds it: pipe-attached local workers."""
+    return ShardCoordinator(
+        order, spawn_local_workers=n_workers, local_transport="pipe", **options
+    )
 
 
 # ----------------------------------------------------------------------
@@ -207,12 +218,12 @@ class TestSpawnSafety:
 
 
 # ----------------------------------------------------------------------
-# executor-level behaviour
+# coordinator-level behaviour
 # ----------------------------------------------------------------------
 class TestExecutorDirect:
     def test_frontier_matches_reference_scan_through_publish_churn(self):
         order, truth = block_world()
-        with ProcessShardExecutor(order, n_workers=3) as executor:
+        with pipe_coordinator(order, 3) as executor:
             labeled = {}
             published = set()
             for step, pair in enumerate(order):
@@ -228,13 +239,13 @@ class TestExecutorDirect:
 
     def test_component_assignment_is_balanced_and_deterministic(self):
         order, _ = block_world(n_blocks=9, objects_per_block=4)
-        a = ProcessShardExecutor(order, n_workers=3)
-        b = ProcessShardExecutor(order, n_workers=3)
+        a = pipe_coordinator(order, 3)
+        b = pipe_coordinator(order, 3)
         try:
             assert a.n_components == 9
             assert a.n_workers == 3
-            sizes = sorted(handle.n_pairs for handle in a._handles)
-            assert sizes == sorted(handle.n_pairs for handle in b._handles)
+            sizes = sorted(link.n_pairs for link in a._links.values())
+            assert sizes == sorted(link.n_pairs for link in b._links.values())
             assert max(sizes) - min(sizes) <= 6  # one component of slack
             assert a._worker_of_root == b._worker_of_root
         finally:
@@ -243,14 +254,14 @@ class TestExecutorDirect:
 
     def test_worker_cap_and_foreign_pairs(self):
         order, _ = block_world(n_blocks=2, objects_per_block=3)
-        with ProcessShardExecutor(order, n_workers=8) as executor:
+        with pipe_coordinator(order, 8) as executor:
             assert executor.n_workers == 2  # never more workers than components
             with pytest.raises(ValueError, match="not in the labeling order"):
                 executor.record_answer(Pair("x", "y"), Label.MATCHING)
 
     def test_cross_component_deduce_short_circuits(self):
         order, truth = block_world(n_blocks=2, objects_per_block=3)
-        with ProcessShardExecutor(order, n_workers=2) as executor:
+        with pipe_coordinator(order, 2) as executor:
             for pair in order:
                 executor.record_answer(pair, truth.label(pair))
             # Objects in different static components: no path can connect
@@ -260,7 +271,7 @@ class TestExecutorDirect:
 
     def test_close_is_idempotent_and_reaps_workers(self):
         order, _ = block_world(n_blocks=2, objects_per_block=3)
-        executor = ProcessShardExecutor(order, n_workers=2)
+        executor = pipe_coordinator(order, 2)
         pids = executor.worker_pids()
         assert executor.frontier()  # workers are alive and serving
         executor.close()
@@ -291,9 +302,12 @@ def raise_on_worker0_sweep(worker_id: int, command: str) -> None:
 
 
 class TestCrashSafety:
+    """The ``die_on_*`` hooks kill every worker that handles the command, so
+    no survivor can take the components over."""
+
     def test_worker_death_mid_sweep_raises_not_hangs(self):
         order, truth = block_world()
-        with ProcessShardExecutor(order, n_workers=2, fault_hook=die_on_sweep) as ex:
+        with pipe_coordinator(order, 2, worker_fault_hook=die_on_sweep) as ex:
             batch = ex.frontier()
             ex.publish(batch, withhold=True)
             ex.record_answer(batch[0], truth.label(batch[0]))
@@ -303,17 +317,17 @@ class TestCrashSafety:
             assert "died with exit code 3" in message
             assert "'sweep'" in message
             assert "shard worker" in message
-            # The executor is poisoned: its shard state is gone.
+            # The coordinator is poisoned: its shard state is gone.
             with pytest.raises(ShardWorkerError):
                 ex.frontier()
 
     def test_handler_exception_does_not_desync_the_protocol(self):
         """A worker handler that *raises* (rather than dies) re-raises in
-        the parent with every sibling reply consumed: the executor stays
+        the parent with every sibling reply consumed: the coordinator stays
         usable and later broadcasts still line up with their replies."""
         order, truth = block_world(n_blocks=4, objects_per_block=4)
-        with ProcessShardExecutor(
-            order, n_workers=2, fault_hook=raise_on_worker0_sweep
+        with pipe_coordinator(
+            order, 2, worker_fault_hook=raise_on_worker0_sweep
         ) as ex:
             expected = must_crowdsource_frontier(order, {})
             assert ex.frontier() == expected
@@ -328,7 +342,7 @@ class TestCrashSafety:
 
     def test_worker_death_mid_frontier_raises(self):
         order, _ = block_world(n_blocks=3, objects_per_block=3)
-        with ProcessShardExecutor(order, n_workers=3, fault_hook=die_on_frontier) as ex:
+        with pipe_coordinator(order, 3, worker_fault_hook=die_on_frontier) as ex:
             with pytest.raises(ShardWorkerError, match="exit code 5"):
                 ex.frontier()
 
