@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -29,6 +30,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Set,
     Tuple,
     runtime_checkable,
@@ -111,6 +113,29 @@ def admit_label(graph, pair: Pair, label: Label) -> bool:
         )
     graph.conflicts.append(Conflict(pair, label, implied))
     return False
+
+
+def record_each(
+    record_one: Callable[[Pair, Label], bool],
+    answers: Sequence[Tuple[Pair, Label]],
+) -> List[bool]:
+    """Apply a run of crowd answers in order, one ``record_one`` call each.
+
+    The shared ``record_answers`` of the in-process engine cores.  Returns
+    one applied flag per answer (False: rejected as a FIRST_WINS conflict).
+    An answer that raises — a STRICT conflict — ends the run: the exception
+    leaves with ``applied_flags``, the flags of the answers applied before
+    it and ``None`` for it and every later answer, so the engine records
+    exactly what was applied.
+    """
+    flags: List[Optional[bool]] = []
+    try:
+        for pair, label in answers:
+            flags.append(record_one(pair, label))
+    except Exception as exc:
+        exc.applied_flags = flags + [None] * (len(answers) - len(flags))
+        raise
+    return flags
 
 
 class ClusterGraph:

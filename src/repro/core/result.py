@@ -50,6 +50,14 @@ class LabelingResult:
     order: List[Pair] = field(default_factory=list)
     rounds: List[List[Pair]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # Provenance tallies behind the headline counts: derived once here,
+        # then kept by record(), so reading them never scans the outcomes
+        # (a campaign's status is read while it runs).
+        n_crowdsourced = sum(1 for o in self.outcomes.values() if o.crowdsourced)
+        self._n_crowdsourced = n_crowdsourced
+        self._n_deduced = len(self.outcomes) - n_crowdsourced
+
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
@@ -65,15 +73,20 @@ class LabelingResult:
         Raises:
             ValueError: if the pair was already recorded (labels are final).
         """
-        if pair in self.outcomes:
+        outcomes = self.outcomes
+        if pair in outcomes:
             raise ValueError(f"{pair!r} was already labeled")
-        self.outcomes[pair] = PairOutcome(
+        outcomes[pair] = PairOutcome(
             pair=pair,
             label=label,
             provenance=provenance,
             round_index=round_index,
-            position=len(self.outcomes),
+            position=len(outcomes),
         )
+        if provenance is Provenance.CROWDSOURCED:
+            self._n_crowdsourced += 1
+        else:
+            self._n_deduced += 1
 
     # ------------------------------------------------------------------
     # headline statistics
@@ -86,12 +99,12 @@ class LabelingResult:
     @property
     def n_crowdsourced(self) -> int:
         """The money metric: pairs sent to the crowd (paper Definition 1)."""
-        return sum(1 for o in self.outcomes.values() if o.crowdsourced)
+        return self._n_crowdsourced
 
     @property
     def n_deduced(self) -> int:
         """Pairs resolved for free via transitive relations."""
-        return sum(1 for o in self.outcomes.values() if o.deduced)
+        return self._n_deduced
 
     @property
     def n_rounds(self) -> int:
@@ -162,7 +175,7 @@ class LabelingResult:
     # ------------------------------------------------------------------
     # deferred bulk restore
     # ------------------------------------------------------------------
-    def defer_restore(self, thunk) -> None:
+    def defer_restore(self, thunk, *, n_crowdsourced: int, n_deduced: int) -> None:
         """Register ``thunk(self)`` to rebuild ``outcomes``/``rounds`` lazily.
 
         A snapshot restore of a large campaign would otherwise spend most
@@ -171,9 +184,13 @@ class LabelingResult:
         labeling touches them only when reporting).  The thunk runs at
         most once, on the first access to either field — including the
         first :meth:`record` of a post-snapshot answer, so resumed runs
-        always append to fully restored state.
+        always append to fully restored state.  The headline counts come
+        with the thunk (the snapshot knows them), so reading them leaves
+        the thunk pending.
         """
         self.__dict__["_restore_thunk"] = thunk
+        self._n_crowdsourced = n_crowdsourced
+        self._n_deduced = n_deduced
 
 
 def _lazy_restore_field(name: str) -> property:

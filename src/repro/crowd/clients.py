@@ -120,6 +120,15 @@ class PlatformClient(Protocol):
         """HITs submitted and neither completed, expired, nor cancelled."""
         ...  # pragma: no cover - protocol
 
+    @property
+    def n_ready_events(self) -> int:
+        """Events already in hand: ``next_event`` returns them without
+        polling or waiting.  The runtime applies the events a client hands
+        over back to back as one run, so a client that fetches in bursts
+        reports its buffer here; one that produces events singly reports 0.
+        """
+        ...  # pragma: no cover - protocol
+
     async def submit_pairs(
         self, pairs: Sequence[Pair], *, timeout: Optional[float] = None
     ) -> List[HIT]:
@@ -161,7 +170,12 @@ class PlatformClient(Protocol):
 
 
 class _PlatformClientBase:
-    """Shared :meth:`completions` iterator over :meth:`next_event`."""
+    """Shared :meth:`completions` iterator over :meth:`next_event`; no
+    events in hand unless a client buffers them."""
+
+    @property
+    def n_ready_events(self) -> int:
+        return 0
 
     async def next_event(self) -> Optional[PlatformEvent]:  # pragma: no cover
         raise NotImplementedError
@@ -431,6 +445,12 @@ class PollingPlatformClient(_PlatformClientBase):
     def n_outstanding_hits(self) -> int:
         return len(self._outstanding)
 
+    @property
+    def n_ready_events(self) -> int:
+        """Events the last fetch found that ``next_event`` has not yet
+        handed over."""
+        return len(self._events)
+
     async def submit_pairs(
         self, pairs: Sequence[Pair], *, timeout: Optional[float] = None
     ) -> List[HIT]:
@@ -688,6 +708,11 @@ class CallbackPlatformClient(_PlatformClientBase):
     @property
     def n_outstanding_hits(self) -> int:
         return len(self._outstanding)
+
+    @property
+    def n_ready_events(self) -> int:
+        """Events delivered and not yet handed over by ``next_event``."""
+        return len(self._events)
 
     def _wake(self) -> None:
         """Wake a blocked ``next_event``, thread-safely."""

@@ -14,8 +14,10 @@ The runtime owns everything a live campaign needs that a simulator got for
 free:
 
 * in-flight HIT bookkeeping and *out-of-order* completion application
-  through the engine's ``record_answer``/``sweep`` seam (both the
-  monolithic and the sharded backend — the runtime never looks inside);
+  through the engine's ``record_answers``/``sweep`` seam (any backend —
+  the runtime never looks inside).  Events a client hands over back to
+  back (a poll that fetched several) are applied as one *run*: one
+  ``record_answers``, then the mode's sweep and reselection once;
 * re-issue of expired HITs (unanswered pairs go back out as fresh HITs);
 * budget (:class:`~repro.crowd.budget.BudgetPolicy`) and latency
   (:class:`~repro.crowd.latency.TimeoutPolicy`) limits enforced at
@@ -120,6 +122,19 @@ class RuntimeMode(enum.Enum):
     HIT_ROUNDS = "hit-rounds"
     FLOOD = "flood"
     SERIAL = "serial"
+
+
+#: Modes that apply the events a client hands over back to back as one run
+#: (one ``record_answers``, then the mode's tail once).  SEQUENTIAL keeps
+#: one question in flight and SERIAL one HIT, so they apply per event.
+_RUN_MODES = frozenset(
+    (
+        RuntimeMode.ROUNDS,
+        RuntimeMode.HIT_INSTANT,
+        RuntimeMode.HIT_ROUNDS,
+        RuntimeMode.FLOOD,
+    )
+)
 
 
 @dataclass
@@ -252,7 +267,7 @@ class CrowdRuntime:
 
     Args:
         engine: the labeling engine (any backend; the runtime only uses
-            the ``frontier``/``publish``/``record_answer``/``sweep`` seam).
+            the ``frontier``/``publish``/``record_answers``/``sweep`` seam).
         client: the platform client to submit to and await events from.
         spec: optional :class:`~repro.spec.CampaignSpec` supplying the
             dispatch mode and runtime policies in one object; any of the
@@ -291,6 +306,19 @@ class CrowdRuntime:
         gate: optional :class:`PauseGate` for operator pause/resume; while
             paused the runtime defers all new HIT issuance but still
             applies in-flight completions.
+
+    The runtime asks the client for one event at a time.  While the client
+    reports another already in hand (``n_ready_events``), the ROUNDS, HIT
+    and FLOOD modes only take the event's answers into the open *run*; the
+    run's last event applies them with one ``engine.record_answers`` and
+    runs the mode's tail once (the round-end check in ROUNDS, one sweep and
+    one reselection in HIT_INSTANT).  With consistent answers a campaign
+    ends in the state applying its events one at a time reaches: a run
+    answers only pairs already on the platform, which the sweep withholds,
+    and every pair the frontier selects is one the sequential labeler asks
+    too — only the HITs published after a run are composed differently.
+    Safe points fire only between runs.  SEQUENTIAL and SERIAL apply every
+    event on its own.
 
     The runtime is single-shot: build, ``await run()`` (or ``run_sync()``
     from synchronous code), read the report.
@@ -374,13 +402,23 @@ class CrowdRuntime:
                 engine, self._buffer_chunk, client.batch_size
             )
         self._pending_chunks: List[List[Pair]] = []
+        # The open run: events the client handed over back to back (it
+        # reported more in hand after each) are applied together when the
+        # last one arrives.  Their answers wait here, with their round
+        # indices; the completions count decides whether the tail runs.
+        self._in_run = False
+        self._run_answers: List[Tuple[Pair, Label]] = []
+        self._run_rounds: List[int] = []
+        self._run_pairs: Set[Pair] = set()
+        self._run_completions = 0
         # Snapshot/restore seam (journal compaction): set by restore_state
         # so run() enters the event loop mid-campaign instead of _start().
         self._restored = False
-        #: Invoked at the top of every event-loop iteration — the one point
-        #: where engine + mode state exactly reflect the records journaled
-        #: so far (no chunk is half-flushed, no completion half-applied).
-        #: The campaign service hooks its compaction policy here.
+        #: Invoked at the top of every event-loop iteration between runs —
+        #: the one point where engine + mode state exactly reflect the
+        #: records journaled so far (no chunk is half-flushed, no run
+        #: half-applied).  The campaign service hooks its compaction
+        #: policy here.
         self.on_safe_point: Optional[Callable[[], None]] = None
 
     @property
@@ -411,6 +449,8 @@ class CrowdRuntime:
             raise ValueError("SERIAL-mode runtimes cannot be snapshotted")
         if self._pending_chunks:
             raise ValueError("cannot snapshot with unflushed publish chunks")
+        if self._in_run:
+            raise ValueError("cannot snapshot in the middle of a run")
         position = self._engine._position
         report = self.report
         return {
@@ -667,53 +707,71 @@ class CrowdRuntime:
 
     async def _event_loop(self) -> None:
         engine = self._engine
+        batching = self._mode in _RUN_MODES
         while not engine.is_done:
-            if self.on_safe_point is not None:
-                # Engine + mode state now reflect exactly the journaled
-                # records: the one consistent place to snapshot/compact.
-                self.on_safe_point()
-            if self._paused():
-                # Paused: issue nothing new.  With work still in flight,
-                # keep consuming events (completions must not be dropped);
-                # once the platform is quiet, sleep until resumed.
-                if self._client.n_outstanding_hits == 0:
-                    await self._gate.wait_resumed()
-                    continue
-            else:
-                if self._kick_pending:
-                    await self._kick()
-                    continue
-                if self._client.n_outstanding_hits == 0:
-                    if self._adapter is not None:
-                        # The platform would otherwise sit idle: re-select
-                        # and force out even a partial HIT (paper §6.4).
-                        self._adapter.select_new()
-                        self._adapter.flush(force=True)
-                        await self._flush_chunks()
-                    elif not self._round_outstanding and not self.report.publish_events:
-                        # Restored from a snapshot taken while paused
-                        # before the mode's first publish: fire it.  The
-                        # publish-history gate matters — a live run can
-                        # also reach zero outstanding HITs with events
-                        # still buffered in the client (a poll fetched
-                        # every completion at once), and must fall through
-                        # to next_event() instead of re-publishing.
-                        if self._mode is RuntimeMode.FLOOD:
-                            await self._submit(engine.pairs)
-                        else:
-                            await self._kick()
-                        continue
+            # Between runs only: mid-run the next event is already in hand.
+            if not self._in_run and await self._between_runs():
+                continue
             event = await self._client.next_event()
             if event is None:
+                if self._in_run:
+                    # The client announced more and then drained: the run
+                    # ends here.
+                    self._in_run = False
+                    await self._end_run()
+                    continue
                 raise RuntimeError(
                     "crowd runtime stalled: platform drained with "
                     f"{len(engine.pairs) - engine.n_labeled} pairs unlabeled"
                 )
+            self._in_run = batching and self._client.n_ready_events > 0
             if isinstance(event, HITExpiry):
                 await self._on_expiry(event)
-                continue
-            self._reissue_counts.pop(event.hit.hit_id, None)
-            await self._on_completion(event)
+            else:
+                self._reissue_counts.pop(event.hit.hit_id, None)
+                await self._on_completion(event)
+            if batching and not self._in_run:
+                await self._end_run()
+
+    async def _between_runs(self) -> bool:
+        """The safe point, then pause handling and the publishes a run does
+        not trigger itself; True when the loop must re-check before waiting
+        for the next event."""
+        if self.on_safe_point is not None:
+            # Engine + mode state now reflect exactly the journaled
+            # records: the one consistent place to snapshot/compact.
+            self.on_safe_point()
+        if self._paused():
+            # Paused: issue nothing new.  With work still in flight, keep
+            # consuming events (completions must not be dropped); once the
+            # platform is quiet, sleep until resumed.
+            if self._client.n_outstanding_hits == 0:
+                await self._gate.wait_resumed()
+                return True
+            return False
+        if self._kick_pending:
+            await self._kick()
+            return True
+        if self._client.n_outstanding_hits == 0:
+            if self._adapter is not None:
+                # The platform would otherwise sit idle: re-select and force
+                # out even a partial HIT (paper §6.4).
+                self._adapter.select_new()
+                self._adapter.flush(force=True)
+                await self._flush_chunks()
+            elif not self._round_outstanding and not self.report.publish_events:
+                # Restored from a snapshot taken while paused before the
+                # mode's first publish: fire it.  The publish-history gate
+                # matters — a live run can also reach zero outstanding HITs
+                # with events still buffered in the client (a poll fetched
+                # every completion at once), and must fall through to
+                # next_event() instead of re-publishing.
+                if self._mode is RuntimeMode.FLOOD:
+                    await self._submit(self._engine.pairs)
+                else:
+                    await self._kick()
+                return True
+        return False
 
     async def _start(self) -> None:
         # Loop, not a single wait: PauseGate.poke() wakes waiters without
@@ -748,7 +806,7 @@ class CrowdRuntime:
                 f"HIT {hit.hit_id} expired after {chain - 1} re-issues, "
                 f"exceeding TimeoutPolicy.max_reissues={self._timeout.max_reissues}"
             )
-        unanswered = [p for p in hit.pairs if p not in self._engine.labeled]
+        unanswered = [p for p in hit.pairs if not self._answered(p)]
         if not unanswered:
             return []
         reissued = await self._submit(unanswered)
@@ -760,11 +818,14 @@ class CrowdRuntime:
     # ------------------------------------------------------------------
     # completion application (the one code path)
     # ------------------------------------------------------------------
-    def _apply_labels(
-        self, event: HITCompletion, round_index: int, track_conflicts: bool = False
-    ) -> List[Pair]:
-        """Fold a completion's answers into the engine, skipping pairs a
-        re-issue race already answered.  Returns the pairs applied.
+    def _answered(self, pair: Pair) -> bool:
+        """Labeled in the engine, or answered earlier in the open run."""
+        return pair in self._engine.labeled or pair in self._run_pairs
+
+    def _apply_labels(self, event: HITCompletion, round_index: int) -> List[Pair]:
+        """Take a completion's answers into the open run, skipping pairs a
+        re-issue race already answered.  Returns the pairs taken; they
+        reach the engine at :meth:`_record_run`.
 
         This is the one quality gate on the answer path: completions
         carrying raw assignments are re-aggregated first (quality-aware
@@ -773,26 +834,39 @@ class CrowdRuntime:
         its labels land — pairs it escalates are withheld and queued for
         re-issue instead of applied.
         """
-        engine = self._engine
         event = self._reaggregate(event)
         self._record_vote_quality(event)
         decisions: Sequence[ReviewDecision] = (
             self._review.review(event) if self._review is not None else ()
         )
         held = self._escalations(decisions)
-        applied: List[Pair] = []
+        taken: List[Pair] = []
         for pair, label in event.labels.items():
-            if pair in engine.labeled:
+            if self._answered(pair):
                 continue  # duplicate delivery (expired HIT completed late)
             if pair in held:
                 continue  # escalated: re-issued instead of applied
-            ok = engine.record_answer(pair, label, round_index)
-            if track_conflicts and not ok:
-                self.report.conflicts.append(pair)
-            applied.append(pair)
+            self._run_answers.append((pair, label))
+            self._run_rounds.append(round_index)
+            self._run_pairs.add(pair)
+            taken.append(pair)
         self.report.completion_hours = event.completed_at
         self._forward_review(event.hit.hit_id, decisions)
-        return applied
+        return taken
+
+    def _record_run(self) -> None:
+        """Apply the open run's answers: one ``engine.record_answers``."""
+        answers, rounds = self._run_answers, self._run_rounds
+        if not answers:
+            return
+        self._run_answers, self._run_rounds, self._run_pairs = [], [], set()
+        flags = self._engine.record_answers(answers, rounds)
+        if self._adapter is not None:
+            # HIT modes report answers the deduction graph contradicted
+            # (possible only with noisy answers under FIRST_WINS).
+            self.report.conflicts.extend(
+                pair for (pair, _), applied in zip(answers, flags) if not applied
+            )
 
     def _reaggregate(self, event: HITCompletion) -> HITCompletion:
         """Re-derive a completion's labels from its raw assignments with
@@ -812,7 +886,7 @@ class CrowdRuntime:
         )
         labels = {pair: summary.label for pair, summary in summaries.items()}
         for pair in event.labels:
-            if pair not in summaries and pair not in self._engine.labeled:
+            if pair not in summaries and not self._answered(pair):
                 self._pending_escalations.append(pair)
         return replace(event, labels=labels, summaries=summaries)
 
@@ -833,7 +907,7 @@ class CrowdRuntime:
         held: Set[Pair] = set()
         for decision in decisions:
             for pair in decision.escalate_pairs:
-                if pair in self._engine.labeled or pair in held:
+                if self._answered(pair) or pair in held:
                     continue
                 count = self._escalation_counts.get(pair, 0)
                 if count >= self._max_escalations:
@@ -895,6 +969,7 @@ class CrowdRuntime:
             for pair in self._apply_labels(event, self._round_index):
                 self._engine.result.rounds.append([pair])
                 self._round_index += 1
+            self._record_run()
             self.report.n_completions += 1
             if self._paused():
                 self._kick_pending = True
@@ -904,12 +979,29 @@ class CrowdRuntime:
                 # mode allows; pick the next only once the platform is quiet.
                 if self._client.n_outstanding_hits == 0:
                     await self._advance_sequential()
-        elif mode is RuntimeMode.ROUNDS:
-            applied = self._apply_labels(event, self._round_index)
-            self._round_outstanding.difference_update(applied)
-            self.report.n_completions += 1
+            return
+        # The run modes take the answers into the open run; _end_run
+        # applies them once the run's last event is in.
+        if mode is RuntimeMode.ROUNDS:
+            taken = self._apply_labels(event, self._round_index)
             # Escalated pairs stay in _round_outstanding, keeping the round
             # open until their fresh assignments land.
+            self._round_outstanding.difference_update(taken)
+        else:  # FLOOD / HIT_INSTANT / HIT_ROUNDS
+            self._apply_labels(event, self.report.n_completions)
+        self.report.n_completions += 1
+        self._run_completions += 1
+
+    async def _end_run(self) -> None:
+        """Apply the run: one ``record_answers`` for its answers, then the
+        mode's tail once (see the class docstring for why that reaches the
+        per-event end state)."""
+        self._record_run()
+        n_completions, self._run_completions = self._run_completions, 0
+        if not n_completions:
+            return  # expiries only: each re-issued its pairs already
+        mode = self._mode
+        if mode is RuntimeMode.ROUNDS:
             await self._settle_escalations()
             if not self._round_outstanding:
                 self._engine.result.rounds.append(self._round_batch)
@@ -923,37 +1015,11 @@ class CrowdRuntime:
                     else:
                         await self._start_round()
         elif mode is RuntimeMode.FLOOD:
-            self._apply_labels(event, self.report.n_completions)
-            self.report.n_completions += 1
             await self._settle_escalations()
         else:  # HIT_INSTANT / HIT_ROUNDS
-            self._apply_labels(
-                event, self.report.n_completions, track_conflicts=True
-            )
-            if mode is RuntimeMode.HIT_ROUNDS:
-                # Replay fast path: coalesce the journaled run of consecutive
-                # completions into one batched application with a single
-                # trailing sweep — ``LabelingEngine.record_answers``
-                # semantics, unrolled to keep per-completion round indices
-                # and conflict tracking.  Exact because this mode publishes
-                # only when the platform drains (an issue record would break
-                # the run), and mid-run sweeps can never touch the withheld
-                # on-platform pairs later completions answer.  The client
-                # hook only yields events while replaying a journal.
-                take = getattr(self._client, "take_replay_completion", None)
-                while take is not None and not self._engine.is_done:
-                    extra = take()
-                    if extra is None:
-                        break
-                    self._reissue_counts.pop(extra.hit.hit_id, None)
-                    self.report.n_completions += 1
-                    self._apply_labels(
-                        extra, self.report.n_completions, track_conflicts=True
-                    )
             # Rescued pairs leave the adapter's buffer; on-platform pairs
             # stay withheld from the sweep (the crowd will answer them).
-            self._adapter.sweep(self.report.n_completions)
-            self.report.n_completions += 1
+            self._adapter.sweep(self.report.n_completions - 1)
             # Escalated pairs must go back out here in *both* HIT modes:
             # they are already published, so the adapter never re-selects
             # them, and HIT_ROUNDS would otherwise stall waiting on a drain
@@ -1058,6 +1124,7 @@ class CrowdRuntime:
                 self._reissue_counts.pop(event.hit.hit_id, None)
                 waiting.discard(event.hit.hit_id)
                 self._apply_labels(event, self.report.n_completions)
+                self._record_run()
                 self._engine.result.rounds.append(list(event.hit.pairs))
                 self.report.n_completions += 1
                 if self._pending_escalations:

@@ -47,8 +47,10 @@ static entries plus the committed event log) and replays the in-flight
 command.  Events commit to the log only after the owning worker acknowledged
 them, so a worker that died *after* applying a command but *before*
 replying is replayed without it and the retried command applies it exactly
-once.  Only when **no** workers survive does the coordinator poison itself
-and raise :class:`ShardWorkerError`.
+once.  A run of answers goes out as one ``answers`` command per worker that
+owns part of it, and a loss retries only the lost worker's share.  Only when
+**no** workers survive does the coordinator poison itself and raise
+:class:`ShardWorkerError`.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ from .parallel import (
 
 #: Version stamp of the coordinator/worker wire protocol; a mismatch at the
 #: hello handshake refuses the connection instead of desyncing later.
-#: Version 2 moved label codes to :data:`~repro.core.pairs.LABEL_CODE`.
-PROTOCOL_VERSION = 2
+#: Version 2 moved label codes to :data:`~repro.core.pairs.LABEL_CODE`;
+#: version 3 replaced the one-answer ``answer`` command with ``answers``.
+PROTOCOL_VERSION = 3
 
 #: Frames larger than this are rejected on both sides (a torn or hostile
 #: length prefix must not allocate unbounded memory).  Generous: a 1M-pair
@@ -139,6 +142,14 @@ _EXC_TYPES: Dict[str, type] = {
 
 class ProtocolError(RuntimeError):
     """A malformed, oversized, or out-of-sequence frame on the wire."""
+
+
+def _shipped_exception(type_name: str, message: str) -> BaseException:
+    """Rebuild an exception a worker shipped by type name."""
+    exc_type = _EXC_TYPES.get(type_name)
+    if exc_type is None:
+        return RuntimeError(f"{type_name}: {message}")
+    return exc_type(message)
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +274,7 @@ class _WorkerSession:
     #: The command names :meth:`dispatch` serves.
     COMMANDS = frozenset(
         (
-            "load", "answer", "deduced", "publish", "withhold", "sweep",
+            "load", "answers", "deduced", "publish", "withhold", "sweep",
             "frontier", "deduce", "stats", "clusters", "check",
         )
     )
@@ -348,6 +359,22 @@ class _WorkerSession:
             else [LABEL_CODE[conflict.label], LABEL_CODE[conflict.implied]]
         )
         return [applied, packed]
+
+    def answers(self, positions: Sequence[int], codes: Sequence[int]) -> list:
+        """Apply a run of answers in order, each as :meth:`answer`.
+
+        Replies ``[results, error]``: one ``[applied, conflict]`` per answer
+        applied, and ``None`` — or, when an answer raised (a STRICT
+        conflict), ``[type name, message]``, with ``results`` the prefix
+        applied before it.  The coordinator commits exactly that prefix.
+        """
+        results: List[list] = []
+        for gpos, code in zip(positions, codes):
+            try:
+                results.append(self.answer(gpos, code))
+            except Exception as exc:
+                return [results, [type(exc).__name__, str(exc)]]
+        return [results, None]
 
     def deduced(self, gpos: int, code: int) -> None:
         self._bundle(gpos).deduced(gpos, code)
@@ -1096,10 +1123,7 @@ class ShardCoordinator:
             )
         if kind == "ok":
             return "ok", frame[2]
-        exc_type = _EXC_TYPES.get(frame[2])
-        if exc_type is None:
-            return "exc", RuntimeError(f"{frame[2]}: {frame[3]}")
-        return "exc", exc_type(frame[3])
+        return "exc", _shipped_exception(frame[2], frame[3])
 
     def _request(self, link: _WorkerLink, name: str, args: Sequence = ()) -> Any:
         seq = self._send_command(link, name, args)
@@ -1308,18 +1332,79 @@ class ShardCoordinator:
     # the engine core methods
     # ------------------------------------------------------------------
     def record_answer(self, pair: Pair, label: Label) -> bool:
-        """Apply a crowd answer on the owning worker; commits to the
-        authoritative log only after the worker acknowledged it."""
-        root = self._root_of(pair)
-        gpos = self._position[pair]
-        code = LABEL_CODE[label]
-        applied, conflict = self._routed_request(root, "answer", [gpos, code])
-        self._log_of_root[root].append(["a", gpos, code])
-        if conflict is not None:
-            self.conflicts.append(
-                Conflict(pair, LABEL_OF_CODE[conflict[0]], LABEL_OF_CODE[conflict[1]])
+        """One crowd answer: :meth:`record_answers` for a run of one."""
+        return self.record_answers(((pair, label),))[0]
+
+    def record_answers(self, answers: Sequence[Tuple[Pair, Label]]) -> List[bool]:
+        """Apply a run of crowd answers: one ``answers`` command to each
+        worker owning part of the run, all sent before any reply is read.
+
+        An answer commits to the authoritative log only after its worker
+        acknowledged it.  A worker lost mid-command re-ships its components
+        from the committed log, and only its uncommitted answers are
+        re-routed to their new owners.  A worker whose handler raised
+        part-way (a STRICT conflict) replies with the prefix it applied:
+        exactly that prefix commits, then the error re-raises carrying the
+        run's ``applied_flags`` (``None`` where an answer was not applied).
+        """
+        self._ensure_usable()
+        position = self._position
+        pending = [
+            (index, self._root_of(pair), position[pair], LABEL_CODE[label])
+            for index, (pair, label) in enumerate(answers)
+        ]
+        flags: List[Optional[bool]] = [None] * len(pending)
+        conflicts: Dict[int, Conflict] = {}
+        error: Optional[BaseException] = None
+        for _ in range(len(self._links) + 2):
+            if not pending:
+                break
+            shares: Dict[int, list] = {}
+            for entry in pending:
+                shares.setdefault(self._worker_of_root[entry[1]], []).append(entry)
+            replies, deaths = self._gather(
+                (
+                    self._links[wid],
+                    "answers",
+                    [[entry[2] for entry in share], [entry[3] for entry in share]],
+                )
+                for wid, share in shares.items()
             )
-        return applied
+            # Commit every acknowledged prefix before recovering a loss: a
+            # re-ship reads the log.
+            for wid, (kind, payload) in replies.items():
+                if kind == "exc":
+                    error = payload  # refused whole: nothing applied
+                    continue
+                results, failure = payload
+                for (index, root, gpos, code), (applied, conflict) in zip(
+                    shares[wid], results
+                ):
+                    self._log_of_root[root].append(["a", gpos, code])
+                    flags[index] = applied
+                    if conflict is not None:
+                        conflicts[index] = Conflict(
+                            answers[index][0],
+                            LABEL_OF_CODE[conflict[0]],
+                            LABEL_OF_CODE[conflict[1]],
+                        )
+                if failure is not None:
+                    error = _shipped_exception(*failure)
+            pending = []
+            for died in deaths:
+                pending.extend(shares[died.link.worker_id])
+                self._recover(died.link, died.reason)
+            pending.sort()
+        if pending:
+            raise self._fail(
+                "worker re-assignment did not converge while retrying 'answers'"
+            )
+        # Chronological, as on the in-process backends: by position in the run.
+        self.conflicts.extend(conflicts[index] for index in sorted(conflicts))
+        if error is not None:
+            error.applied_flags = flags
+            raise error
+        return flags
 
     def record_deduced(self, pair: Pair, label: Label) -> None:
         """A deduction decided in the parent (sequential visit-time path)."""

@@ -27,7 +27,8 @@ whatever order they arrive.  Events flow in through three entry points:
 * :meth:`publish` — pairs handed to the crowd (excluded from future
   frontiers; withheld pairs also leave the deduction sweep, because the
   platform will answer them regardless);
-* :meth:`record_answer` — a crowd answer arrived;
+* :meth:`record_answers` — a run of crowd answers arrived
+  (:meth:`record_answer` for one);
 * :meth:`sweep` — resolve everything the answers so far imply.
 
 The engine keeps the state every backend shares (the label map, the
@@ -48,7 +49,7 @@ import sys
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..core.cluster_graph import ClusterGraph, ConflictPolicy
+from ..core.cluster_graph import ClusterGraph, ConflictPolicy, record_each
 from ..core.pairs import (
     LABEL_CODE,
     LABEL_OF_CODE,
@@ -182,6 +183,9 @@ class GraphEngineCore:
             self._index.remove(pair)
             self._index.note_objects_seen(pair.left, pair.right)
         return applied
+
+    def record_answers(self, answers: Sequence[Tuple[Pair, Label]]) -> List[bool]:
+        return record_each(self.record_answer, answers)
 
     def record_deduced(self, pair: Pair, label: Label) -> None:
         self._mark_dirty(pair)
@@ -635,7 +639,7 @@ class LabelingEngine:
             label_of = LABEL_OF_CODE
             labels = [label_of[c] for c in _unpack_ints(packed["label"], "b")]
             self.labeled.update(zip(event_pairs, labels))
-            prov_col = packed["prov"]
+            prov_col = _unpack_ints(packed["prov"], "b")
             round_col = packed["round"]
             rounds_payload = snapshot["rounds"]
 
@@ -653,7 +657,7 @@ class LabelingEngine:
                 for pair, label, prov, round_index in zip(
                     event_pairs,
                     labels,
-                    _unpack_ints(prov_col, "b"),
+                    prov_col,
                     _unpack_ints(round_col, "i"),
                 ):
                     outcome = new(PairOutcome)
@@ -672,7 +676,12 @@ class LabelingEngine:
                     for size in _unpack_ints(rounds_payload["sizes"], "i")
                 ]
 
-            self.result.defer_restore(rebuild)
+            n_crowdsourced = prov_col.count(_SNAP_CROWDSOURCED)
+            self.result.defer_restore(
+                rebuild,
+                n_crowdsourced=n_crowdsourced,
+                n_deduced=len(prov_col) - n_crowdsourced,
+            )
             self.published.update(pairs[pos] for pos in published)
             self._withheld.update(pairs[pos] for pos in withheld)
             return
@@ -780,11 +789,7 @@ class LabelingEngine:
         self.published.discard(pair)
 
     def record_answer(self, pair: Pair, label: Label, round_index: int) -> bool:
-        """Record a crowd answer and fold it into the deduction graph.
-
-        The answer always becomes the pair's final label; under FIRST_WINS a
-        contradictory edge is dropped from the graph (and False returned) but
-        the label still stands — crowd answers win for published pairs.
+        """Record one crowd answer: :meth:`record_answers` for a run of one.
 
         Returns:
             True if the edge was applied, False if it was rejected as a
@@ -794,35 +799,62 @@ class LabelingEngine:
             InconsistentLabelError: under STRICT, when the answer contradicts
                 what the graph already implies.
         """
-        self.published.discard(pair)
-        self._withheld.discard(pair)
-        self.labeled[pair] = label
-        applied = self._core.record_answer(pair, label)
-        self.result.record(pair, label, Provenance.CROWDSOURCED, round_index)
-        return applied
+        return self.record_answers(((pair, label),), round_index)[0]
 
     def record_answers(
         self,
         answers: Iterable[Tuple[Pair, Label]],
-        round_index: int,
-    ) -> List[Tuple[Pair, Label]]:
-        """Record a contiguous run of crowd answers, then sweep once.
+        round_index: Union[int, Sequence[int]],
+    ) -> List[bool]:
+        """Record a run of crowd answers, in order, through one core call.
 
-        Semantically identical to calling :meth:`record_answer` per answer
-        followed by one :meth:`sweep` — that is exactly what it does — but
-        it is the intended entry point for batched completions: the
-        per-answer work is O(α) on every backend, and the single trailing
-        sweep re-checks each component dirtied by the run *once*, instead
-        of once per answer.  On the vectorized backend that re-check is one
-        bulk array pass per dirty component (see
-        :meth:`~repro.engine.vectorized.VectorizedEngineCore.sweep`).
+        Each answer becomes its pair's final label; under FIRST_WINS a
+        contradictory edge is dropped from the graph (its flag is False)
+        but the label still stands — crowd answers win for published pairs.
+        The call does not sweep: callers sweep once after the run (see
+        :meth:`sweep`), so a component the run dirtied is re-checked once,
+        not once per answer.  On the worker-backed backends the run costs
+        one ``answers`` command per worker that owns part of it.
+
+        Args:
+            answers: ``(pair, label)`` per answer, in arrival order; pairs
+                are distinct and not yet labeled.
+            round_index: the round every answer is recorded in, or one
+                round index per answer.
 
         Returns:
-            the deductions the run implied, as :meth:`sweep`.
+            one flag per answer: True if the edge was applied, False if it
+            was rejected as a FIRST_WINS conflict.
+
+        Raises:
+            InconsistentLabelError: under STRICT, when an answer contradicts
+                what the graph already implies.  The answers the core
+                applied before it are recorded; the rest are not.
         """
-        for pair, label in answers:
-            self.record_answer(pair, label, round_index)
-        return self.sweep(round_index)
+        answers = list(answers)
+        rounds = (
+            [round_index] * len(answers)
+            if isinstance(round_index, int)
+            else round_index
+        )
+        try:
+            flags = self._core.record_answers(answers)
+        except Exception as exc:
+            self._note_answers(answers, rounds, getattr(exc, "applied_flags", ()))
+            raise
+        self._note_answers(answers, rounds, flags)
+        return flags
+
+    def _note_answers(self, answers, rounds, flags) -> None:
+        published, withheld, labeled = self.published, self._withheld, self.labeled
+        record, crowdsourced = self.result.record, Provenance.CROWDSOURCED
+        for (pair, label), round_index, flag in zip(answers, rounds, flags):
+            if flag is None:
+                continue  # not applied: the core stopped before it
+            published.discard(pair)
+            withheld.discard(pair)
+            labeled[pair] = label
+            record(pair, label, crowdsourced, round_index)
 
     def sweep(self, round_index: int) -> List[Tuple[Pair, Label]]:
         """Resolve every pending pair the answers so far imply.

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..core.cluster_graph import Conflict, ConflictPolicy, admit_label
+from ..core.cluster_graph import Conflict, ConflictPolicy, admit_label, record_each
 from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, CandidatePair, Label, Pair
 from .frontier import FrontierCursor
 
@@ -567,6 +567,11 @@ class VectorizedEngineCore:
                 self._sweep_dirty.add(root_i)
                 self._sweep_dirty.add(root_j)
         return True
+
+    def record_answers(self, answers: Sequence[Tuple[Pair, Label]]) -> List[bool]:
+        """A run of crowd answers, each as :meth:`record_answer`; the next
+        :meth:`sweep` re-checks every root the run dirtied once."""
+        return record_each(self.record_answer, answers)
 
     def _rebuild_root_pending(self, positions) -> None:
         """Key ``positions`` (pending order positions) by the current root

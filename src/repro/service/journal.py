@@ -9,7 +9,7 @@ code path on restart.
 
 Format (see ``docs/service.md`` for the full specification):
 
-* Record 0 is the **header**: ``{"seq": 0, "type": "header", "version": 2,
+* Record 0 is the **header**: ``{"seq": 0, "type": "header", "version": 3,
   "campaign_id": ..., "spec": {...}}`` — the spec dict is byte-for-byte the
   same schema the HTTP create endpoint accepts
   (:meth:`repro.spec.CampaignSpec.to_dict`).
@@ -21,6 +21,9 @@ Format (see ``docs/service.md`` for the full specification):
   state at the moment every record up to ``last_seq`` (= its own ``seq`` -
   1) had been applied.  Recovery fast-paths from the latest snapshot and
   replays only the records after it.
+* A completion or expiry record carrying ``"more": true`` (format v3) had
+  more events of the same run behind it: the runtime applied them together
+  and replay does the same.
 * :meth:`Journal.compact` atomically rewrites the file as header +
   latest snapshot + post-snapshot tail (write temp, fsync, rename, fsync
   directory).  Tail records keep their original ``seq``, so a compacted
@@ -52,12 +55,15 @@ import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Journal format version (bumped only on incompatible record changes).
-#: v2 added the ``snapshot`` record type and compaction; v1 journals
-#: (no snapshots) remain readable.
-JOURNAL_VERSION = 2
+#: v2 added the ``snapshot`` record type and compaction; v3 marks the run
+#: boundaries the runtime applied events in (``"more": true`` on a
+#: completion or expiry record with more of its run behind it).  v1 and v2
+#: journals remain readable: without the flag every event replays as a run
+#: of one, which is how the runtime applied them then.
+JOURNAL_VERSION = 3
 
 #: Header versions :meth:`Journal.read` accepts.
-SUPPORTED_JOURNAL_VERSIONS = (1, 2)
+SUPPORTED_JOURNAL_VERSIONS = (1, 2, 3)
 
 #: Default number of appends between fsyncs.  1 = maximally durable;
 #: the default amortizes the disk flush over a small burst of events
@@ -201,7 +207,8 @@ class Journal:
         legal discontinuity), so :attr:`next_seq` is unaffected and replay
         offsets stay meaningful.  The header's ``version`` is stamped to
         the current :data:`JOURNAL_VERSION`, since the rewrite introduces
-        v2 semantics regardless of what created the journal.
+        snapshot semantics regardless of what created the journal (a
+        kept record without a run flag still replays as a run of one).
 
         Returns:
             the number of records dropped (0 when already compact).

@@ -24,8 +24,14 @@ platform:
 Because the runtime is deterministic given its event sequence, replay
 rebuilds **all** of its internal state — adapter buffers, round cursors,
 re-issue chains, budget counters, the engine's cluster graph — through the
-one true answer-application path (``engine.record_answer``), with no
-state-snapshot format to maintain.  When the journal is exhausted the
+one true answer-application path (``engine.record_answers``), with no
+state-snapshot format to maintain.  The runtime applies the events a client
+hands over back to back as one *run*; each completion or expiry record
+that had another event of its run behind it carries ``"more": true``, and
+replay reports the same boundaries through :attr:`~JournalingPlatformClient
+.n_ready_events`, so recovery batches exactly as the live run did (records
+without the flag, as every journal before format v3 wrote them, replay as
+runs of one).  When the journal is exhausted the
 wrapper *adopts* the still-outstanding HITs: their pairs are re-submitted
 to the fresh inner client (directly — the budget already charged them at
 first issue), inner ids are mapped onto the journaled external ids, and
@@ -102,6 +108,10 @@ class JournalingPlatformClient:
         self._ext_to_inner: Dict[int, int] = {}
         #: client-clock time while replaying (last record's timestamp).
         self._replay_now = 0.0
+        #: the run boundary of the last event handed over: its inner
+        #: client's ready count when journaled live, or 1 for a replayed
+        #: record flagged ``more``.
+        self._ready = 0
         if hasattr(inner, "review_hit"):
             # Shadow the class-level absence: the runtime feature-detects
             # review via getattr, and the wrapper must mirror the inner
@@ -126,6 +136,13 @@ class JournalingPlatformClient:
     @property
     def n_outstanding_hits(self) -> int:
         return len(self._outstanding)
+
+    @property
+    def n_ready_events(self) -> int:
+        """Nonzero while the last event handed over has more of its run
+        behind it — as journaled with that event, so a replay batches
+        exactly as the live run did."""
+        return self._ready
 
     @property
     def inner(self) -> PlatformClient:
@@ -195,34 +212,6 @@ class JournalingPlatformClient:
                 None if timeout is None else float(timeout)
             )
         self._live = False
-
-    def take_replay_completion(self) -> Optional[HITCompletion]:
-        """Pop the next journaled record *iff* it is a loop completion.
-
-        The runtime's HIT-rounds mode uses this to coalesce consecutive
-        journaled completions into one deduction sweep during replay.  Any
-        other record type (or live mode, or an exhausted journal) returns
-        ``None`` without consuming anything, leaving ``next_event`` to
-        handle it through the normal path.
-        """
-        if self._live:
-            return None
-        while self._replay and self._replay[0].get("type") == "note":
-            self._replay.popleft()
-        if not self._replay:
-            return None
-        head = self._replay[0]
-        if head.get("type") != "completion" or head.get("leftover"):
-            return None
-        record = self._replay.popleft()
-        hit = self._pop_outstanding(record, "completion")
-        self._replay_now = float(record.get("completed_at", self._replay_now))
-        return HITCompletion(
-            hit=hit,
-            labels=_decode_labels(record["labels"]),
-            completed_at=float(record["completed_at"]),
-            assignments=(),
-        )
 
     # ------------------------------------------------------------------
     # replay plumbing
@@ -396,6 +385,7 @@ class JournalingPlatformClient:
                     raise self._divergence("a loop event", record)
                 hit = self._pop_outstanding(record, "completion")
                 self._replay_now = float(record.get("completed_at", self._replay_now))
+                self._ready = 1 if record.get("more") else 0
                 return HITCompletion(
                     hit=hit,
                     labels=_decode_labels(record["labels"]),
@@ -405,6 +395,7 @@ class JournalingPlatformClient:
             if rtype == "expiry":
                 hit = self._pop_outstanding(record, "expiry")
                 self._replay_now = float(record.get("expired_at", self._replay_now))
+                self._ready = 1 if record.get("more") else 0
                 return HITExpiry(
                     hit=hit,
                     expired_at=float(record["expired_at"]),
@@ -413,26 +404,27 @@ class JournalingPlatformClient:
             raise self._divergence("an event", record)
         event = await self._inner.next_event()
         if event is None:
+            self._ready = 0
             return None
         event = self._ext_event(event)
         if isinstance(event, HITExpiry):
-            self._journal.append(
-                {
-                    "type": "expiry",
-                    "hit_id": event.hit.hit_id,
-                    "expired_at": event.expired_at,
-                    "reason": event.reason,
-                }
-            )
+            record = {
+                "type": "expiry",
+                "hit_id": event.hit.hit_id,
+                "expired_at": event.expired_at,
+                "reason": event.reason,
+            }
         else:
-            self._journal.append(
-                {
-                    "type": "completion",
-                    "hit_id": event.hit.hit_id,
-                    "labels": _encode_labels(event.labels),
-                    "completed_at": event.completed_at,
-                }
-            )
+            record = {
+                "type": "completion",
+                "hit_id": event.hit.hit_id,
+                "labels": _encode_labels(event.labels),
+                "completed_at": event.completed_at,
+            }
+        self._ready = self._inner.n_ready_events
+        if self._ready:
+            record["more"] = True
+        self._journal.append(record)
         self._outstanding.pop(event.hit.hit_id, None)
         self._issue_timeouts.pop(event.hit.hit_id, None)
         ext_id = event.hit.hit_id

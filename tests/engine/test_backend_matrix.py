@@ -23,8 +23,9 @@ reference pattern"):
   instead: identical frontiers mean identical published pools, so labels,
   rounds, the availability trace, and the publish events must all coincide;
 * ``LabelingEngine.record_answers`` folds a tick's completions into one
-  call, which must leave the same ``state_fingerprint()`` as applying them
-  one at a time with a sweep after each.
+  call, which with one sweep after it must leave the same
+  ``state_fingerprint()`` as applying them one at a time with a sweep
+  after each.
 
 The ``parallel`` column runs real worker processes (``parallel_threshold=0``
 forces them even on these small worlds), so every cell here is also an
@@ -167,8 +168,9 @@ class TestBatchedRecordingMatrix:
         self, backend, world, seed
     ):
         """Rounds publish the frontier (withheld, as on the platform) and
-        its answers arrive shuffled, in ticks of one to four; after every
-        tick both engines hold the same fingerprint."""
+        its answers arrive shuffled, in ticks of one to four, each recorded
+        with one ``record_answers`` and one sweep; after every tick both
+        engines hold the same fingerprint."""
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
         rng = random.Random(seed)
@@ -187,6 +189,7 @@ class TestBatchedRecordingMatrix:
                     tick = answers[: rng.randint(1, 4)]
                     answers = answers[len(tick) :]
                     batched.record_answers(tick, round_index)
+                    batched.sweep(round_index)
                     for pair, label in tick:
                         single.record_answer(pair, label, round_index)
                         single.sweep(round_index)

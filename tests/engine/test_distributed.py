@@ -164,6 +164,52 @@ def exit_worker0_on_load(worker_id, command: str) -> None:
         os._exit(7)
 
 
+def kill_worker0_on_answers(worker_id, command: str) -> None:
+    """Worker-side hook: worker 0 is SIGKILLed as it takes up a run of
+    answers."""
+    if worker_id == 0 and command == "answers":
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class DropWorker0OnAnswers:
+    """Coordinator-side hook: sever worker 0's socket or pipe as the first
+    ``answers`` command to it goes out."""
+
+    def __init__(self, coordinator: ShardCoordinator) -> None:
+        self.coordinator = coordinator
+        self.fired = False
+
+    def __call__(self, worker_id: int, command: str) -> None:
+        if worker_id == 0 and command == "answers" and not self.fired:
+            self.fired = True
+            self.coordinator.drop_connection(0)
+
+
+def answers_shares(coordinator: ShardCoordinator) -> list:
+    """Spy on ``coordinator``: records ``(worker id, positions)`` for every
+    ``answers`` command it sends, in send order."""
+    sent = []
+    send = coordinator._send_command
+
+    def spy(link, name, args):
+        if name == "answers":
+            sent.append((link.worker_id, list(args[0])))
+        return send(link, name, args)
+
+    coordinator._send_command = spy
+    return sent
+
+
+def committed_answers(coordinator: ShardCoordinator) -> list:
+    """Order positions of every answer in the coordinator's log."""
+    return sorted(
+        event[1]
+        for log in coordinator._log_of_root.values()
+        for event in log
+        if event[0] == "a"
+    )
+
+
 def drive_lockstep(coordinators, oracle, order):
     """Drive several coordinators through identical publish/answer/sweep
     rounds, asserting observable equality at every step.  Returns the
@@ -462,7 +508,10 @@ class TestChaosRecovery:
         assert record["targets"], "components must land on survivors"
         assert len(coordinator.live_worker_ids()) == 2
 
-    @pytest.mark.parametrize("drop_at", (1, 12, 40))
+    # Drop points count coordinator commands; the rounds campaign sends 32
+    # (one ``answers`` per worker per completion), so 12 and 26 land on
+    # ``answers`` commands of its first and second rounds.
+    @pytest.mark.parametrize("drop_at", (1, 12, 26))
     def test_dropped_connection_recovers_byte_identical(self, drop_at):
         order, truth = block_world(n_blocks=6, objects_per_block=4)
         clean, _, _ = run_engine_campaign(RuntimeMode.ROUNDS, order, truth)
@@ -590,7 +639,7 @@ class TestChaosRecovery:
         assert record["targets"], "components must land on survivors"
         assert len(coordinator.live_worker_ids()) == 2
 
-    @pytest.mark.parametrize("drop_at", (1, 12, 40))
+    @pytest.mark.parametrize("drop_at", (1, 12, 26))
     def test_parallel_closed_pipe_recovers_byte_identical(self, drop_at):
         order, truth = block_world(n_blocks=6, objects_per_block=4)
         clean, _, _ = run_engine_campaign(
@@ -619,6 +668,82 @@ class TestChaosRecovery:
                 coordinator.publish(order, withhold=False)
             with pytest.raises(ShardWorkerError):
                 coordinator.stats()
+
+    @pytest.mark.parametrize("fault", ("sigkill", "drop"))
+    @pytest.mark.parametrize("transport", ("socket", "pipe"))
+    def test_worker_lost_during_answers_retries_only_its_share(
+        self, transport, fault
+    ):
+        """A run of answers spans three workers, and worker 0 is lost with
+        its share in flight: SIGKILLed as it takes the command up, or its
+        socket or pipe severed as the command goes out.  Its components
+        re-ship to the survivors, only its share goes out again, every
+        answer commits once, and the campaign stays lockstep-equal to a
+        clean coordinator to the end."""
+        order, truth = block_world(n_blocks=6, objects_per_block=4)
+        hook = kill_worker0_on_answers if fault == "sigkill" else None
+        with ShardCoordinator(order, spawn_local_workers=3) as clean, ShardCoordinator(
+            order,
+            spawn_local_workers=3,
+            local_transport=transport,
+            worker_fault_hook=hook,
+        ) as coordinator:
+            if fault == "drop":
+                coordinator._fault_hook = DropWorker0OnAnswers(coordinator)
+            sent = answers_shares(coordinator)
+            frontier = clean.frontier()
+            assert coordinator.frontier() == frontier
+            for c in (clean, coordinator):
+                c.publish(frontier, withhold=False)
+            run = [(pair, truth.label(pair)) for pair in frontier]
+            assert coordinator.record_answers(run) == clean.record_answers(run)
+            assert len(coordinator.reassignments) == 1
+            assert coordinator.live_worker_ids() == [1, 2]
+            first_round = dict(sent[:3])
+            assert sorted(first_round) == [0, 1, 2], "the run spans every worker"
+            retried = sorted(gpos for _, share in sent[3:] for gpos in share)
+            assert retried == sorted(first_round[0])
+            assert committed_answers(coordinator) == sorted(
+                coordinator._position[pair] for pair, _ in run
+            )
+            assert coordinator.sweep() == clean.sweep()
+            drive_lockstep([clean, coordinator], truth, order)
+
+    @pytest.mark.parametrize("transport", ("socket", "pipe"))
+    def test_strict_conflict_mid_answers_commits_the_applied_prefix(
+        self, transport
+    ):
+        """A STRICT conflict part-way through a worker's share: the worker
+        replies with the prefix it applied, exactly that prefix commits,
+        and the error re-raises once every reply is in (the other worker's
+        share, after the conflict in the run, still applies).  A re-ship
+        from the log then rebuilds the same state as a coordinator that
+        only ever saw the applied answers."""
+        ab, bc, ac, xy = Pair("a", "b"), Pair("b", "c"), Pair("a", "c"), Pair("x", "y")
+        order = [ab, bc, ac, xy]
+        run = [
+            (ab, Label.MATCHING),
+            (bc, Label.MATCHING),
+            (ac, Label.NON_MATCHING),
+            (xy, Label.MATCHING),
+        ]
+        with ShardCoordinator(
+            order, spawn_local_workers=2, local_transport=transport
+        ) as coordinator:
+            coordinator.publish(order, withhold=False)
+            with pytest.raises(InconsistentLabelError):
+                coordinator.record_answers(run)
+            assert committed_answers(coordinator) == [0, 1, 3]
+            stats = coordinator.stats()
+            coordinator.drop_connection(coordinator._worker_of_root[coordinator._root_of(ab)])
+            assert coordinator.stats() == stats  # re-shipped from the log
+            assert len(coordinator.reassignments) == 1
+            with ShardCoordinator(order, spawn_local_workers=1) as prefix_only:
+                prefix_only.publish(order, withhold=False)
+                prefix_only.record_answers([run[0], run[1], run[3]])
+                assert prefix_only.stats() == coordinator.stats()
+                assert prefix_only.sweep() == coordinator.sweep()
+                assert prefix_only.frontier() == coordinator.frontier()
 
     def test_shutdown_never_hangs(self):
         """close() with every worker SIGKILLed (stop frames go nowhere,

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.cluster_graph import ConflictPolicy
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
+from repro.core.result import LabelingResult
 from repro.engine.engine import LabelingEngine
 
 from ..strategies import worlds
@@ -164,6 +165,68 @@ class TestSnapshotRestore:
                 restored.close()
         finally:
             engine.close()
+
+
+def scanned_counts(result):
+    """(crowdsourced, deduced), counted by scanning every outcome."""
+    outcomes = list(result.outcomes.values())
+    return (
+        sum(1 for o in outcomes if o.crowdsourced),
+        sum(1 for o in outcomes if o.deduced),
+    )
+
+
+def counts(result):
+    return result.n_crowdsourced, result.n_deduced
+
+
+class TestHeadlineCounts:
+    """``n_crowdsourced``/``n_deduced`` are kept as counters: they equal a
+    full scan of the outcomes after live recording, after a snapshot
+    restore on every backend, and after a deferred restore's outcomes are
+    rebuilt — and reading them does not force that rebuild."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(worlds(), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=8, deadline=None)
+    def test_counts_equal_a_full_scan(self, backend, world, seed, noisy):
+        candidates, entity_of = world
+        policy = ConflictPolicy.FIRST_WINS if noisy else ConflictPolicy.STRICT
+        engine = LabelingEngine(candidates, policy=policy, **backend_options(backend))
+        try:
+            random_history(
+                engine, entity_of, random.Random(seed), n_events=12, noisy=noisy
+            )
+            live = counts(engine.result)
+            assert live == scanned_counts(engine.result)
+            snapshot = json.loads(json.dumps(engine.snapshot_state()))
+        finally:
+            engine.close()
+        restored = LabelingEngine(candidates, policy=policy, **backend_options(backend))
+        try:
+            restored.restore_state(snapshot)
+            assert counts(restored.result) == live
+            # Only the vectorized backend's native restore defers the
+            # outcome records (reading the counts leaves them deferred).
+            deferred = restored.result.__dict__.get("_restore_thunk") is not None
+            assert deferred == (restored.backend == "vectorized")
+            assert scanned_counts(restored.result) == live  # rebuilds them
+            assert restored.result.__dict__.get("_restore_thunk") is None
+            assert counts(restored.result) == live
+        finally:
+            restored.close()
+
+    def test_result_built_with_outcomes_derives_its_counts(self):
+        engine = LabelingEngine([Pair("a", "b"), Pair("b", "c"), Pair("a", "c")])
+        engine.record_answers(
+            [(Pair("a", "b"), Label.MATCHING), (Pair("b", "c"), Label.MATCHING)], 0
+        )
+        engine.sweep(0)
+        rebuilt = LabelingResult(
+            outcomes=dict(engine.result.outcomes), order=list(engine.pairs)
+        )
+        assert counts(rebuilt) == counts(engine.result) == (2, 1)
+        assert rebuilt == engine.result
 
 
 class TestSnapshotValidation:

@@ -267,6 +267,7 @@ class TestNoNumpyFallback:
         engine.record_answers(
             [(pair, truth.label(pair)) for pair in order[:2]], round_index=0
         )
+        engine.sweep(0)
         assert engine.labeled[Pair("a", "c")] is Label.NON_MATCHING
 
 

@@ -15,7 +15,8 @@ import asyncio
 import pytest
 
 from repro.service import CampaignService
-from repro.service.journal import Journal
+from repro.service.service import in_memory_client_factory
+from repro.service.journal import JOURNAL_VERSION, Journal
 from repro.spec import JournalConfig
 
 from ..aio import run_async
@@ -87,13 +88,81 @@ def test_compacting_at_every_record_is_exact(mode, tmp_path):
     # The journal on disk really was compacted: record 1 is the snapshot.
     path = tmp_path / "compacted" / "cmp" / "journal.jsonl"
     header, events = Journal.read(path)
-    assert header["version"] == 2
+    assert header["version"] == JOURNAL_VERSION
     assert events[0]["type"] == "snapshot"
 
     # And recovery from it fast-paths to the identical end state.
     got_fp, got_spend, _ = recover_and_finish(tmp_path / "compacted")
     assert got_fp == fp
     assert got_spend == spend
+
+
+def test_compaction_requested_mid_run_lands_at_the_run_end(tmp_path):
+    """A compaction requested while a run is open — here by the platform,
+    as it hands over the first event of a poll that fetched several — fires
+    only once the run's last event is applied: safe points are between
+    runs, so a snapshot never covers part of a run."""
+    fp, spend = reference_run(make_spec("instant"), tmp_path)
+    seen = {}
+
+    async def scenario():
+        service = CampaignService(tmp_path / "mid-run")
+
+        def factory(spec):
+            client = in_memory_client_factory(spec)
+            hand_over = client.next_event
+
+            async def next_event():
+                event = await hand_over()
+                if client.n_ready_events and "requested_at" not in seen:
+                    campaign = service.get("cmp")
+                    campaign.compact_requested = True
+                    # The seq the journal is about to stamp on this event.
+                    seen["requested_at"] = campaign._journal.next_seq
+                return event
+
+            client.next_event = next_event
+            return client
+
+        compact = service._compact_campaign
+
+        def compact_and_look(campaign):
+            seen["in_run"] = campaign.runtime._in_run
+            campaign._journal.flush()
+            seen["journal"] = Journal.read(campaign.journal_path, repair=False)[1]
+            return compact(campaign)
+
+        service.register_client_factory("mid-run", factory)
+        service._compact_campaign = compact_and_look
+        spec = make_spec("instant", kind="mid-run")
+        campaign = await run_to_completion(service, spec, campaign_id="cmp")
+        assert campaign.state.value == "done", campaign.error
+        got = fingerprint_json(campaign.engine)
+        got_spend = campaign.runtime.report.assignments_committed
+        await service.close()
+        return got, got_spend
+
+    assert run_async(scenario()) == (fp, spend)
+    assert seen["in_run"] is False
+    by_seq = {record["seq"]: record for record in seen["journal"]}
+    assert by_seq[seen["requested_at"]].get("more") is True
+    events = [r for r in seen["journal"] if r["type"] in ("completion", "expiry")]
+    assert "more" not in events[-1], "the snapshot covers a run's last event"
+    # The compacted journal recovers to the same end state.
+    async def recover():
+        service = CampaignService(
+            tmp_path / "mid-run",
+            client_factories={"mid-run": in_memory_client_factory},
+        )
+        (campaign_id,) = await service.recover()
+        campaign = await service.wait(campaign_id)
+        assert campaign.last_snapshot_seq > seen["requested_at"]
+        got = fingerprint_json(campaign.engine)
+        got_spend = campaign.runtime.report.assignments_committed
+        await service.close()
+        return got, got_spend
+
+    assert run_async(recover()) == (fp, spend)
 
 
 @pytest.mark.parametrize(
@@ -313,6 +382,43 @@ def test_recovering_a_compacted_finished_campaign_is_pure_replay(tmp_path):
     assert got_fp == fp
     # A finished campaign's recovery journals nothing new.
     assert journal_path.read_bytes() == before
+
+
+def test_status_of_a_snapshot_recovered_campaign_keeps_outcomes_deferred(tmp_path):
+    """The crowdsourced/deduced counts a status reports come from the
+    snapshot, so reading them leaves the outcome records of a vectorized
+    snapshot restore unbuilt (with numpy absent the backend falls back to
+    sharded, whose restore replays the outcomes eagerly)."""
+    root = tmp_path / "root"
+    spec = make_spec("instant", backend="vectorized")
+
+    async def first_life():
+        service = CampaignService(root)
+        campaign = await run_to_completion(service, spec, campaign_id="c")
+        assert campaign.state.value == "done", campaign.error
+        status = campaign.status()
+        await service.compact("c")
+        await service.close()
+        return status
+
+    async def second_life():
+        service = CampaignService(root)
+        await service.recover()
+        campaign = await service.wait("c")
+        assert campaign.state.value == "done", campaign.error
+        status = campaign.status()
+        result = campaign.engine.result
+        deferred = result.__dict__.get("_restore_thunk") is not None
+        scanned = sum(1 for o in result.outcomes.values() if o.crowdsourced)
+        await service.close()
+        return status, deferred, scanned, campaign.engine.backend
+
+    live = run_async(first_life())
+    status, deferred, scanned, backend = run_async(second_life())
+    assert deferred == (backend == "vectorized")
+    for key in ("n_crowdsourced", "n_deduced", "n_labeled"):
+        assert status[key] == live[key]
+    assert status["n_crowdsourced"] == scanned
 
 
 def test_spec_journal_knobs_reach_the_journal(tmp_path):

@@ -33,6 +33,7 @@ from .helpers import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 MODES = ["instant", "rounds", "sequential", "hit-rounds", "flood"]
 
@@ -90,6 +91,65 @@ def test_crash_at_any_record_boundary_resumes_identical(mode, tmp_path):
         # Replay never re-charges budget for journaled work; the resumed
         # run's total spend equals the uninterrupted run's.
         assert got_spend == spend, f"{mode}: spend diverged at record {i}"
+
+
+@pytest.mark.parametrize("mode", ["instant", "rounds", "hit-rounds", "flood"])
+def test_crash_inside_a_run_resumes_identical(mode, tmp_path):
+    """The in-memory platform completes a burst's HITs in one poll, so the
+    runtime applies them as one run and journals ``"more": true`` on every
+    event of it but the last.  A crash at each boundary inside a run — and
+    the same cut with a torn partial record behind it — resumes to the
+    uninterrupted fingerprint and spend: the replay continues the run live,
+    where the journal stops."""
+    spec = make_spec(mode)
+    fp, spend, journal_bytes = reference_run(spec, tmp_path)
+    path = tmp_path / "reference" / "ref" / "journal.jsonl"
+    records = [json.loads(line) for line in journal_bytes.splitlines()]
+    inside = [
+        offset
+        for offset, record in zip(journal_record_offsets(path), records)
+        if record.get("more")
+    ]
+    assert inside, f"{mode}: no poll returned several events"
+    for i, cut in enumerate(inside):
+        got = recover_truncated(journal_bytes, cut, tmp_path, f"cut-{i}")
+        assert got == (fp, spend), f"{mode}: diverged inside a run at {cut}"
+        torn = journal_bytes[:cut] + b'{"seq": 99999, "type": "compl'
+        with pytest.warns(UserWarning, match="torn final line"):
+            got = recover_truncated(torn, len(torn), tmp_path, f"torn-{i}")
+        assert got == (fp, spend), f"{mode}: torn run diverged at {cut}"
+
+
+@pytest.mark.parametrize("cut", ["whole", "half"])
+@pytest.mark.parametrize("mode", ["instant", "hit-rounds"])
+def test_version_2_journal_recovers_to_its_recorded_fingerprint(
+    mode, cut, tmp_path
+):
+    """A journal written before run boundaries were journaled (format v2:
+    the runtime applied every event on its own, and no record carries a
+    run flag) replays as runs of one.  Applying its polls as runs would
+    re-publish other HITs than it journaled (instant mode re-selects after
+    every event) and stop with a replay error.  The fixture's whole
+    journal is a pure replay; cut in half, the rest of the campaign runs
+    live.  Both reach the fingerprint recorded with the journal."""
+    journal_bytes = (FIXTURES / f"journal-v2-{mode}.jsonl").read_bytes()
+    assert b'"more"' not in journal_bytes
+    assert json.loads(journal_bytes.splitlines()[0])["version"] == 2
+    recorded = json.loads((FIXTURES / "journal-v2-fingerprints.json").read_text())
+    expected = json.dumps(recorded[mode], sort_keys=True)
+    n_records = len(journal_bytes.splitlines())
+    if cut == "whole":
+        end = len(journal_bytes)
+    else:
+        offsets = [i + 1 for i, byte in enumerate(journal_bytes) if byte == 0x0A]
+        end = offsets[len(offsets) // 2]
+    got_fp, _ = recover_truncated(journal_bytes, end, tmp_path, cut)
+    assert got_fp == expected
+    if cut == "whole":
+        _, events = Journal.read(
+            str(tmp_path / f"recovered-{cut}" / "crashed" / "journal.jsonl")
+        )
+        assert len(events) + 1 == n_records, "a pure replay journals nothing"
 
 
 @pytest.mark.parametrize(
