@@ -306,7 +306,8 @@ def _drive_legacy_sync_loop(candidates, platform):
             adapter.flush(force=True)
         completion = platform.step()
         assert completion is not None, "legacy campaign stalled"
-        adapter.record_completion(list(completion.labels.items()), n_completions)
+        for pair, label in completion.labels.items():
+            engine.record_answer(pair, label, n_completions)
         adapter.sweep(n_completions)
         n_completions += 1
         if not engine.is_done:

@@ -29,6 +29,8 @@ def test_figure15_product(benchmark, product_config, product_prepared):
     )
     plain = result.row_lookup(variant="parallel")
     with_id = result.row_lookup(variant="parallel_id")
+    with_nf = result.row_lookup(variant="parallel_id_nf")
     assert plain["starvation_events"] >= 1, "round boundaries drain the pool"
     assert with_id["starvation_events"] == 0, "ID keeps the pool stocked"
+    assert with_nf["starvation_events"] == 0, "ID+NF keeps the pool stocked"
     print("\n" + result.render())

@@ -39,8 +39,9 @@ Quickstart::
 
 To label an order against an oracle at pair granularity, run
 ``AsyncDispatch(RuntimeMode.SEQUENTIAL)`` or ``AsyncDispatch()`` (rounds);
-``InstantDispatch`` simulates the Figure-15 answer policies.  The removed
-pre-spec labelers and their replacements are listed in ``docs/service.md``.
+``repro.crowd.campaign.run_answer_order`` runs the Figure-15 answer
+policies through the same runtime.  The removed pre-spec labelers and their
+replacements are listed in ``docs/service.md``.
 """
 
 from .core import (
@@ -72,16 +73,13 @@ from .core import (
     optimal_order,
 )
 
-# Imported after .core: repro.core.framework runs the engine's dispatch
-# strategies, so repro.core must finish initialising first.
+# Imported after .core: repro.core.framework runs the runtime and the
+# campaign runners, so repro.core must finish initialising first.
 from .engine import (
-    AnswerPolicy,
     AsyncDispatch,
     CrowdRuntime,
     EngineBackend,
-    ExpectedValueDispatch,
     HITDispatchAdapter,
-    InstantDispatch,
     LabelingEngine,
     PauseGate,
     RuntimeMode,
@@ -89,6 +87,7 @@ from .engine import (
     must_crowdsource_frontier,
 )
 from .crowd.aggregation import WeightedAggregation, WorkerAccuracyTracker
+from .crowd.clients import AnswerPolicy
 from .crowd.budget import BudgetPolicy, CostModel
 from .crowd.review import ApproveAll, EscalateOnLowConfidence, ReviewPolicy
 from .crowd.latency import TimeoutPolicy
@@ -124,10 +123,8 @@ __all__ = [
     "CrowdRuntime",
     "RuntimeMode",
     "PauseGate",
-    # dispatch strategies (spec-aware runners)
+    # the pair-granularity labelers (spec-aware)
     "AsyncDispatch",
-    "InstantDispatch",
-    "ExpectedValueDispatch",
     # the campaign service layer
     "CampaignService",
     "CampaignState",

@@ -361,8 +361,8 @@ def adaptive_expected_cost(
     deduced); the expectation recurses over both answers weighted by the
     posterior.  This evaluates a dynamic policy the way
     :func:`expected_cost` evaluates a static order — adaptive policies can
-    beat every static order, so this is the fair yardstick for
-    ``ExpectedValueDispatch``.
+    beat every static order, so this is the fair yardstick for the
+    runtime's ``ordering="expected-value"``.
 
     Exponential in the number of pairs (enumeration limits apply).
     """
@@ -469,7 +469,8 @@ def adaptive_optimal_choice(
     candidate, so pre-sorting by descending likelihood makes ties fall back
     to the paper's heuristic).  Returns None when the evidence already
     resolves everything.  This is the small-n oracle the production
-    ``ExpectedValueDispatch`` consults when enumeration is feasible.
+    :class:`~repro.engine.expected.ExpectedDeductionScorer` consults when
+    enumeration is feasible.
     """
     _check_adaptive_feasible(candidates)
     index, assignments = _posterior_table(candidates)

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
 
+from ..crowd.campaign import InstantRunResult, run_answer_order
+from ..crowd.clients import AnswerPolicy
 from ..engine.async_dispatch import AsyncDispatch, RuntimeMode
-from ..engine.dispatch import AnswerPolicy, InstantDispatch, InstantRunResult
 from .cluster_graph import ConflictPolicy
 from .oracle import CountingOracle, LabelOracle
 from .ordering import ExpectedOrderSorter, Sorter
@@ -105,13 +106,13 @@ class TransitiveJoinFramework:
                 if self._labeler_name == "instant+nf"
                 else AnswerPolicy.RANDOM
             )
-            dispatch = InstantDispatch(
-                instant_decision=True,
+            instant_run = run_answer_order(
+                order,
+                counting,
                 answer_policy=answer_policy,
                 seed=self._seed,
                 policy=self._policy,
             )
-            instant_run = dispatch.run(order, counting)
             result = instant_run.result
         assert counting.n_calls == result.n_crowdsourced, (
             "oracle calls must equal crowdsourced pairs "

@@ -2,8 +2,9 @@
 
 Provides HIT batching, worker models, majority-vote aggregation, latency
 models, a discrete-event platform simulator, the async
-:class:`PlatformClient` seam (simulated / polling / webhook-push clients),
-campaign runners for the paper's Section 6.4 experiments, assignment
+:class:`PlatformClient` seam (simulated / answer-order / polling /
+webhook-push clients), campaign runners for the paper's Figure 15 and
+Section 6.4 experiments, assignment
 review policies, and — under :mod:`repro.crowd.platforms` — the live
 MTurk backend with its record/replay cassette layer (see ``docs/crowd.md``).
 """
@@ -68,6 +69,8 @@ from .worker import (
     make_worker_pool,
 )
 from .clients import (
+    AnswerOrderClient,
+    AnswerPolicy,
     CallbackPlatformClient,
     HITExpiry,
     InMemoryCrowdBackend,
@@ -79,7 +82,10 @@ from .clients import (
     SimulatedPlatformClient,
 )
 from .campaign import (
+    AvailabilityPoint,
     CampaignReport,
+    InstantRunResult,
+    run_answer_order,
     run_non_parallel,
     run_non_transitive,
     run_transitive,
@@ -97,7 +103,10 @@ from .platforms import (
 
 __all__ = [
     "AmbiguityAwareWorker",
+    "AnswerOrderClient",
+    "AnswerPolicy",
     "ApproveAll",
+    "AvailabilityPoint",
     "Assignment",
     "BernoulliWorker",
     "BudgetExceededError",
@@ -118,6 +127,7 @@ __all__ = [
     "HITCompletion",
     "HITExpiry",
     "InMemoryCrowdBackend",
+    "InstantRunResult",
     "LatencyModel",
     "LikelihoodAwareWorker",
     "LognormalLatency",
@@ -155,6 +165,7 @@ __all__ = [
     "make_worker_pool",
     "n_hits_needed",
     "pairs_of_hits",
+    "run_answer_order",
     "run_non_parallel",
     "run_non_transitive",
     "run_transitive",

@@ -15,7 +15,11 @@ quality is computed).  Three campaign styles cover the paper's comparisons:
 * :func:`run_non_parallel` — publish a fixed list of HITs strictly one at a
   time (Table 1's Non-Parallel opponent).
 
-All three are thin synchronous facades over the async crowd runtime
+:func:`run_answer_order` runs Figure 15's answer-at-a-time crowd
+(:class:`~repro.crowd.clients.AnswerOrderClient`) through the same
+runtime modes and reads the availability trace off the runtime report.
+
+All of them are thin synchronous facades over the async crowd runtime
 (:class:`repro.engine.async_dispatch.CrowdRuntime`) running the
 :class:`~repro.crowd.clients.SimulatedPlatformClient` to completion: the
 frontier computation, the deduction sweep, full-HIT buffering
@@ -34,10 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..spec import CampaignSpec
 
 from ..core.cluster_graph import ConflictPolicy
+from ..core.oracle import LabelOracle
 from ..core.pairs import CandidatePair, Label, Pair, Provenance
+from ..core.result import LabelingResult
 from ..engine import async_dispatch as _runtime
 from ..engine.engine import LabelingEngine
-from .clients import SimulatedPlatformClient
+from .clients import AnswerOrderClient, AnswerPolicy, SimulatedPlatformClient
 from .platform import SimulatedPlatform
 
 
@@ -218,3 +224,117 @@ def run_non_parallel(
         preplanned=hits_pairs,
     )
     return _report_from(engine, runtime.run_sync(), platform)
+
+
+@dataclass(frozen=True)
+class AvailabilityPoint:
+    """One step of the Figure-15 series: after ``n_answered`` crowdsourced
+    answers, ``n_available`` published pairs were still waiting."""
+
+    n_answered: int
+    n_available: int
+
+
+@dataclass
+class InstantRunResult:
+    """Outcome of an answer-at-a-time labeling run.
+
+    Attributes:
+        result: the per-pair labeling result (rounds = publish events).
+        trace: availability after every answer (Figure 15's series).
+        publish_events: (answers so far, batch size) per publish event.
+    """
+
+    result: LabelingResult
+    trace: List[AvailabilityPoint] = field(default_factory=list)
+    publish_events: List[Tuple[int, int]] = field(default_factory=list)
+
+    @classmethod
+    def from_report(
+        cls,
+        result: LabelingResult,
+        report: "_runtime.RuntimeReport",
+        instant_decision: bool,
+    ) -> "InstantRunResult":
+        """Read a runtime run over an :class:`AnswerOrderClient` as a trace.
+
+        The client's clock counts answers, so a publish stamped ``t`` came
+        after answer ``t``.  With instant decision it counts in point ``t``;
+        without, it waited for the pool to drain, so point ``t`` shows that
+        zero and the publish counts from point ``t + 1``.  The bursts of one
+        instant become one round of ``result``.
+        """
+        batches = iter(report.hit_batches)
+        bursts: Dict[int, List[Pair]] = {}
+        for t, n_hits in report.publish_events:
+            burst = bursts.setdefault(int(t), [])
+            for _ in range(n_hits):
+                burst.extend(next(batches))
+        result.rounds.extend(bursts.values())
+        run = cls(
+            result=result,
+            publish_events=[(t, len(burst)) for t, burst in bursts.items()],
+        )
+        # added[k]: pairs that join the pool in point k
+        lag = 0 if instant_decision else 1
+        added = [0] * (report.n_completions + 2)
+        for t, size in run.publish_events:
+            added[t + lag] += size
+        published = added[0]
+        for k in range(1, report.n_completions + 1):
+            published += added[k]
+            run.trace.append(AvailabilityPoint(k, published - k))
+        return run
+
+    @property
+    def n_crowdsourced(self) -> int:
+        return self.result.n_crowdsourced
+
+    def mean_availability(self) -> float:
+        """Average pool size over the run — the paper's 'keep the crowd busy'
+        metric summarised as one number."""
+        if not self.trace:
+            return 0.0
+        return sum(point.n_available for point in self.trace) / len(self.trace)
+
+    def starvation_count(self, below: int = 1) -> int:
+        """How many times (mid-run) the pool dropped below ``below`` pairs."""
+        if not self.trace:
+            return 0
+        interior = self.trace[:-1]  # the pool is legitimately empty at the end
+        return sum(1 for point in interior if point.n_available < below)
+
+
+def run_answer_order(
+    order: Sequence[CandidatePair | Pair],
+    oracle: LabelOracle,
+    instant_decision: bool = True,
+    answer_policy: AnswerPolicy = AnswerPolicy.RANDOM,
+    seed: int = 0,
+    policy: ConflictPolicy = ConflictPolicy.STRICT,
+) -> InstantRunResult:
+    """Figure 15's labelers: one pair per HIT, answered one at a time.
+
+    Parallel(ID) runs the runtime's ``instant`` mode and Parallel its
+    ``hit-rounds`` mode, over an :class:`AnswerOrderClient` that picks
+    each next answer by ``answer_policy``.  Published pairs are not
+    resolved by the deduction sweep even if later answers imply their
+    label: they are on the platform and will be answered.
+
+    Args:
+        instant_decision: publish new must-crowdsource pairs as soon as an
+            answer makes them identifiable (Section 5.2 "Instant
+            Decision"); without it, only once the pool has drained.
+        answer_policy: how the simulated crowd picks the next pair.
+        seed: RNG seed for the RANDOM policy.
+        policy: ClusterGraph conflict policy.
+    """
+    engine = LabelingEngine(order, policy=policy)
+    client = AnswerOrderClient(oracle, answer_policy, seed, engine.likelihoods)
+    mode = (
+        _runtime.RuntimeMode.HIT_INSTANT
+        if instant_decision
+        else _runtime.RuntimeMode.HIT_ROUNDS
+    )
+    report = _runtime.CrowdRuntime(engine, client, mode=mode).run_sync()
+    return InstantRunResult.from_report(engine.result, report, instant_decision)

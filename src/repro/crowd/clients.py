@@ -14,13 +14,15 @@ A :class:`PlatformClient` is the *only* thing the engine-side runtime
 * :meth:`~PlatformClient.cancel` / :meth:`~PlatformClient.drain` /
   :meth:`~PlatformClient.close` — lifecycle control.
 
-Three implementations cover the spectrum from reproducible simulation to a
+Four implementations cover the spectrum from reproducible simulation to a
 live platform:
 
 * :class:`SimulatedPlatformClient` — wraps the existing discrete-event
   simulator; ``next_event`` advances simulated time.  Optional seeded
   *expiry injection* models abandoned work so re-issue paths can be tested
   against the frozen references.
+* :class:`AnswerOrderClient` — Figure 15's crowd: one pair per HIT,
+  answered one at a time in an :class:`AnswerPolicy` order.
 * :class:`PollingPlatformClient` — periodic fetch against any REST-shaped
   backend (AMT-style ``CreateHIT``/``ListAssignments``/``ExpireHIT``
   surface).  :class:`InMemoryCrowdBackend` is the in-memory fake used by
@@ -39,6 +41,7 @@ whether to re-issue the unanswered pairs.
 from __future__ import annotations
 
 import asyncio
+import enum
 import itertools
 import random
 import time
@@ -51,6 +54,7 @@ from typing import (
     Deque,
     Dict,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -326,6 +330,106 @@ class SimulatedPlatformClient(_PlatformClientBase):
 
     async def close(self) -> None:
         return None
+
+
+class AnswerPolicy(enum.Enum):
+    """Which published pair does the crowd answer next?
+
+    FIFO:                publication order (deterministic baseline).
+    RANDOM:              uniformly random — how AMT actually assigns HITs,
+                         used for Parallel and Parallel(ID) in Figure 15.
+    NON_MATCHING_FIRST:  increasing likelihood of being a matching pair —
+                         the NF optimisation (only meaningful with ID).
+    """
+
+    FIFO = "fifo"
+    RANDOM = "random"
+    NON_MATCHING_FIRST = "non-matching-first"
+
+
+class AnswerOrderClient(_PlatformClientBase):
+    """Figure 15's crowd: one pair per HIT, answered one at a time.
+
+    The pool holds the published, unanswered HITs in publication order.
+    ``next_event`` takes one out by the :class:`AnswerPolicy`, asks the
+    oracle, and hands the answer over as a completion; the clock counts the
+    answers handed over.  The pick happens when the runtime asks for the
+    next event — after it applied the previous answer and published what
+    that unlocked — so a RANDOM or NF draw sees the pool the runtime left.
+    (A :class:`SimulatedPlatformClient`'s workers take their next HIT
+    inside ``step()``, before that publish.)
+
+    Args:
+        oracle: answers each pair when it is answered.
+        answer_policy: how the crowd picks the next pair.
+        seed: RNG seed for the RANDOM policy.
+        likelihoods: match likelihood per pair (NON_MATCHING_FIRST).
+    """
+
+    def __init__(
+        self,
+        oracle: LabelOracle,
+        answer_policy: AnswerPolicy = AnswerPolicy.RANDOM,
+        seed: int = 0,
+        likelihoods: Optional[Mapping[Pair, float]] = None,
+    ) -> None:
+        self._oracle = oracle
+        self._policy = answer_policy
+        self._rng = random.Random(seed)
+        self._likelihoods = likelihoods
+        self._hit_counter = itertools.count()
+        self._pool: List[HIT] = []
+        self._n_answered = 0
+
+    batch_size = 1
+    n_assignments = 1
+
+    @property
+    def now(self) -> float:
+        return float(self._n_answered)
+
+    @property
+    def n_outstanding_hits(self) -> int:
+        return len(self._pool)
+
+    async def submit_pairs(
+        self, pairs: Sequence[Pair], *, timeout: Optional[float] = None
+    ) -> List[HIT]:
+        hits = _batch_into_hits(self._hit_counter, pairs, 1, 1)
+        self._pool.extend(hits)
+        return hits
+
+    async def next_event(self) -> Optional[PlatformEvent]:
+        pool = self._pool
+        if not pool:
+            return None
+        if self._policy is AnswerPolicy.FIFO:
+            choice = 0
+        elif self._policy is AnswerPolicy.RANDOM:
+            choice = self._rng.randrange(len(pool))
+        else:  # NON_MATCHING_FIRST: least likely to match answered first
+            likelihoods = self._likelihoods
+            choice = min(range(len(pool)), key=lambda i: likelihoods[pool[i].pairs[0]])
+        hit = pool.pop(choice)
+        self._n_answered += 1
+        pair = hit.pairs[0]
+        return HITCompletion(
+            hit=hit,
+            labels={pair: self._oracle.label(pair)},
+            completed_at=self.now,
+            assignments=(),
+        )
+
+    async def cancel(self, hit_id: int) -> bool:
+        # Like the simulator, no recall: a published pair gets answered.
+        return False
+
+    async def drain(self) -> List[HITCompletion]:
+        # Once every pair is labeled, every published pair was answered.
+        return []
+
+    async def close(self) -> None:
+        self._pool.clear()
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,10 @@ One :class:`LabelingEngine` replaces the four hand-rolled labeling loops of
 the seed repo (sequential, round-parallel, instant, and the HIT-granularity
 campaign loop).  The engine owns the deduction graph, the incremental
 pending-pair frontier (:class:`repro.core.sweep.PendingPairIndex`), and the
-shared must-crowdsource selection; a dispatch strategy decides when to
+shared must-crowdsource selection; the runtime's mode decides when to
 publish which frontier pairs.
 
-The primary driver is the event loop, not the simulator:
+The one labeling loop is the event loop, not the simulator:
 :class:`CrowdRuntime` drives the engine from asyncio over the
 :class:`~repro.crowd.clients.PlatformClient` seam (simulated, polling, or
 webhook-push crowds), applying out-of-order completions, re-issuing expired
@@ -38,15 +38,13 @@ Public surface:
               :class:`ProtocolError`, ``PROTOCOL_VERSION``; runbook:
               ``python -m repro.engine.distributed --worker host:port``)
 * runtime:    :class:`CrowdRuntime`, :class:`RuntimeMode`,
-              :class:`RuntimeReport`, :class:`AsyncDispatch`
-* simulator:  :class:`InstantDispatch` (+ :class:`AnswerPolicy`,
-              :class:`InstantRunResult`, :class:`AvailabilityPoint`) — the
-              Figure-15 answer-policy simulation
-* ordering:   :class:`ExpectedValueDispatch`,
-              :class:`ExpectedDeductionScorer`,
+              :class:`RuntimeReport`, :class:`AsyncDispatch` — the one
+              labeling loop; Figure 15's answer-at-a-time labelers run it
+              through :func:`repro.crowd.campaign.run_answer_order`
+* ordering:   :class:`ExpectedDeductionScorer`,
               :func:`expected_value_choice` — adaptive next-question
-              selection by expected transitive deductions (also available
-              on the runtime via ``ordering="expected-value"``)
+              selection by expected transitive deductions (the runtime's
+              ``ordering="expected-value"``)
 * adapter:    :class:`HITDispatchAdapter` (HIT-granularity campaigns)
 """
 
@@ -57,12 +55,6 @@ from .async_dispatch import (
     RuntimeMode,
     RuntimeReport,
 )
-from .dispatch import (
-    AnswerPolicy,
-    AvailabilityPoint,
-    InstantDispatch,
-    InstantRunResult,
-)
 from .distributed import (
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -72,11 +64,7 @@ from .distributed import (
     encode_frame,
 )
 from .engine import DEFAULT_SHARD_THRESHOLD, EngineBackend, LabelingEngine
-from .expected import (
-    ExpectedDeductionScorer,
-    ExpectedValueDispatch,
-    expected_value_choice,
-)
+from .expected import ExpectedDeductionScorer, expected_value_choice
 from .frontier import FrontierCursor, OptimisticGraph, must_crowdsource_frontier
 from .hit_adapter import HITDispatchAdapter
 from .parallel import DEFAULT_PARALLEL_THRESHOLD, ShardWorkerError
@@ -84,20 +72,15 @@ from .sharding import ShardedClusterGraph, ShardedFrontier
 from .vectorized import VectorizedEngineCore, vectorized_available
 
 __all__ = [
-    "AnswerPolicy",
     "AsyncDispatch",
-    "AvailabilityPoint",
     "CrowdRuntime",
     "DEFAULT_PARALLEL_THRESHOLD",
     "DEFAULT_SHARD_THRESHOLD",
     "EngineBackend",
     "ExpectedDeductionScorer",
-    "ExpectedValueDispatch",
     "FrameDecoder",
     "FrontierCursor",
     "HITDispatchAdapter",
-    "InstantDispatch",
-    "InstantRunResult",
     "LabelingEngine",
     "OptimisticGraph",
     "PROTOCOL_VERSION",

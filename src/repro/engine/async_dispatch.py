@@ -27,15 +27,18 @@ Dispatch semantics are a :class:`RuntimeMode`: the paper's sequential and
 round-based labelers, the HIT-granularity campaign modes (instant decision
 or re-publish-on-drain), the publish-everything baseline, and the serial
 HIT replay.  :class:`AsyncDispatch` is the one pair-granularity entry point
-(the sequential and round-based labelers, awaitable or synchronous), and
-the campaign runners in :mod:`repro.crowd.campaign` run the HIT-granularity
-modes — there is exactly one code path for applying crowd answers.
+(the sequential and round-based labelers, awaitable or synchronous, and the
+expected-value ordering), and the campaign runners in
+:mod:`repro.crowd.campaign` run the HIT-granularity modes, Figure 15's
+answer-at-a-time labelers included — there is exactly one code path for
+applying crowd answers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import enum
+import itertools
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -54,7 +57,6 @@ from ..crowd.hit import HIT, n_hits_needed
 from ..crowd.latency import TimeoutPolicy
 from ..crowd.platform import HITCompletion
 from ..crowd.review import ReviewDecision, ReviewPolicy
-from .dispatch import _engine_config
 from .engine import LabelingEngine, _pack_ints, _unpack_ints
 from .hit_adapter import HITDispatchAdapter
 
@@ -106,8 +108,9 @@ class RuntimeMode(enum.Enum):
                  round is decided only once every answer of the current
                  one has arrived (Section 5.1, Algorithms 2-3).
     HIT_INSTANT: HIT granularity with instant decision — re-select after
-                 every completion, buffering toward full HITs
-                 (Section 6.4, Parallel(ID)).
+                 every run whose answers or deductions hold a NON_MATCHING
+                 label (only those can unlock a pair), buffering toward
+                 full HITs (Sections 5.2 and 6.4, Parallel(ID)).
     HIT_ROUNDS:  HIT granularity, re-selecting only when the platform
                  drains (round-based Parallel).
     FLOOD:       publish every pair up front, no deduction — the
@@ -312,11 +315,12 @@ class CrowdRuntime:
     and FLOOD modes only take the event's answers into the open *run*; the
     run's last event applies them with one ``engine.record_answers`` and
     runs the mode's tail once (the round-end check in ROUNDS, one sweep and
-    one reselection in HIT_INSTANT).  With consistent answers a campaign
-    ends in the state applying its events one at a time reaches: a run
-    answers only pairs already on the platform, which the sweep withholds,
-    and every pair the frontier selects is one the sequential labeler asks
-    too — only the HITs published after a run are composed differently.
+    at most one reselection in HIT_INSTANT).  With consistent answers a
+    campaign ends in the state applying its events one at a time reaches: a
+    run answers only pairs already on the platform, which the sweep
+    withholds, and every pair the frontier selects is one the sequential
+    labeler asks too — only the HITs published after a run are composed
+    differently.
     Safe points fire only between runs.  SEQUENTIAL and SERIAL apply every
     event on its own.
 
@@ -854,11 +858,12 @@ class CrowdRuntime:
         self._forward_review(event.hit.hit_id, decisions)
         return taken
 
-    def _record_run(self) -> None:
-        """Apply the open run's answers: one ``engine.record_answers``."""
+    def _record_run(self) -> List[Tuple[Pair, Label]]:
+        """Apply the open run's answers: one ``engine.record_answers``.
+        Returns the answers applied."""
         answers, rounds = self._run_answers, self._run_rounds
         if not answers:
-            return
+            return []
         self._run_answers, self._run_rounds, self._run_pairs = [], [], set()
         flags = self._engine.record_answers(answers, rounds)
         if self._adapter is not None:
@@ -867,6 +872,7 @@ class CrowdRuntime:
             self.report.conflicts.extend(
                 pair for (pair, _), applied in zip(answers, flags) if not applied
             )
+        return answers
 
     def _reaggregate(self, event: HITCompletion) -> HITCompletion:
         """Re-derive a completion's labels from its raw assignments with
@@ -996,7 +1002,7 @@ class CrowdRuntime:
         """Apply the run: one ``record_answers`` for its answers, then the
         mode's tail once (see the class docstring for why that reaches the
         per-event end state)."""
-        self._record_run()
+        answers = self._record_run()
         n_completions, self._run_completions = self._run_completions, 0
         if not n_completions:
             return  # expiries only: each re-issued its pairs already
@@ -1019,7 +1025,7 @@ class CrowdRuntime:
         else:  # HIT_INSTANT / HIT_ROUNDS
             # Rescued pairs leave the adapter's buffer; on-platform pairs
             # stay withheld from the sweep (the crowd will answer them).
-            self._adapter.sweep(self.report.n_completions - 1)
+            resolved = self._adapter.sweep(self.report.n_completions - 1)
             # Escalated pairs must go back out here in *both* HIT modes:
             # they are already published, so the adapter never re-selects
             # them, and HIT_ROUNDS would otherwise stall waiting on a drain
@@ -1028,7 +1034,15 @@ class CrowdRuntime:
             if not self._engine.is_done and mode is RuntimeMode.HIT_INSTANT:
                 if self._paused():
                     self._kick_pending = True
-                else:
+                elif any(
+                    label is Label.NON_MATCHING
+                    for _, label in itertools.chain(answers, resolved)
+                ):
+                    # Instant decision (Section 5.2): selection assumes every
+                    # unlabeled pair matches, so a MATCHING label only
+                    # replaces an assumed merge, and the last selection
+                    # published everything it found.  Only a NON_MATCHING
+                    # label, answered or deduced, can unlock a pair.
                     self._adapter.select_new()
                     await self._flush_chunks()
 
@@ -1214,15 +1228,19 @@ class AsyncDispatch:
         self._ordering = ordering
         self._spec = spec
         self._client_factory = client_factory
-        self._engine_kwargs = _engine_config(
-            spec,
-            policy=policy,
-            backend=backend,
-            shard_threshold=shard_threshold,
-            parallel_threshold=parallel_threshold,
-            n_workers=n_workers,
-            workers=workers,
-            spawn_local_workers=spawn_local_workers,
+        # Engine kwargs: explicit argument > spec value > engine default.
+        overrides = {
+            "policy": policy,
+            "backend": backend,
+            "shard_threshold": shard_threshold,
+            "parallel_threshold": parallel_threshold,
+            "n_workers": n_workers,
+            "workers": workers,
+            "spawn_local_workers": spawn_local_workers,
+        }
+        self._engine_kwargs = spec.engine_kwargs() if spec is not None else {}
+        self._engine_kwargs.update(
+            {k: v for k, v in overrides.items() if v is not None}
         )
         self._runtime_kwargs = {
             "budget": budget,

@@ -18,10 +18,9 @@ event handling exactly once:
   invariant that every pair is recorded exactly once.
 
 Dispatch policy — *when* to publish *which* must-crowdsource pairs — is
-pluggable (see :mod:`repro.engine.async_dispatch` for the asyncio runtime
-and its modes, and :mod:`repro.engine.dispatch` for the Figure-15
-simulator); the engine itself never calls an oracle or a platform, and never
-waits — which is exactly what lets the async runtime apply crowd answers in
+the mode of the one asyncio runtime (see
+:mod:`repro.engine.async_dispatch`); the engine itself never calls an
+oracle or a platform, and never waits — which is exactly what lets the async runtime apply crowd answers in
 whatever order they arrive.  Events flow in through three entry points:
 
 * :meth:`publish` — pairs handed to the crowd (excluded from future

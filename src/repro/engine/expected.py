@@ -25,28 +25,23 @@ production strategy:
   approximation;
   :func:`repro.core.expected_cost.posterior_match_probability` is the
   spec-grade oracle this is validated against on small instances.
-* :class:`ExpectedValueDispatch` — the synchronous dispatch strategy: an
-  adaptive sequential loop that publishes the best-scoring pair, records
-  the answer, sweeps deductions, and repeats.  The asynchronous runtime
-  reaches the same scorer through ``ordering="expected-value"`` on
-  :class:`~repro.engine.async_dispatch.CrowdRuntime` /
-  :class:`~repro.engine.async_dispatch.AsyncDispatch`.
+
+The runtime asks the scorer for each next question under
+``ordering="expected-value"`` on
+:class:`~repro.engine.async_dispatch.CrowdRuntime` /
+:class:`~repro.engine.async_dispatch.AsyncDispatch` (SEQUENTIAL mode).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.cluster_graph import ClusterGraph, ConflictPolicy
 from ..core.expected_cost import MAX_BRUTE_FORCE_PAIRS, adaptive_optimal_choice
-from ..core.oracle import LabelOracle
 from ..core.pairs import CandidatePair, Label, Pair
-from ..core.result import LabelingResult
 from ..core.union_find import UnionFind
-from .dispatch import _engine_config
-from .engine import LabelingEngine
 
 #: Components with more distinct cluster-level variables than this fall back
 #: to the raw likelihood instead of exact posterior enumeration (2^k combos).
@@ -366,88 +361,3 @@ def expected_value_choice(
     scorer = ExpectedDeductionScorer(enumeration_limit=enumeration_limit)
     scorer.sync(evidence)
     return scorer.choose(unresolved)
-
-
-class ExpectedValueDispatch:
-    """Adaptive dispatch: ask whichever pair maximises expected deductions.
-
-    The paper's production strategies follow a *static* likelihood-descending
-    order; this strategy re-decides after every answer using the posterior
-    evidence, spending strictly fewer expected questions on reference
-    workloads (gated in ``benchmarks/bench_core_micro.py``).  It is the
-    sequential-granularity strategy — one pair in flight at a time — so its
-    crowdsourced count is directly comparable to the sequential mode of
-    :class:`~repro.engine.async_dispatch.AsyncDispatch`.
-
-    Args:
-        policy / backend / shard_threshold / parallel_threshold / n_workers:
-            engine knobs, as every other dispatch strategy (spec values act
-            as defaults, explicit arguments override).
-        enumeration_limit: component size cap for exact posterior
-            enumeration; larger components use raw likelihoods.
-        spec: optional :class:`~repro.spec.CampaignSpec` supplying defaults.
-    """
-
-    def __init__(
-        self,
-        policy: Optional[ConflictPolicy] = None,
-        backend: Optional[str] = None,
-        shard_threshold: Optional[int] = None,
-        parallel_threshold: Optional[int] = None,
-        n_workers: Optional[int] = None,
-        enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-        *,
-        spec=None,
-    ) -> None:
-        self._enumeration_limit = enumeration_limit
-        self._engine_kwargs = _engine_config(
-            spec,
-            policy=policy,
-            backend=backend,
-            shard_threshold=shard_threshold,
-            parallel_threshold=parallel_threshold,
-            n_workers=n_workers,
-        )
-
-    def run(
-        self,
-        order: Sequence[Union[Pair, CandidatePair]],
-        oracle: LabelOracle,
-    ) -> LabelingResult:
-        """Label every pair of ``order``; the order's *sequence* is only the
-        final tie-breaker — the adaptive scorer decides what to ask."""
-        engine = LabelingEngine(order, **self._engine_kwargs)
-        try:
-            return self._run(engine, oracle)
-        finally:
-            engine.close()
-
-    def _run(self, engine: LabelingEngine, oracle: LabelOracle) -> LabelingResult:
-        scorer = ExpectedDeductionScorer(enumeration_limit=self._enumeration_limit)
-        likelihoods = engine.likelihoods
-        round_index = 0
-        while not engine.is_done:
-            unresolved = [
-                CandidatePair(pair, likelihoods[pair])
-                for pair in engine.pairs
-                if pair not in engine.labeled
-            ]
-            chosen = scorer.choose(unresolved)
-            if chosen is None:
-                # Everything left is deducible; the sweep must finish the job.
-                if not engine.sweep(round_index):
-                    raise RuntimeError(
-                        "adaptive loop stalled: unresolved pairs remain but "
-                        "none is crowdsourceable or deducible"
-                    )
-                continue
-            pair = chosen.pair
-            engine.publish([pair])
-            engine.result.rounds.append([pair])
-            answer = oracle.label(pair)
-            engine.record_answer(pair, answer, round_index)
-            scorer.observe(pair, answer)
-            for deduced_pair, deduced_label in engine.sweep(round_index):
-                scorer.observe(deduced_pair, deduced_label)
-            round_index += 1
-        return engine.result

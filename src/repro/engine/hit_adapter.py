@@ -94,21 +94,6 @@ class HITDispatchAdapter:
             self._engine.withhold(chunk)
             self._publish_chunk(chunk)
 
-    def record_completion(
-        self, labels: Sequence[Tuple[Pair, Label]], round_index: int
-    ) -> List[Pair]:
-        """Fold a HIT completion's answers into the engine.
-
-        Returns:
-            Pairs whose answer contradicted the deduction graph (possible
-            only with noisy workers under FIRST_WINS).
-        """
-        conflicts: List[Pair] = []
-        for pair, label in labels:
-            if not self._engine.record_answer(pair, label, round_index):
-                conflicts.append(pair)
-        return conflicts
-
     def sweep(self, round_index: int) -> List[Tuple[Pair, Label]]:
         """Deduce everything the answers imply; rescued buffered pairs are
         dropped from the buffer (they no longer need crowdsourcing)."""

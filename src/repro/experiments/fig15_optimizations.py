@@ -13,8 +13,9 @@ to zero (idle workers); ID keeps it stocked; ID+NF keeps it fullest.
 
 from __future__ import annotations
 
-from ..engine.dispatch import AnswerPolicy, InstantDispatch
 from ..core.ordering import expected_order
+from ..crowd.campaign import run_answer_order
+from ..crowd.clients import AnswerPolicy
 from .config import ExperimentConfig
 from .harness import prepare
 from .reporting import ExperimentResult
@@ -28,18 +29,11 @@ def run(
     """Reproduce Figure 15 for the configured dataset."""
     prepared = prepare(config)
     candidates = expected_order(prepared.candidates_above(threshold))
+    # (instant decision, answer policy) per labeler
     labelers = {
-        "parallel": InstantDispatch(
-            instant_decision=False, answer_policy=AnswerPolicy.RANDOM, seed=config.seed
-        ),
-        "parallel_id": InstantDispatch(
-            instant_decision=True, answer_policy=AnswerPolicy.RANDOM, seed=config.seed
-        ),
-        "parallel_id_nf": InstantDispatch(
-            instant_decision=True,
-            answer_policy=AnswerPolicy.NON_MATCHING_FIRST,
-            seed=config.seed,
-        ),
+        "parallel": (False, AnswerPolicy.RANDOM),
+        "parallel_id": (True, AnswerPolicy.RANDOM),
+        "parallel_id_nf": (True, AnswerPolicy.NON_MATCHING_FIRST),
     }
     result = ExperimentResult(
         experiment_id="figure15",
@@ -55,8 +49,14 @@ def run(
             "starvation_events",
         ],
     )
-    for name, labeler in labelers.items():
-        run_record = labeler.run(candidates, prepared.truth)
+    for name, (instant_decision, answer_policy) in labelers.items():
+        run_record = run_answer_order(
+            candidates,
+            prepared.truth,
+            instant_decision=instant_decision,
+            answer_policy=answer_policy,
+            seed=config.seed,
+        )
         trace = run_record.trace
         interior = trace[:-1] if trace else []
         result.rows.append(

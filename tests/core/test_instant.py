@@ -1,5 +1,6 @@
-"""Tests for the event-driven labeler (InstantDispatch) with instant-decision
-and non-matching-first optimisations (Section 5.2 / Figure 15)."""
+"""Tests for the answer-at-a-time labelers (``run_answer_order``) with the
+instant-decision and non-matching-first optimisations (Section 5.2 /
+Figure 15)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.oracle import CountingOracle, GroundTruthOracle
-from repro.engine import AnswerPolicy, AsyncDispatch, InstantDispatch, RuntimeMode
+from repro.crowd.campaign import run_answer_order
+from repro.crowd.clients import AnswerPolicy
+from repro.engine import AsyncDispatch, RuntimeMode
 
 from ..strategies import worlds
 
@@ -16,8 +19,8 @@ ROUNDS = AsyncDispatch(RuntimeMode.ROUNDS)
 
 
 def run_instant(order, oracle, **options):
-    """Run :class:`InstantDispatch` (ID on, RANDOM answers by default)."""
-    return InstantDispatch(**options).run(order, oracle)
+    """Run :func:`run_answer_order` (ID on, RANDOM answers by default)."""
+    return run_answer_order(order, oracle, **options)
 
 
 class TestInstantLabelerBasics:

@@ -10,7 +10,9 @@ from repro.core.cluster_graph import ClusterGraph
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
 from repro.core.sweep import PendingPairIndex
-from repro.engine import AnswerPolicy, InstantDispatch
+from repro.crowd.campaign import InstantRunResult
+from repro.crowd.clients import AnswerOrderClient, AnswerPolicy
+from repro.engine import CrowdRuntime, LabelingEngine, RuntimeMode
 
 from ..strategies import worlds
 
@@ -95,13 +97,14 @@ class TestEquivalenceWithNaiveSweep:
         truth = GroundTruthOracle(entity_of)
         runs = {}
         for use_index in (False, True):
-            labeler = InstantDispatch(
-                instant_decision=True,
-                answer_policy=AnswerPolicy.RANDOM,
-                seed=seed,
-                use_index=use_index,
+            engine = LabelingEngine(candidates, use_index=use_index)
+            client = AnswerOrderClient(truth, AnswerPolicy.RANDOM, seed)
+            report = CrowdRuntime(
+                engine, client, mode=RuntimeMode.HIT_INSTANT
+            ).run_sync()
+            runs[use_index] = InstantRunResult.from_report(
+                engine.result, report, instant_decision=True
             )
-            runs[use_index] = labeler.run(candidates, truth)
         naive, indexed = runs[False], runs[True]
         assert indexed.result.labels() == naive.result.labels()
         assert indexed.n_crowdsourced == naive.n_crowdsourced

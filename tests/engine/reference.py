@@ -6,6 +6,10 @@ shared :class:`repro.engine.LabelingEngine` — including their own copy of
 the optimistic must-crowdsource scan and the O(pending) full-rescan
 deduction sweep.  They deliberately share nothing with ``repro.engine`` so
 the parity property tests compare two independent implementations.
+:func:`reference_expected_value` is the one exception: the synchronous
+expected-value loop, frozen from before the runtime's
+``ordering="expected-value"`` replaced it, still drives the engine and its
+scorer — it pins the runtime's question order, not the scorer.
 
 Alongside the frozen references live the shared differential-test helpers
 every backend suite uses — :class:`RecordingOracle`, :func:`block_world`
@@ -29,6 +33,8 @@ from repro.crowd.clients import SimulatedPlatformClient
 from repro.crowd.latency import LognormalLatency
 from repro.crowd.platform import SimulatedPlatform
 from repro.crowd.worker import make_worker_pool
+from repro.engine import LabelingEngine
+from repro.engine.expected import ExpectedDeductionScorer
 
 
 class RecordingOracle(LabelOracle):
@@ -228,3 +234,35 @@ def reference_parallel(
         remaining = still_remaining
         round_index += 1
     return result
+
+
+def reference_expected_value(
+    order: Sequence[Union[Pair, CandidatePair]], oracle: LabelOracle
+) -> LabelingResult:
+    """The synchronous adaptive loop: publish the best-scoring pair, record
+    its answer, sweep deductions, repeat."""
+    engine = LabelingEngine(order)
+    scorer = ExpectedDeductionScorer()
+    likelihoods = engine.likelihoods
+    round_index = 0
+    while not engine.is_done:
+        unresolved = [
+            CandidatePair(pair, likelihoods[pair])
+            for pair in engine.pairs
+            if pair not in engine.labeled
+        ]
+        chosen = scorer.choose(unresolved)
+        if chosen is None:
+            # Everything left is deducible; the sweep must finish the job.
+            assert engine.sweep(round_index), "adaptive loop stalled"
+            continue
+        pair = chosen.pair
+        engine.publish([pair])
+        engine.result.rounds.append([pair])
+        answer = oracle.label(pair)
+        engine.record_answer(pair, answer, round_index)
+        scorer.observe(pair, answer)
+        for deduced_pair, deduced_label in engine.sweep(round_index):
+            scorer.observe(deduced_pair, deduced_label)
+        round_index += 1
+    return engine.result

@@ -18,10 +18,14 @@ reference pattern"):
   ``async-sequential`` column);
 * ``AsyncDispatch(ROUNDS)`` must replicate ``reference_parallel`` the same
   way (the ``rounds`` and ``async-rounds`` columns);
-* ``InstantDispatch`` makes seeded rng-driven choices with no sequential
-  reference, so its non-monolithic cells are pinned to the *monolithic* run
-  instead: identical frontiers mean identical published pools, so labels,
-  rounds, the availability trace, and the publish events must all coincide;
+* the runtime's ``instant`` mode over Figure 15's answer-order client
+  makes seeded rng-driven choices with no sequential reference, so its
+  non-monolithic cells are pinned to the *monolithic* run instead:
+  identical frontiers mean identical published pools, so labels, rounds,
+  the availability trace, and the publish events must all coincide;
+* a matching answer can unlock a must-crowdsource pair through the
+  non-matching pair its sweep deduces — the reason the instant mode's
+  reselection rule counts deductions, pinned on every backend;
 * ``LabelingEngine.record_answers`` folds a tick's completions into one
   call, which with one sweep after it must leave the same
   ``state_fingerprint()`` as applying them one at a time with a sweep
@@ -51,7 +55,9 @@ from hypothesis import strategies as st
 
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
-from repro.engine import AsyncDispatch, InstantDispatch, LabelingEngine, RuntimeMode
+from repro.crowd.campaign import InstantRunResult
+from repro.crowd.clients import AnswerOrderClient, AnswerPolicy
+from repro.engine import AsyncDispatch, CrowdRuntime, LabelingEngine, RuntimeMode
 
 from ..aio import run_async
 from ..strategies import worlds
@@ -135,10 +141,26 @@ class TestRoundsMatrix:
         assert new_oracle.calls == ref_oracle.calls
 
 
+def run_answer_order_on(backend: str, order, oracle, *, policy=AnswerPolicy.RANDOM):
+    """Instant mode over the answer-order client (seed 17) on ``backend``."""
+    engine = LabelingEngine(order, **backend_options(backend))
+    client = AnswerOrderClient(oracle, policy, 17, engine.likelihoods)
+    report = CrowdRuntime(engine, client, mode=RuntimeMode.HIT_INSTANT).run_sync()
+    return InstantRunResult.from_report(engine.result, report, instant_decision=True)
+
+
+#: The order (b,c) (b,d) (a,b) (a,c) (c,d) over truth a = b, c, d apart.
+#: The first frontier is its first three pairs; (b,c) and (b,d) answered
+#: non-matching unlock nothing; (a,b) answered matching deduces (a,c)
+#: non-matching, and that makes (c,d) must-crowdsource.
+UNLOCK_ORDER = [Pair("b", "c"), Pair("b", "d"), Pair("a", "b"), Pair("a", "c"), Pair("c", "d")]
+UNLOCK_TRUTH = GroundTruthOracle({"a": 0, "b": 0, "c": 1, "d": 2})
+
+
 class TestInstantMatrix:
-    """InstantDispatch across backends: rng-driven choices from the
-    published pool must coincide whenever the frontiers coincide, so the
-    whole trace is pinned to the monolithic run."""
+    """Instant mode across backends: rng-driven choices from the published
+    pool must coincide whenever the frontiers coincide, so the whole trace
+    is pinned to the monolithic run."""
 
     @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "monolithic"])
     @given(worlds())
@@ -146,15 +168,59 @@ class TestInstantMatrix:
     def test_identical_to_monolithic(self, backend, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        seed = 17
-        mono = InstantDispatch(seed=seed, backend="monolithic").run(candidates, truth)
-        other = InstantDispatch(seed=seed, **backend_options(backend)).run(
-            candidates, truth
-        )
+        mono = run_answer_order_on("monolithic", candidates, truth)
+        other = run_answer_order_on(backend, candidates, truth)
         assert other.result.labels() == mono.result.labels()
         assert other.result.rounds == mono.result.rounds
         assert other.trace == mono.trace
         assert other.publish_events == mono.publish_events
+
+
+class TestMatchingAnswerUnlocks:
+    """A MATCHING answer alone selects nothing new, but the NON_MATCHING
+    pair its sweep deduces can: the reselection rule must count
+    deductions, not only answers."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_engine_frontier_after_matching_answer(self, backend):
+        bc, bd, ab, ac, cd = UNLOCK_ORDER
+        with LabelingEngine(UNLOCK_ORDER, **backend_options(backend)) as engine:
+            first = engine.frontier()
+            assert first == [bc, bd, ab]
+            engine.publish(first)
+            for pair in (bc, bd):
+                engine.record_answer(pair, Label.NON_MATCHING, 0)
+                assert engine.sweep(0) == []
+                assert engine.frontier() == []
+            engine.record_answer(ab, Label.MATCHING, 0)
+            assert engine.sweep(0) == [(ac, Label.NON_MATCHING)]
+            assert engine.frontier() == [cd]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_instant_mode_publishes_the_unlocked_pair(self, backend):
+        """FIFO answers (b,c), (b,d), (a,b): the run of (a,b) re-selects
+        and publishes (c,d), so trace point 3 reads 1, not 0."""
+        run = run_answer_order_on(
+            backend, UNLOCK_ORDER, UNLOCK_TRUTH, policy=AnswerPolicy.FIFO
+        )
+        assert run.publish_events == [(0, 3), (3, 1)]
+        assert run.result.rounds == [UNLOCK_ORDER[:3], [UNLOCK_ORDER[4]]]
+        assert [point.n_available for point in run.trace] == [2, 1, 1, 0]
+        assert run.starvation_count() == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unlocked_pair_is_published_while_the_pool_is_busy(self, backend):
+        """The same instance plus (e,f), first published and answered
+        last.  Above, the pool drains after (a,b), and the runtime's idle
+        re-publish would issue (c,d) at the same answer count under any
+        rule; here (e,f) is still out, so (c,d) goes out after (a,b)'s run
+        only because that run's deduction re-selects."""
+        ef = Pair("e", "f")
+        order = UNLOCK_ORDER[:3] + [ef] + UNLOCK_ORDER[3:]
+        truth = GroundTruthOracle({"a": 0, "b": 0, "c": 1, "d": 2, "e": 3, "f": 3})
+        run = run_answer_order_on(backend, order, truth, policy=AnswerPolicy.FIFO)
+        assert run.publish_events == [(0, 4), (3, 1)]
+        assert [point.n_available for point in run.trace] == [3, 2, 2, 1, 0]
 
 
 class TestBatchedRecordingMatrix:

@@ -1,10 +1,11 @@
-"""Expected-value ordering: the adaptive dispatch and its runtime wiring.
+"""Expected-value ordering: the adaptive labeler and its runtime wiring.
 
 Three layers of guarantees:
 
-* completeness/correctness — :class:`ExpectedValueDispatch` labels every
-  candidate pair with its true label, crowdsourcing only frontier pairs
-  (never one the evidence so far already implies);
+* completeness/correctness — ``AsyncDispatch(SEQUENTIAL,
+  ordering="expected-value")`` labels every candidate pair with its true
+  label, crowdsourcing only frontier pairs (never one the evidence so far
+  already implies);
 * optimality — on instances small enough for the exact DP
   (:func:`brute_force_adaptive_optimal`), the policy's exact expected cost
   (via :func:`adaptive_expected_cost`) *equals* the adaptive optimum, which
@@ -12,7 +13,8 @@ Three layers of guarantees:
   it is strictly cheaper than the paper's likelihood-descending heuristic;
 * parity — ``ordering="expected-value"`` on :class:`AsyncDispatch` /
   :class:`CrowdRuntime` consults the oracle in exactly the same order as
-  the synchronous dispatch, and the spec round-trips the knob.
+  the frozen synchronous loop (``reference_expected_value``), and the spec
+  round-trips the knob.
 """
 
 from __future__ import annotations
@@ -32,15 +34,13 @@ from repro.core.oracle import GroundTruthOracle
 from repro.core.ordering import expected_order
 from repro.core.pairs import CandidatePair, Label, Pair, candidate
 from repro.engine import AsyncDispatch, RuntimeMode
-from repro.engine.expected import (
-    ExpectedDeductionScorer,
-    ExpectedValueDispatch,
-    expected_value_choice,
-)
+from repro.engine.expected import ExpectedDeductionScorer, expected_value_choice
 from repro.spec import CampaignSpec
 
 from ..strategies import worlds
-from .reference import RecordingOracle
+from .reference import RecordingOracle, reference_expected_value
+
+EXPECTED_VALUE = AsyncDispatch(RuntimeMode.SEQUENTIAL, ordering="expected-value")
 
 #: Frozen reference instance (seed-searched): the adaptive policy spends
 #: strictly fewer expected questions than the static heuristic order here.
@@ -92,13 +92,13 @@ class FrontierAssertingOracle:
         return label
 
 
-class TestExpectedValueDispatch:
+class TestExpectedValueOrdering:
     @given(worlds())
     @settings(max_examples=30, deadline=None)
     def test_labels_every_pair_correctly(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        result = ExpectedValueDispatch().run(candidates, truth)
+        result = EXPECTED_VALUE.run(candidates, truth)
         assert set(result.labels()) == {c.pair for c in candidates}
         for pair, label in result.labels().items():
             assert label is truth.label(pair)
@@ -109,7 +109,7 @@ class TestExpectedValueDispatch:
         """Every oracle call is for a pair whose label was still open."""
         candidates, entity_of = world
         oracle = FrontierAssertingOracle(GroundTruthOracle(entity_of))
-        result = ExpectedValueDispatch().run(candidates, oracle)
+        result = EXPECTED_VALUE.run(candidates, oracle)
         assert result.n_crowdsourced == len(oracle.calls)
         assert result.n_crowdsourced + result.n_deduced == len(
             {c.pair for c in candidates}
@@ -118,7 +118,7 @@ class TestExpectedValueDispatch:
     def test_figure3_costs_at_most_the_optimum(self, figure3_candidates, figure3_truth):
         """Example 2's optimal static order crowdsources 6 pairs; the
         adaptive policy never needs more on the same world."""
-        result = ExpectedValueDispatch().run(figure3_candidates, figure3_truth)
+        result = EXPECTED_VALUE.run(figure3_candidates, figure3_truth)
         assert result.n_crowdsourced <= 6
         assert result.n_deduced == 8 - result.n_crowdsourced
 
@@ -211,15 +211,14 @@ class TestRuntimeOrdering:
     @settings(max_examples=20, deadline=None)
     def test_runtime_matches_sync_dispatch_exactly(self, world):
         """ordering="expected-value" over the FIFO simulated client asks
-        the oracle the very same questions in the very same order."""
+        the oracle the very same questions in the very same order as the
+        frozen synchronous loop."""
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
         sync_oracle = RecordingOracle(truth)
         async_oracle = RecordingOracle(truth)
-        reference = ExpectedValueDispatch().run(candidates, sync_oracle)
-        result = AsyncDispatch(
-            RuntimeMode.SEQUENTIAL, ordering="expected-value"
-        ).run(candidates, async_oracle)
+        reference = reference_expected_value(candidates, sync_oracle)
+        result = EXPECTED_VALUE.run(candidates, async_oracle)
         assert result.labels() == reference.labels()
         assert result.n_crowdsourced == reference.n_crowdsourced
         assert async_oracle.calls == sync_oracle.calls

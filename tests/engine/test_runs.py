@@ -11,6 +11,11 @@ that:
   completions — with expiries, re-issues and late duplicate deliveries
   inside its runs — reaches the byte-identical final ``state_fingerprint()``
   of the same campaign applied per event;
+* the ``instant`` mode's reselection rule (re-select only after a run
+  holding a NON_MATCHING answer or deduction) changes nothing but the
+  number of frontier calls: with perfect and with noisy FIRST_WINS
+  answers, a campaign reaches the fingerprint and the HIT batches of the
+  same campaign re-selecting after every run;
 * a poll of several completions costs one ``record_answers`` and one
   sweep (and at most one frontier reselection);
 * the per-answer round indices of a run reach the result as they would
@@ -21,12 +26,13 @@ that:
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cluster_graph import InconsistentLabelError
+from repro.core.cluster_graph import ConflictPolicy, InconsistentLabelError
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
 from repro.crowd.clients import InMemoryCrowdBackend, ManualClock, PollingPlatformClient
@@ -85,15 +91,36 @@ def disjoint_pairs(n: int):
     return pairs, {obj: i for i, pair in enumerate(pairs) for obj in pair}
 
 
-def run_campaign(world, backend, mode, *, runs, latency_seed, drop, echo_every):
-    """One campaign over a :class:`BurstyClient`; returns (fingerprint,
-    client).  HITs whose ids are in ``drop`` never complete: they expire
-    after four clock units and their pairs are re-issued."""
+def flipped_answers(world, share: float, seed: int):
+    """An ``answer_fn`` answering ``world``'s truth, with a seeded ``share``
+    of its pairs flipped (the same pairs on every call)."""
     candidates, entity_of = world
     truth = GroundTruthOracle(entity_of)
+    rng = random.Random(seed)
+    flipped = {c.pair for c in candidates if rng.random() < share}
+    flip = {Label.MATCHING: Label.NON_MATCHING, Label.NON_MATCHING: Label.MATCHING}
+
+    def answer(pair):
+        label = truth.label(pair)
+        return flip[label] if pair in flipped else label
+
+    return answer
+
+
+def run_campaign(
+    world, backend, mode, *, runs, latency_seed, drop, echo_every,
+    answer_fn=None, policy=ConflictPolicy.STRICT, runtime_class=CrowdRuntime,
+):
+    """One campaign over a :class:`BurstyClient`; returns (fingerprint,
+    client, report).  HITs whose ids are in ``drop`` never complete: they
+    expire after four clock units and their pairs are re-issued.  Answers
+    come from the world's truth unless ``answer_fn`` is given."""
+    candidates, entity_of = world
+    if answer_fn is None:
+        answer_fn = GroundTruthOracle(entity_of).label
     clock = ManualClock()
     backend_ = InMemoryCrowdBackend(
-        truth,
+        answer_fn=answer_fn,
         clock=clock.now,
         latency=lambda rng: rng.choice((1.0, 1.0, 2.0, 3.0)),
         drop_hit_ids=drop,
@@ -110,9 +137,9 @@ def run_campaign(world, backend, mode, *, runs, latency_seed, drop, echo_every):
         clock=clock.now,
         sleep=clock.sleep,
     )
-    engine = LabelingEngine(candidates, **backend_options(backend))
-    CrowdRuntime(engine, client, mode=mode).run_sync()
-    return json.dumps(engine.state_fingerprint(), sort_keys=True), client
+    engine = LabelingEngine(candidates, policy=policy, **backend_options(backend))
+    report = runtime_class(engine, client, mode=mode).run_sync()
+    return json.dumps(engine.state_fingerprint(), sort_keys=True), client, report
 
 
 class TestRunsMatchPerEventApplication:
@@ -129,18 +156,64 @@ class TestRunsMatchPerEventApplication:
         self, mode, backend, world, latency_seed, drop, echo_every
     ):
         options = dict(latency_seed=latency_seed, drop=drop, echo_every=echo_every)
-        batched, _ = run_campaign(world, backend, mode, runs=True, **options)
-        single, _ = run_campaign(world, backend, mode, runs=False, **options)
+        batched, _, _ = run_campaign(world, backend, mode, runs=True, **options)
+        single, _, _ = run_campaign(world, backend, mode, runs=False, **options)
         assert batched == single
 
     def test_the_workload_produces_runs(self):
         """The property's client really hands over multi-event runs, with
         an expiry inside one."""
-        _, client = run_campaign(
+        _, client, _ = run_campaign(
             disjoint_pairs(12), "monolithic", RuntimeMode.HIT_INSTANT,
             runs=True, latency_seed=3, drop={1}, echo_every=2,
         )
         assert client.longest_run >= 3
+
+
+class EveryRunReselects(CrowdRuntime):
+    """Instant mode re-selecting after every run with a completion, as
+    before the reselection rule: the comparison runtime."""
+
+    async def _end_run(self) -> None:
+        had_completions = self._run_completions > 0
+        await super()._end_run()
+        if had_completions and not self._engine.is_done and not self._paused():
+            self._adapter.select_new()
+            await self._flush_chunks()
+
+
+class TestInstantReselectionRule:
+    @pytest.mark.parametrize("noisy", [False, True], ids=["perfect", "noisy"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(
+        world=worlds(),
+        latency_seed=st.integers(0, 2**16),
+        drop=st.sets(st.integers(0, 12), max_size=3),
+        echo_every=st.integers(1, 4),
+        runs=st.booleans(),
+        flip_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_skipping_reselection_changes_nothing_else(
+        self, noisy, backend, world, latency_seed, drop, echo_every, runs, flip_seed
+    ):
+        """Perfect answers under STRICT, or a fifth of them flipped under
+        FIRST_WINS: the same fingerprint and the same HIT batches."""
+        options = dict(
+            runs=runs, latency_seed=latency_seed, drop=drop, echo_every=echo_every
+        )
+        if noisy:
+            options.update(
+                answer_fn=flipped_answers(world, 0.2, flip_seed),
+                policy=ConflictPolicy.FIRST_WINS,
+            )
+        mode = RuntimeMode.HIT_INSTANT
+        ruled, _, ruled_report = run_campaign(world, backend, mode, **options)
+        every, _, every_report = run_campaign(
+            world, backend, mode, runtime_class=EveryRunReselects, **options
+        )
+        assert ruled == every
+        assert ruled_report.hit_batches == every_report.hit_batches
 
 
 class CountingEngine(LabelingEngine):
@@ -168,9 +241,10 @@ def test_one_poll_is_one_record_answers_one_sweep_one_reselection():
     """Instant mode: three HITs complete in the same poll; the runtime
     applies their six answers with one call and sweeps once (the campaign
     is then done, so nothing is re-selected).  Applied per event, the same
-    poll costs three calls and three sweeps, and two frontier selections
-    between events: the run's tail, and the idle re-selection the loop
-    makes because the poll left no HIT outstanding."""
+    poll costs three calls and three sweeps, and one frontier selection
+    between events: the idle re-selection the loop makes because the poll
+    left no HIT outstanding.  The run's tail skips its reselection: its
+    answers are all MATCHING and deduce nothing, so they unlock no pair."""
     pairs, entity_of = disjoint_pairs(6)
     truth = GroundTruthOracle(entity_of)
     calls = {}
@@ -191,7 +265,7 @@ def test_one_poll_is_one_record_answers_one_sweep_one_reselection():
         ("record_answers", 6),
         ("sweep", None),
     ]
-    between = [("frontier", None), ("frontier", None)]
+    between = [("frontier", None)]
     assert calls[False] == [
         ("frontier", None),
         ("record_answers", 2), ("sweep", None), *between,

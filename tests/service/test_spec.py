@@ -9,7 +9,6 @@ from repro import (
     AggregationConfig,
     CampaignSpec,
     EngineBackend,
-    InstantDispatch,
     JournalConfig,
     PlatformConfig,
     SpecError,
@@ -146,8 +145,6 @@ def test_sync_dispatch_strategies_accept_spec():
     ):
         result = dispatch.run(PAIRS_AS_PAIRS(), oracle)
         assert result.labels() == plain.labels()
-    run = InstantDispatch(spec=spec).run(PAIRS_AS_PAIRS(), oracle)
-    assert run.result.labels() == plain.labels()
 
 
 def PAIRS_AS_PAIRS():
