@@ -59,8 +59,22 @@ class PendingPairIndex:
         self._by_unseen: Dict[Hashable, Set[Pair]] = {}
         self._pending: Set[Pair] = set()
         self._dirty: Set[Pair] = set()
-        for pair in pending:
-            self.add_pending(pair)
+        if graph.n_objects:
+            for pair in pending:
+                self.add_pending(pair)
+        else:
+            # An empty graph has seen no endpoint: every pair waits in the
+            # unseen buckets, and every pair is dirty.
+            by_unseen = self._by_unseen
+            for pair in pending:
+                self._pending.add(pair)
+                for obj in (pair.left, pair.right):
+                    bucket = by_unseen.get(obj)
+                    if bucket is None:
+                        by_unseen[obj] = {pair}
+                    else:
+                        bucket.add(pair)
+            self._dirty = set(self._pending)
         graph.listener = self
 
     # ------------------------------------------------------------------

@@ -23,8 +23,9 @@ Public surface:
               forwards each event to its backend's engine core
 * frontier:   :class:`OptimisticGraph`, :func:`must_crowdsource_frontier`,
               :class:`FrontierCursor` (decided-prefix incremental selection)
-* sharding:   :class:`ShardedClusterGraph`, :class:`ShardedFrontier`
-              (per-component backend for 10M+ pair workloads)
+* sharding:   :class:`ShardedClusterGraph` (per-component graph for 10M+
+              pair workloads), :class:`ShardedFrontier` (the per-component
+              selection of every in-process graph backend)
 * vectorized: :class:`VectorizedEngineCore`, :func:`vectorized_available`
               — array-native sweep/deduce/frontier kernels over numpy
               (``backend="vectorized"``; the optional ``perf`` extra)

@@ -75,6 +75,11 @@ ORDERINGS = ("static", "expected-value")
 #: :class:`~repro.crowd.review.EscalateOnLowConfidence` threshold).
 LOW_CONFIDENCE = 0.75
 
+#: A publish burst yields the event loop after every this many HIT
+#: submissions, so a campaign's first publish (hundreds of HITs) does not
+#: hold up status requests and the other campaigns on the loop.
+_SUBMITS_PER_YIELD = 32
+
 
 def _check_ordering(ordering: str, mode: RuntimeMode) -> None:
     """Reject an unknown ordering, or expected-value outside SEQUENTIAL."""
@@ -620,8 +625,15 @@ class CrowdRuntime:
         self._pending_chunks.append(chunk)
 
     async def _flush_chunks(self) -> None:
+        """Submit the buffered chunks, yielding the loop every
+        :data:`_SUBMITS_PER_YIELD` HITs.  The burst always completes: a
+        pause that lands meanwhile takes effect after it."""
+        n_submitted = 0
         while self._pending_chunks:
             await self._submit(self._pending_chunks.pop(0))
+            n_submitted += 1
+            if n_submitted % _SUBMITS_PER_YIELD == 0:
+                await asyncio.sleep(0)
 
     async def _submit(self, pairs: Sequence[Pair]) -> List[HIT]:
         """Publish ``pairs``; enforce the budget; record the burst."""
@@ -778,6 +790,9 @@ class CrowdRuntime:
         return False
 
     async def _start(self) -> None:
+        # The caller has usually just built the engine without yielding;
+        # let the loop run before the first selection and publish.
+        await asyncio.sleep(0)
         # Loop, not a single wait: PauseGate.poke() wakes waiters without
         # resuming, and a still-paused campaign must not publish.
         while self._gate is not None and self._gate.paused:

@@ -91,9 +91,9 @@ from .parallel import (
     _UNCHANGED,
     _WorkerState,
     ShardWorkerError,
-    _as_pairs,
     available_cpus,
 )
+from .sharding import _as_pairs
 
 #: Version stamp of the coordinator/worker wire protocol; a mismatch at the
 #: hello handshake refuses the connection instead of desyncing later.

@@ -60,7 +60,6 @@ from ..core.pairs import (
 from ..core.result import LabelingResult, PairOutcome
 from ..core.sweep import PendingPairIndex
 from .distributed import ShardCoordinator
-from .frontier import FrontierCursor
 from .parallel import DEFAULT_PARALLEL_THRESHOLD
 from .sharding import ShardedClusterGraph, ShardedFrontier
 from .vectorized import VectorizedEngineCore, vectorized_available
@@ -116,11 +115,12 @@ class GraphEngineCore:
     """The engine core of the monolithic and sharded backends.
 
     Holds the in-process deduction graph (a :class:`ClusterGraph`, or a
-    :class:`ShardedClusterGraph` on the sharded backend), the frontier
-    selection — one :class:`FrontierCursor`, or a per-component
-    :class:`ShardedFrontier` on the sharded backend — and the deduction
-    sweep: incremental through a :class:`PendingPairIndex`, or a rescan of
-    the pending list for ``use_index=False``.  Both selections reproduce
+    :class:`ShardedClusterGraph` on the sharded backend — the one thing
+    the two backends differ in), the per-component frontier selection (a
+    :class:`ShardedFrontier`, which re-selects only the components an
+    event touched) and the deduction sweep: incremental through a
+    :class:`PendingPairIndex`, or a rescan of the pending list for
+    ``use_index=False``.  The selection reproduces
     :func:`~repro.engine.frontier.must_crowdsource_frontier`, and both
     sweeps resolve the same pairs (property-tested).
 
@@ -138,7 +138,6 @@ class GraphEngineCore:
         published: Set[Pair],
         withheld: Set[Pair],
         *,
-        sharded: bool,
         use_index: bool,
     ) -> None:
         self.graph = graph
@@ -149,19 +148,17 @@ class GraphEngineCore:
         self._withheld = withheld
         # Built on the first frontier() call: strategies that deduce at
         # visit time (the sequential mode) never pay for it, and a fresh
-        # ShardedFrontier starts all-dirty, so building late reads the
-        # current state in full.
-        self._selector_type = ShardedFrontier if sharded else FrontierCursor
-        self._selector: Union[ShardedFrontier, FrontierCursor, None] = None
+        # ShardedFrontier's first call reads the current state in full.
+        self._selector: Optional[ShardedFrontier] = None
         self._index: Optional[PendingPairIndex] = None
         if use_index:
             self._index = PendingPairIndex(graph, pairs)
         # Order-preserving pending list for the full-scan fallback sweep.
         self._unlabeled: List[Pair] = list(pairs)
 
-    def _selection(self) -> Union[ShardedFrontier, FrontierCursor]:
+    def _selection(self) -> ShardedFrontier:
         if self._selector is None:
-            self._selector = self._selector_type(self._pairs)
+            self._selector = ShardedFrontier(self._pairs)
         return self._selector
 
     def _mark_dirty(self, pair: Pair) -> None:
@@ -170,9 +167,8 @@ class GraphEngineCore:
 
     @property
     def n_components(self) -> int:
-        """Static candidate-graph components the sharded frontier caches
-        selections for (sharded backend only: the monolithic cursor scans
-        the order as a whole)."""
+        """Static candidate-graph components the frontier caches
+        selections for."""
         return self._selection().n_components
 
     def record_answer(self, pair: Pair, label: Label) -> bool:
@@ -266,9 +262,9 @@ class LabelingEngine:
             :class:`PendingPairIndex`; the full-scan fallback produces
             identical results (property-tested) and exists for
             cross-validation.
-        backend: ``"monolithic"`` (one :class:`ClusterGraph` + one
-            :class:`FrontierCursor`), ``"sharded"`` (per-component
-            :class:`ShardedClusterGraph` + :class:`ShardedFrontier`),
+        backend: ``"monolithic"`` (one :class:`ClusterGraph`),
+            ``"sharded"`` (a per-component :class:`ShardedClusterGraph`;
+            both select through a per-component :class:`ShardedFrontier`),
             ``"vectorized"`` (array-native kernels over a flat integer
             encoding, see :mod:`repro.engine.vectorized`; requires numpy —
             the ``perf`` extra — and silently falls back to ``"sharded"``
@@ -416,7 +412,6 @@ class LabelingEngine:
                 self.labeled,
                 self.published,
                 self._withheld,
-                sharded=self.backend == "sharded",
                 use_index=use_index,
             )
 
@@ -745,10 +740,9 @@ class LabelingEngine:
         """The current must-crowdsource pairs, in order (Algorithm 3).
 
         Already-published pairs keep their assumed-matching role but are not
-        selected again.  The selection is incremental on every backend: the
-        monolithic backend skips the decided prefix of the order
-        (:class:`FrontierCursor`), the others additionally recompute only
-        components touched since the last call.
+        selected again.  The selection is incremental on every backend: it
+        recomputes only the components touched since the last call, each
+        from its decided prefix on.
         """
         return self._core.frontier()
 

@@ -83,11 +83,15 @@ class HITDispatchAdapter:
     def flush(self, force: bool) -> None:
         """Publish full HITs from the buffer; ``force`` flushes a partial
         HIT too (used when the platform would otherwise sit idle)."""
-        while len(self._buffer) >= self._batch_size:
-            chunk = self._buffer[: self._batch_size]
-            self._buffer = self._buffer[self._batch_size :]
+        buffer, size = self._buffer, self._batch_size
+        start = 0
+        while len(buffer) - start >= size:
+            chunk = buffer[start : start + size]
+            start += size
             self._engine.withhold(chunk)
             self._publish_chunk(chunk)
+        if start:
+            self._buffer = buffer[start:]
         if force and self._buffer:
             chunk = self._buffer
             self._buffer = []

@@ -9,12 +9,12 @@ holds what a worker process runs for its share of that decomposition:
 
 * :class:`_WorkerState` — one worker's shard state, built from its slice of
   the order (:class:`~repro.engine.sharding.ShardedClusterGraph` +
-  :class:`~repro.core.sweep.PendingPairIndex` + one
-  :class:`~repro.engine.frontier.FrontierCursor` per component).  Its
-  handlers mirror the engine's events step for step; messages carry only
-  order positions and small integers, and replies are position lists the
-  coordinator merges by :func:`heapq.merge`, exactly as the in-process
-  :class:`ShardedFrontier` merges per-component selections.
+  :class:`~repro.core.sweep.PendingPairIndex` +
+  :class:`~repro.engine.sharding.ShardedFrontier` over global order
+  positions).  Its handlers mirror the engine's events step for step;
+  messages carry only order positions and small integers, and replies are
+  position lists the coordinator merges by :func:`heapq.merge`, exactly as
+  the worker's frontier merges its per-component selections.
 * lazy ``absorb`` as the only merge synchronisation — an answer can only
   bridge two answer-graph shards *within* one static component (answers are
   order pairs, and order pairs never cross static components), so every
@@ -36,7 +36,6 @@ components re-ship to the survivors; only losing every worker raises
 
 from __future__ import annotations
 
-import heapq
 import os
 from typing import (
     Dict,
@@ -50,11 +49,9 @@ from typing import (
 )
 
 from ..core.cluster_graph import Conflict, ConflictPolicy
-from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, CandidatePair, Label, Pair
+from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, Label, Pair
 from ..core.sweep import PendingPairIndex
-from ..core.union_find import UnionFind
-from .frontier import FrontierCursor
-from .sharding import ShardedClusterGraph
+from .sharding import ShardedClusterGraph, ShardedFrontier
 
 #: Below this many pairs ``backend="parallel"`` falls back to the in-process
 #: sharded backend: per-message pipe latency (~0.1 ms) dwarfs per-component
@@ -77,10 +74,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _as_pairs(order: Sequence[Union[Pair, CandidatePair]]) -> List[Pair]:
-    return [item.pair if isinstance(item, CandidatePair) else item for item in order]
-
-
 class ShardWorkerError(RuntimeError):
     """Shard workers were lost and none survives to take over their
     components (or the coordinator is closed).  The shard state is gone, so
@@ -96,47 +89,30 @@ class _WorkerState:
     """One worker's shard state: its components of the order, mirrored from
     the in-process backend.
 
-    Per component this holds exactly what ``LabelingEngine`` +
-    ``ShardedFrontier`` hold in-process — a :class:`FrontierCursor` with
-    global order positions — and one worker-wide
-    :class:`ShardedClusterGraph` + :class:`PendingPairIndex` for answers and
-    the incremental deduction sweep.  Handlers replicate the engine's event
-    bookkeeping step for step, which is what the differential tests pin.
+    A worker holds what ``GraphEngineCore`` holds in-process, over its
+    share of the order: a :class:`ShardedFrontier` with global order
+    positions, a :class:`ShardedClusterGraph` and a
+    :class:`PendingPairIndex` for answers and the incremental deduction
+    sweep.  Handlers replicate the engine's event bookkeeping step for
+    step, which is what the differential tests pin.
     """
 
     def __init__(self, entries: List[Tuple[int, Pair]], policy: ConflictPolicy) -> None:
         self._pair_of: Dict[int, Pair] = dict(entries)
         self._gpos_of: Dict[Pair, int] = {pair: gpos for gpos, pair in entries}
-        components = UnionFind()
-        for _, pair in entries:
-            components.union(pair.left, pair.right)
-        grouped: Dict[Hashable, Tuple[List[int], List[Pair]]] = {}
-        for gpos, pair in entries:  # entries arrive in ascending position order
-            positions, members = grouped.setdefault(
-                components.find(pair.left), ([], [])
-            )
-            positions.append(gpos)
-            members.append(pair)
-        self._components = components
-        self._cursors: Dict[Hashable, FrontierCursor] = {
-            root: FrontierCursor(members, positions)
-            for root, (positions, members) in grouped.items()
-        }
+        # entries arrive in ascending position order
+        self._frontier = ShardedFrontier(
+            [pair for _, pair in entries], [gpos for gpos, _ in entries]
+        )
         self._graph = ShardedClusterGraph(policy=policy)
         self._index = PendingPairIndex(self._graph, (pair for _, pair in entries))
         self._labeled: Dict[Pair, Label] = {}
         self._published: Set[Pair] = set()
-        self._selected: Dict[Hashable, List[Tuple[int, Pair]]] = {}
-        self._dirty: Set[Hashable] = set(self._cursors)
         self._frontier_fresh = False
 
     def _mark_dirty(self, pair: Pair) -> None:
-        if pair.left not in self._components:
-            return
-        root = self._components.find(pair.left)
-        if root in self._cursors:
-            self._dirty.add(root)
-            self._frontier_fresh = False
+        self._frontier.mark_dirty(pair)
+        self._frontier_fresh = False
 
     def owns(self, gpos: int) -> bool:
         return gpos in self._pair_of
@@ -196,20 +172,10 @@ class _WorkerState:
     def frontier(self) -> Union[str, List[int]]:
         if self._frontier_fresh:
             return _UNCHANGED
-        for root in self._dirty:
-            self._selected[root] = self._cursors[root].select(
-                self._labeled, self._published
-            )
-        self._dirty.clear()
-        runs = [run for run in self._selected.values() if run]
-        if not runs:
-            merged: List[int] = []
-        elif len(runs) == 1:
-            merged = [gpos for gpos, _ in runs[0]]
-        else:
-            merged = [gpos for gpos, _ in heapq.merge(*runs)]
         self._frontier_fresh = True
-        return merged
+        return [
+            gpos for gpos, _ in self._frontier.select(self._labeled, self._published)
+        ]
 
     def deduce(self, pair: Pair) -> Optional[int]:
         label = self._graph.deduce(pair)
@@ -223,7 +189,7 @@ class _WorkerState:
             "n_clusters": graph.n_clusters,
             "n_matching_edges": graph.n_matching_edges,
             "n_non_matching_edges": graph.n_non_matching_edges,
-            "n_components": len(self._cursors),
+            "n_components": self._frontier.n_components,
         }
 
     def clusters(self) -> List[Set[Hashable]]:

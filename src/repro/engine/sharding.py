@@ -31,9 +31,10 @@ This module shards both halves of the hot path:
   dirties only its own component, and a frontier call recomputes only dirty
   components, merging cached per-component selections by order position.
 
-The engine picks this backend automatically above a size threshold (see
-``LabelingEngine``'s ``backend`` knob); the monolithic graph remains the
-default for small inputs.
+The frontier is the selection of both in-process graph backends and of
+each shard worker; the sharded graph is what ``backend="sharded"`` adds
+(the ``auto`` backend picks it above a size threshold when numpy is
+missing, see ``LabelingEngine``'s ``backend`` knob).
 """
 
 from __future__ import annotations
@@ -315,6 +316,9 @@ def _as_pairs(order: Sequence[Union[Pair, CandidatePair]]) -> List[Pair]:
     return [item.pair if isinstance(item, CandidatePair) else item for item in order]
 
 
+_Entry = Tuple[int, Pair]
+
+
 class ShardedFrontier:
     """Per-component must-crowdsource frontiers with dirty-component caching.
 
@@ -330,65 +334,139 @@ class ShardedFrontier:
     event can only change the frontier of its own component, so this class
     caches each component's selection and recomputes only components marked
     dirty since the last call — each through its own
-    :class:`~repro.engine.frontier.FrontierCursor`, which additionally skips
-    the component's decided prefix.  On workloads with many components (the
-    normal shape after blocking), the *scan* work per answer event drops
-    from O(order) to O(the touched component); materializing the returned
-    list still costs O(current frontier size) — that is the size of the
-    answer — plus the position merge, and repeat calls with no dirty
-    component return a cached copy.
+    :class:`~repro.engine.frontier.FrontierCursor` (built on the component's
+    first dirty call), which additionally skips the component's decided
+    prefix.  On workloads with many components (the normal shape after
+    blocking), the *scan* work per answer event drops from O(order) to
+    O(the touched component); materializing the returned list still costs
+    O(current frontier size) — that is the size of the answer — plus the
+    position merge, and repeat calls with no dirty component return a
+    cached copy.
+
+    Construction is one union-find pass over the order, which yields both
+    the components and the first selection.  With nothing labeled and
+    nothing published, every pair is assumed matching and no non-matching
+    edge exists, so Algorithm 3 selects exactly the pairs whose endpoints
+    the pairs before them have not yet connected — the greedy spanning
+    forest of the order.  A first call with labels or exclusions present
+    (a restored engine, an earlier publish) recomputes every component
+    through its cursor instead.
 
     Args:
-        order: the full labeling order (pairs or candidate pairs).
+        order: the full labeling order (pairs or candidate pairs), or the
+            subsequence of it this frontier covers.
+        positions: optional global order positions of ``order``'s entries
+            (a shard worker covers interleaved subsequences of the order).
+            Defaults to 0..len(order)-1.
     """
 
-    def __init__(self, order: Sequence[Union[Pair, CandidatePair]]) -> None:
+    def __init__(
+        self,
+        order: Sequence[Union[Pair, CandidatePair]],
+        positions: Optional[Sequence[int]] = None,
+    ) -> None:
         pairs = _as_pairs(order)
-        components = UnionFind()
+        if positions is None:
+            positions = range(len(pairs))
+        elif len(positions) != len(pairs):
+            raise ValueError("positions must parallel the order")
+        parent: Dict[Hashable, Hashable] = {}
+
+        def find(obj: Hashable) -> Hashable:
+            root = parent.setdefault(obj, obj)
+            if root == obj:
+                return root
+            while root != parent[root]:
+                root = parent[root]
+            while obj != root:
+                parent[obj], obj = root, parent[obj]
+            return root
+
+        in_forest: List[bool] = []
         for pair in pairs:
-            components.union(pair.left, pair.right)
+            root_left, root_right = find(pair.left), find(pair.right)
+            if root_left == root_right:
+                in_forest.append(False)
+            else:
+                parent[root_right] = root_left
+                in_forest.append(True)
+        self._root_of: Dict[Hashable, Hashable] = {obj: find(obj) for obj in parent}
+        root_of = self._root_of
         grouped: Dict[Hashable, Tuple[List[int], List[Pair]]] = {}
-        for position, pair in enumerate(pairs):
-            positions, members = grouped.setdefault(
-                components.find(pair.left), ([], [])
-            )
-            positions.append(position)
-            members.append(pair)
-        self._components = components
-        self._cursors: Dict[Hashable, FrontierCursor] = {
-            root: FrontierCursor(members, positions)
-            for root, (positions, members) in grouped.items()
-        }
-        self._selected: Dict[Hashable, List[Tuple[int, Pair]]] = {}
-        self._dirty: Set[Hashable] = set(self._cursors)
-        self._merged: Optional[List[Pair]] = None
+        selected: Dict[Hashable, List[_Entry]] = {}
+        first: List[_Entry] = []
+        for position, pair, chosen in zip(positions, pairs, in_forest):
+            root = root_of[pair.left]
+            group = grouped.get(root)
+            if group is None:
+                group = grouped[root] = ([], [])
+            group[0].append(position)
+            group[1].append(pair)
+            if chosen:
+                entry = (position, pair)
+                first.append(entry)
+                run = selected.get(root)
+                if run is None:
+                    selected[root] = [entry]
+                else:
+                    run.append(entry)
+        self._grouped = grouped
+        self._cursors: Dict[Hashable, FrontierCursor] = {}
+        self._selected = selected
+        self._dirty: Set[Hashable] = set()
+        self._first: Optional[List[_Entry]] = first
+        self._merged: Optional[List[_Entry]] = None
 
     @property
     def n_components(self) -> int:
         """Number of static candidate-graph components (fixed at
         construction; an upper bound on concurrently active shards)."""
-        return len(self._cursors)
-
-    def component_of(self, pair: Pair) -> Optional[Hashable]:
-        """The component key owning ``pair``, or None for foreign pairs."""
-        if pair.left not in self._components:
-            return None
-        return self._components.find(pair.left)
+        return len(self._grouped)
 
     def mark_dirty(self, pair: Pair) -> None:
         """Note that ``pair``'s labeled/published status changed: its
         component's cached selection must be recomputed."""
-        root = self.component_of(pair)
+        root = self._root_of.get(pair.left)
         if root is not None:
             self._dirty.add(root)
             self._merged = None
 
-    def frontier(
+    def _selection(
+        self, labeled: Dict[Pair, Label], exclude: Optional[Set[Pair]]
+    ) -> List[_Entry]:
+        first = self._first
+        if first is not None:
+            # The first call: the forest selection holds only while nothing
+            # is labeled or published.
+            self._first = None
+            if labeled or exclude:
+                self._dirty = set(self._grouped)
+                self._merged = None
+            else:
+                self._dirty.clear()
+                self._merged = first
+        if self._merged is None:
+            for root in self._dirty:
+                cursor = self._cursors.get(root)
+                if cursor is None:
+                    positions, members = self._grouped[root]
+                    cursor = self._cursors[root] = FrontierCursor(members, positions)
+                self._selected[root] = cursor.select(labeled, exclude)
+            self._dirty.clear()
+            runs = [run for run in self._selected.values() if run]
+            if len(runs) <= 1:
+                self._merged = runs[0] if runs else []
+            else:
+                self._merged = list(_heap_merge(*runs))
+        return self._merged
+
+    def select(
         self,
         labeled: Dict[Pair, Label],
         exclude: Optional[Set[Pair]] = None,
-    ) -> List[Pair]:
-        """The current must-crowdsource pairs, in order position.
+    ) -> List[_Entry]:
+        """The current must-crowdsource selection as ``(position, pair)``
+        tuples, in position order.
 
         Identical to ``must_crowdsource_frontier(order, labeled, exclude)``
         (property-tested); only dirty components are recomputed.  Every
@@ -397,17 +475,12 @@ class ShardedFrontier:
         does this in its event handlers — otherwise the pair's component may
         serve a stale cached selection.
         """
-        if self._merged is not None:
-            return list(self._merged)
-        for root in self._dirty:
-            self._selected[root] = self._cursors[root].select(labeled, exclude)
-        self._dirty.clear()
-        runs = [selected for selected in self._selected.values() if selected]
-        if not runs:
-            merged: List[Pair] = []
-        elif len(runs) == 1:
-            merged = [pair for _, pair in runs[0]]
-        else:
-            merged = [pair for _, pair in _heap_merge(*runs)]
-        self._merged = merged
-        return list(merged)
+        return list(self._selection(labeled, exclude))
+
+    def frontier(
+        self,
+        labeled: Dict[Pair, Label],
+        exclude: Optional[Set[Pair]] = None,
+    ) -> List[Pair]:
+        """Like :meth:`select`, without the positions."""
+        return [pair for _, pair in self._selection(labeled, exclude)]

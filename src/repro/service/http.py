@@ -171,6 +171,9 @@ class CampaignHTTPServer:
             spec = CampaignSpec.from_json(body.decode("utf-8"))
         except (SpecError, UnicodeDecodeError) as exc:
             return 400, {"error": f"invalid campaign spec: {exc}"}
+        # Decoding a large order holds the loop; let other requests and
+        # campaigns run before the engine is built.
+        await asyncio.sleep(0)
         try:
             campaign = await self._service.create(spec)
         except ValueError as exc:  # unregistered platform kind

@@ -327,20 +327,21 @@ class CampaignService:
             campaign_id = self._allocate_id()
         if campaign_id in self._campaigns:
             raise ValueError(f"campaign {campaign_id!r} already exists")
-        # Fail on an unregistered platform kind before any disk state.
+        # Fail on an unregistered platform kind or an unencodable spec
+        # before any disk state: an empty journal would fail every later
+        # recover().
         self._make_inner_client(spec)
+        header = {
+            "type": "header",
+            "version": JOURNAL_VERSION,
+            "campaign_id": campaign_id,
+            "spec": spec.to_dict(),
+        }
         journal = Journal(
             os.path.join(self.root, campaign_id, JOURNAL_FILENAME),
             fsync_every=self._journal_fsync_every(spec),
         )
-        journal.append(
-            {
-                "type": "header",
-                "version": JOURNAL_VERSION,
-                "campaign_id": campaign_id,
-                "spec": spec.to_dict(),
-            }
-        )
+        journal.append(header)
         journal.flush()
         return self._host(campaign_id, spec, journal, [], recovered=False)
 

@@ -648,14 +648,23 @@ class CampaignSpec:
                     items.append(candidate)
                 order = tuple(items)
             else:
-                order = tuple(
-                    CandidatePair(
-                        decode_pair(entry[:2]),
-                        float(entry[2]) if len(entry) > 2 else 0.5,
+                items = []
+                for entry in data["order"]:
+                    if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
+                        raise SpecError(
+                            "an order entry must be a [left, right] or "
+                            f"[left, right, likelihood] array, got {entry!r}"
+                        )
+                    items.append(
+                        CandidatePair(
+                            decode_pair(entry[:2]),
+                            float(entry[2]) if len(entry) > 2 else 0.5,
+                        )
                     )
-                    for entry in data["order"]
-                )
-        except (KeyError, TypeError, IndexError) as exc:
+                order = tuple(items)
+        except SpecError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise SpecError(f"malformed spec order: {exc}") from exc
         return cls(
             order=order,

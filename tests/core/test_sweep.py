@@ -17,6 +17,32 @@ from repro.engine import CrowdRuntime, LabelingEngine, RuntimeMode
 from ..strategies import worlds
 
 
+class TestBulkBuild:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(
+                lambda ends: ends[0] != ends[1]
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_a_build_by_add_pending(self, ends):
+        """On an empty graph the constructor fills the index in one pass;
+        the result must equal adding the same pairs one at a time
+        (duplicates included)."""
+        pairs = [Pair(a, b) for a, b in ends]
+        bulk = PendingPairIndex(ClusterGraph(), pairs)
+        stepwise = PendingPairIndex(ClusterGraph(), [])
+        for pair in pairs:
+            stepwise.add_pending(pair)
+        assert bulk._pending == stepwise._pending
+        assert bulk._dirty == stepwise._dirty
+        assert bulk._by_unseen == stepwise._by_unseen
+        assert bulk._by_root == stepwise._by_root == {}
+        bulk.check_invariants()
+
+
 class TestIndexBasics:
     def test_union_marks_touching_pairs_dirty(self):
         graph = ClusterGraph()

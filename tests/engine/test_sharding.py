@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -277,6 +278,71 @@ class TestShardedFrontierParity:
                 labeled[pair] = truth.label(pair)
                 published.discard(pair)
                 frontier.mark_dirty(pair)
+
+    @given(worlds(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_first_call_reads_labels_and_exclusions(self, world, rnd):
+        """A fresh frontier whose first call already sees labels or
+        published pairs (a restored engine, an earlier publish) must not
+        serve the construction-time forest selection."""
+        candidates, entity_of = world
+        truth = GroundTruthOracle(entity_of)
+        labeled: dict[Pair, Label] = {}
+        published: set[Pair] = set()
+        for cand in candidates:
+            draw = rnd.random()
+            if draw < 0.3:
+                labeled[cand.pair] = truth.label(cand.pair)
+            elif draw < 0.5:
+                published.add(cand.pair)
+        frontier = ShardedFrontier(candidates)
+        assert frontier.frontier(labeled, published) == must_crowdsource_frontier(
+            candidates, labeled, exclude=published
+        )
+
+    def test_first_call_with_a_label_or_exclusion_is_not_the_forest(self):
+        """(a,b) (b,c) (a,c): the forest selection is the first two pairs;
+        one label or one publish changes the answer."""
+        order = [Pair("a", "b"), Pair("b", "c"), Pair("a", "c")]
+        assert ShardedFrontier(order).frontier({}) == order[:2]
+        labeled = {order[0]: Label.NON_MATCHING}
+        assert ShardedFrontier(order).frontier(labeled) == [order[1]]
+        assert ShardedFrontier(order).frontier({}, {order[0]}) == [order[1]]
+
+    def test_positions_are_global_order_positions(self):
+        order = [Pair("a", "b"), Pair("c", "d"), Pair("b", "c")]
+        frontier = ShardedFrontier(order, positions=[4, 7, 9])
+        assert frontier.n_components == 1
+        assert frontier.select({}) == [(4, order[0]), (7, order[1]), (9, order[2])]
+        frontier.mark_dirty(order[2])
+        assert frontier.select({order[2]: Label.MATCHING}, {order[0]}) == [
+            (7, order[1])
+        ]
+        with pytest.raises(ValueError, match="parallel"):
+            ShardedFrontier(order, positions=[1])
+
+    @given(worlds(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_restored_monolithic_engine_first_frontier(self, world, rnd):
+        """A restored engine's first frontier call sees the snapshot's labels
+        and published pairs."""
+        candidates, entity_of = world
+        truth = GroundTruthOracle(entity_of)
+        live = LabelingEngine(candidates, backend="monolithic")
+        for round_index, cand in enumerate(candidates):
+            if cand.pair in live.labeled:
+                continue
+            draw = rnd.random()
+            if draw < 0.4:
+                live.record_answer(cand.pair, truth.label(cand.pair), round_index)
+                live.sweep(round_index)
+            elif draw < 0.6:
+                live.publish([cand.pair])
+        restored = LabelingEngine(candidates, backend="monolithic")
+        restored.restore_state(live.snapshot_state())
+        assert restored.frontier() == must_crowdsource_frontier(
+            restored.pairs, restored.labeled, exclude=restored.published
+        )
 
     @given(worlds(max_objects=10, max_pairs=16))
     @settings(max_examples=40, deadline=None)

@@ -5,10 +5,14 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
+from repro.engine import must_crowdsource_frontier
 from repro.service import CampaignHTTPServer, CampaignService
+from repro.spec import CampaignSpec, PlatformConfig
 
 from ..aio import run_async
-from .helpers import make_spec, register_stepped
+from .helpers import make_spec, register_stepped, stepped_in_memory_factory
 
 
 async def http_request(host, port, method, path, body: str = ""):
@@ -183,3 +187,106 @@ def test_malformed_request_line_is_400_not_a_crash(tmp_path):
             await service.close()
 
     run_async(main())
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [0, 1, 1.5],  # a likelihood outside [0, 1]
+        [[1], [2], 0.5],  # object ids that are not JSON scalars
+        "ab",  # a string, not a [left, right] array
+        [0, 1, 0.5, 0.5],  # one element too many
+    ],
+)
+def test_malformed_create_is_400_and_leaves_recovery_intact(tmp_path, entry):
+    spec = make_spec("instant").to_dict()
+    body = json.dumps({**spec, "order": spec["order"] + [entry]})
+
+    async def scenario(service, request):
+        status, payload = await request("POST", "/campaigns", body)
+        assert status == 400, payload
+        assert service.list() == []
+        # One bad request must not stop a later recovery.
+        fresh = CampaignService(tmp_path)
+        try:
+            assert await fresh.recover() == []
+        finally:
+            await fresh.close()
+
+    run_with_server(tmp_path, scenario)
+
+
+def _tenant_sized_spec(kind: str) -> CampaignSpec:
+    """A product-shaped order: 100 blocks of 8 records (two clusters of 4),
+    every within-block pair a candidate — 2,800 pairs."""
+    pairs, answers = [], []
+    for start in range(0, 800, 8):
+        block = range(start, start + 8)
+        for i, a in enumerate(block):
+            for b in block[i + 1 :]:
+                same = (a - start) // 4 == (b - start) // 4
+                pairs.append((a, b))
+                answers.append([a, b, "matching" if same else "non-matching"])
+    return CampaignSpec(
+        order=pairs,
+        mode="instant",
+        platform=PlatformConfig(
+            kind=kind, batch_size=8, n_assignments=1, options={"answers": answers}
+        ),
+    )
+
+
+def test_create_and_first_publish_let_the_loop_run(tmp_path):
+    """A probe task gets loop turns while an HTTP create's first publish
+    (88 HITs) goes out, not only before and after it."""
+    spec = _tenant_sized_spec("probed")
+    n_first = -(-len(must_crowdsource_frontier(spec.order, {})) // 8)
+    assert n_first >= 64
+    turns = 0
+    turns_at_submit = []
+
+    def probed_factory(spec):
+        client = stepped_in_memory_factory(spec)
+        submit = client.submit_pairs
+
+        async def submit_pairs(pairs, *, timeout=None):
+            turns_at_submit.append(turns)
+            return await submit(pairs, timeout=timeout)
+
+        client.submit_pairs = submit_pairs
+        return client
+
+    async def scenario():
+        nonlocal turns
+        service = CampaignService(tmp_path)
+        service.register_client_factory("probed", probed_factory)
+        server = CampaignHTTPServer(service)
+        host, port = await server.start()
+        running = True
+
+        async def probe():
+            nonlocal turns
+            while running:
+                turns += 1
+                await asyncio.sleep(0)
+
+        probe_task = asyncio.create_task(probe())
+        try:
+            turns_at_create = turns
+            status, created = await http_request(
+                host, port, "POST", "/campaigns", spec.to_json()
+            )
+            assert status == 201
+            await service.wait(created["campaign_id"])
+            return turns_at_create
+        finally:
+            running = False
+            await probe_task
+            await server.stop()
+            await service.close()
+
+    turns_at_create = run_async(scenario())
+    assert len(turns_at_submit) >= n_first
+    first_burst = turns_at_submit[:n_first]
+    assert first_burst[-1] > turns_at_create
+    assert first_burst[-1] > first_burst[0], "the first publish held the loop"

@@ -147,11 +147,16 @@ def test_pause_stops_issuance_but_applies_inflight_completions(tmp_path):
     assert status["n_labeled"] == status["n_pairs"]
 
 
-def test_pause_before_first_issue_defers_everything(tmp_path):
+def _pause_before_first_issue(tmp_path, turns_before_pause: int):
+    """Create, pause after ``turns_before_pause`` loop turns, idle, then
+    resume: (HITs issued while paused, final state)."""
+
     async def scenario():
         service = CampaignService(tmp_path)
         campaign = await service.create(make_spec("instant"))
-        service.pause(campaign.campaign_id)  # before the task ever ran
+        for _ in range(turns_before_pause):
+            await asyncio.sleep(0)
+        service.pause(campaign.campaign_id)
         for _ in range(50):
             await asyncio.sleep(0)
         issued = _issue_count(campaign)
@@ -161,7 +166,19 @@ def test_pause_before_first_issue_defers_everything(tmp_path):
         await service.close()
         return issued, state
 
-    issued, state = run_async(scenario())
+    return run_async(scenario())
+
+
+def test_pause_before_first_issue_defers_everything(tmp_path):
+    issued, state = _pause_before_first_issue(tmp_path, 0)  # task never ran
+    assert issued == 0
+    assert state is CampaignState.DONE
+
+
+def test_pause_during_the_start_yield_defers_everything(tmp_path):
+    """The runtime yields before its first selection; a pause that lands in
+    that turn holds the first publish until resume."""
+    issued, state = _pause_before_first_issue(tmp_path, 1)
     assert issued == 0
     assert state is CampaignState.DONE
 
@@ -260,3 +277,24 @@ def test_duplicate_campaign_id_rejected(tmp_path):
         await service.close()
 
     run_async(scenario())
+
+
+def test_concurrent_creates_with_one_id_leave_one_campaign(tmp_path):
+    async def scenario():
+        service = CampaignService(tmp_path)
+        outcomes = await asyncio.gather(
+            service.create(make_spec("instant"), campaign_id="x"),
+            service.create(make_spec("instant"), campaign_id="x"),
+            return_exceptions=True,
+        )
+        errors = [o for o in outcomes if isinstance(o, Exception)]
+        assert len(errors) == 1 and "already exists" in str(errors[0])
+        await service.wait("x")
+        listed = service.list()
+        await service.close()
+        return listed
+
+    assert [c["campaign_id"] for c in run_async(scenario())] == ["x"]
+    header, events = Journal.read(str(tmp_path / "x" / "journal.jsonl"))
+    assert header["campaign_id"] == "x"
+    assert not any(e["type"] == "header" for e in events)
