@@ -44,7 +44,8 @@ class PendingPairIndex:
     Args:
         graph: the deduction graph (the index registers itself as listener);
             anything honouring the ClusterGraph ``listener``/``cluster_of``/
-            ``deduce`` contract.
+            ``deduce``/``n_objects`` contract (an empty graph lets the
+            constructor file every pair as unseen in one pass).
         pending: the initially pending pairs.
 
     Raises:

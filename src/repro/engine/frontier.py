@@ -213,6 +213,46 @@ def must_crowdsource_frontier(
     return selected
 
 
+def find_root(parent: Dict[Hashable, Hashable], obj: Hashable) -> Hashable:
+    """The root of ``obj`` in the bare union-find ``parent`` map (a new
+    singleton if unseen), compressing the path it walks."""
+    root = parent.setdefault(obj, obj)
+    if root == obj:
+        return root
+    while root != parent[root]:
+        root = parent[root]
+    while obj != root:
+        parent[obj], obj = root, parent[obj]
+    return root
+
+
+def greedy_forest(
+    lefts: Sequence[Hashable], rights: Sequence[Hashable]
+) -> Tuple[List[bool], Dict[Hashable, Hashable]]:
+    """The greedy spanning forest of the edges ``zip(lefts, rights)``, in order.
+
+    An edge is in the forest when the edges before it have not connected its
+    endpoints.  That is Algorithm 3's selection while nothing is labeled or
+    published: every pair is assumed matching and no non-matching edge
+    exists, so a pair must be crowdsourced exactly when no earlier pair has
+    joined its objects.
+
+    Returns:
+        The in-forest flag of each edge, and the union-find parent map over
+        every endpoint (:func:`find_root` reads a component root off it).
+    """
+    parent: Dict[Hashable, Hashable] = {}
+    mask: List[bool] = []
+    for left, right in zip(lefts, rights):
+        root_left, root_right = find_root(parent, left), find_root(parent, right)
+        if root_left == root_right:
+            mask.append(False)
+        else:
+            parent[root_right] = root_left
+            mask.append(True)
+    return mask, parent
+
+
 class FrontierCursor:
     """Incremental Algorithm-3 selection with a decided-prefix cursor.
 

@@ -108,11 +108,6 @@ class _WorkerState:
         self._index = PendingPairIndex(self._graph, (pair for _, pair in entries))
         self._labeled: Dict[Pair, Label] = {}
         self._published: Set[Pair] = set()
-        self._frontier_fresh = False
-
-    def _mark_dirty(self, pair: Pair) -> None:
-        self._frontier.mark_dirty(pair)
-        self._frontier_fresh = False
 
     def owns(self, gpos: int) -> bool:
         return gpos in self._pair_of
@@ -123,7 +118,7 @@ class _WorkerState:
         label = LABEL_OF_CODE[code]
         self._published.discard(pair)
         self._labeled[pair] = label
-        self._mark_dirty(pair)
+        self._frontier.mark_dirty(pair)
         n_conflicts = len(self._graph.conflicts)
         applied = self._graph.add(pair, label)
         conflict = (
@@ -142,14 +137,14 @@ class _WorkerState:
             return
         self._labeled[pair] = LABEL_OF_CODE[code]
         self._published.discard(pair)
-        self._mark_dirty(pair)
+        self._frontier.mark_dirty(pair)
         self._index.remove(pair)
 
     def publish(self, positions: Sequence[int], withhold: bool) -> None:
         for gpos in positions:
             pair = self._pair_of[gpos]
             self._published.add(pair)
-            self._mark_dirty(pair)
+            self._frontier.mark_dirty(pair)
         if withhold:
             for gpos in positions:
                 self._index.remove(self._pair_of[gpos])
@@ -164,15 +159,14 @@ class _WorkerState:
         for pair, label in resolved:
             self._labeled[pair] = label
             self._published.discard(pair)
-            self._mark_dirty(pair)
+            self._frontier.mark_dirty(pair)
             out.append((self._gpos_of[pair], LABEL_CODE[label]))
         out.sort()
         return out
 
     def frontier(self) -> Union[str, List[int]]:
-        if self._frontier_fresh:
+        if self._frontier.current:
             return _UNCHANGED
-        self._frontier_fresh = True
         return [
             gpos for gpos, _ in self._frontier.select(self._labeled, self._published)
         ]

@@ -51,7 +51,7 @@ from ..core.cluster_graph import (
 )
 from ..core.pairs import CandidatePair, Label, LabeledPair, Pair
 from ..core.union_find import UnionFind
-from .frontier import FrontierCursor
+from .frontier import FrontierCursor, find_root, greedy_forest
 
 
 class _ListenerForwarder:
@@ -370,28 +370,14 @@ class ShardedFrontier:
             positions = range(len(pairs))
         elif len(positions) != len(pairs):
             raise ValueError("positions must parallel the order")
-        parent: Dict[Hashable, Hashable] = {}
-
-        def find(obj: Hashable) -> Hashable:
-            root = parent.setdefault(obj, obj)
-            if root == obj:
-                return root
-            while root != parent[root]:
-                root = parent[root]
-            while obj != root:
-                parent[obj], obj = root, parent[obj]
-            return root
-
-        in_forest: List[bool] = []
-        for pair in pairs:
-            root_left, root_right = find(pair.left), find(pair.right)
-            if root_left == root_right:
-                in_forest.append(False)
-            else:
-                parent[root_right] = root_left
-                in_forest.append(True)
-        self._root_of: Dict[Hashable, Hashable] = {obj: find(obj) for obj in parent}
+        in_forest, parent = greedy_forest(
+            [pair.left for pair in pairs], [pair.right for pair in pairs]
+        )
+        self._root_of: Dict[Hashable, Hashable] = {
+            obj: find_root(parent, obj) for obj in parent
+        }
         root_of = self._root_of
+        # Each component's share of the order, until its cursor is built.
         grouped: Dict[Hashable, Tuple[List[int], List[Pair]]] = {}
         selected: Dict[Hashable, List[_Entry]] = {}
         first: List[_Entry] = []
@@ -411,6 +397,7 @@ class ShardedFrontier:
                 else:
                     run.append(entry)
         self._grouped = grouped
+        self._n_components = len(grouped)
         self._cursors: Dict[Hashable, FrontierCursor] = {}
         self._selected = selected
         self._dirty: Set[Hashable] = set()
@@ -421,14 +408,21 @@ class ShardedFrontier:
     def n_components(self) -> int:
         """Number of static candidate-graph components (fixed at
         construction; an upper bound on concurrently active shards)."""
-        return len(self._grouped)
+        return self._n_components
+
+    @property
+    def current(self) -> bool:
+        """True when a selection was made and no component was marked
+        dirty since: the next call would return the same selection."""
+        return self._merged is not None
 
     def mark_dirty(self, pair: Pair) -> None:
         """Note that ``pair``'s labeled/published status changed: its
         component's cached selection must be recomputed."""
-        root = self._root_of.get(pair.left)
-        if root is not None:
-            self._dirty.add(root)
+        # Membership, not the root's value: None is a valid object id and
+        # can be a component root.
+        if pair.left in self._root_of:
+            self._dirty.add(self._root_of[pair.left])
             self._merged = None
 
     def _selection(
@@ -437,7 +431,8 @@ class ShardedFrontier:
         first = self._first
         if first is not None:
             # The first call: the forest selection holds only while nothing
-            # is labeled or published.
+            # is labeled or published.  No cursor exists yet, so the
+            # grouped components are all of them.
             self._first = None
             if labeled or exclude:
                 self._dirty = set(self._grouped)
@@ -449,7 +444,7 @@ class ShardedFrontier:
             for root in self._dirty:
                 cursor = self._cursors.get(root)
                 if cursor is None:
-                    positions, members = self._grouped[root]
+                    positions, members = self._grouped.pop(root)
                     cursor = self._cursors[root] = FrontierCursor(members, positions)
                 self._selected[root] = cursor.select(labeled, exclude)
             self._dirty.clear()

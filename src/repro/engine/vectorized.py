@@ -60,7 +60,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.cluster_graph import Conflict, ConflictPolicy, admit_label, record_each
 from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, CandidatePair, Label, Pair
-from .frontier import FrontierCursor
+from .frontier import FrontierCursor, greedy_forest
 
 #: Components with at most this many pairs recompute their frontier with a
 #: scalar greedy-forest scan: the Boruvka kernel pays O(n_objects) array
@@ -220,33 +220,6 @@ def _forest_mask(xp, left, right, n_objects, parent=None):
         parent[hi] = lo
         _flatten_inplace(xp, parent)
     return mask, parent
-
-
-def _greedy_forest_mask(left_ids: List[int], right_ids: List[int]) -> List[bool]:
-    """Scalar greedy order-insertion forest over one small component's
-    edges: the reference semantics the Boruvka kernel reproduces, cheaper
-    below :data:`SMALL_COMPONENT_THRESHOLD` because it touches only the
-    component's own ids."""
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = parent.setdefault(x, x)
-        while root != parent[root]:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    mask: List[bool] = []
-    for a, b in zip(left_ids, right_ids):
-        root_a, root_b = find(a), find(b)
-        if root_a == root_b:
-            mask.append(False)
-        else:
-            parent[root_b] = root_a
-            mask.append(True)
-    return mask
 
 
 # ----------------------------------------------------------------------
@@ -830,7 +803,7 @@ class VectorizedEngineCore:
                     [position for position, _ in selected], dtype=xp.int64
                 )
             elif positions.shape[0] <= SMALL_COMPONENT_THRESHOLD:
-                mask = _greedy_forest_mask(
+                mask, _ = greedy_forest(
                     self._left[positions].tolist(), self._right[positions].tolist()
                 )
                 candidates = positions[xp.asarray(mask, dtype=bool)]

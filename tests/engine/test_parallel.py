@@ -237,6 +237,25 @@ class TestExecutorDirect:
                     published.discard(pair)
                     executor.record_answer(pair, labeled[pair])
 
+    def test_none_object_id_component_is_reselected(self):
+        """A worker's component rooted at the object None must still be
+        re-selected after its pairs are published and answered."""
+        order = [Pair(None, 1), Pair(1, 2), Pair(2, 3), Pair(None, 3)]
+        order += [Pair("a", "b"), Pair("b", "c")]
+        with pipe_coordinator(order, 2) as executor:
+            labeled = {}
+            published = set(order[:3])
+            assert executor.frontier() == order[:3] + order[4:]
+            executor.publish(order[:3], withhold=True)
+            assert executor.frontier() == order[4:]
+            for pair in order[:2]:
+                labeled[pair] = Label.NON_MATCHING
+                published.discard(pair)
+                executor.record_answer(pair, Label.NON_MATCHING)
+            expected = must_crowdsource_frontier(order, labeled, exclude=published)
+            assert expected == [order[3]] + order[4:]
+            assert executor.frontier() == expected
+
     def test_component_assignment_is_balanced_and_deterministic(self):
         order, _ = block_world(n_blocks=9, objects_per_block=4)
         a = pipe_coordinator(order, 3)

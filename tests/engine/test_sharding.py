@@ -321,6 +321,50 @@ class TestShardedFrontierParity:
         with pytest.raises(ValueError, match="parallel"):
             ShardedFrontier(order, positions=[1])
 
+    def test_none_object_id_roots_a_component(self):
+        """None is a valid object id and sorts first in a Pair, so it roots
+        its component: marking that component dirty must still recompute
+        it.  Two non-matching answers unlock the closing pair."""
+        order = [Pair(None, 1), Pair(1, 2), Pair(2, 3), Pair(None, 3)]
+        frontier = ShardedFrontier(order)
+        labeled: dict[Pair, Label] = {}
+        published: set[Pair] = set()
+        assert frontier.frontier(labeled, published) == order[:3]
+        for pair in order[:3]:
+            published.add(pair)
+            frontier.mark_dirty(pair)
+        assert not frontier.current
+        assert frontier.frontier(labeled, published) == []
+        assert frontier.current
+        for pair in order[:2]:
+            published.discard(pair)
+            labeled[pair] = Label.NON_MATCHING
+            frontier.mark_dirty(pair)
+        assert frontier.frontier(labeled, published) == [order[3]]
+        assert frontier.frontier(labeled, published) == must_crowdsource_frontier(
+            order, labeled, exclude=published
+        )
+
+    @pytest.mark.parametrize("backend", ["monolithic", "sharded", "vectorized"])
+    def test_engine_with_none_object_id(self, backend):
+        if backend == "vectorized" and not vectorized_available():
+            pytest.skip("numpy unavailable")
+        order = [Pair(None, 1), Pair(1, 2), Pair(2, 3), Pair(None, 3)]
+        engine = LabelingEngine(order, backend=backend)
+
+        def reference():
+            return must_crowdsource_frontier(
+                engine.pairs, engine.labeled, exclude=engine.published
+            )
+
+        assert engine.frontier() == reference() == order[:3]
+        engine.publish(order[:3])
+        assert engine.frontier() == reference() == []
+        for pair in order[:2]:
+            engine.record_answer(pair, Label.NON_MATCHING, 0)
+        engine.sweep(0)
+        assert engine.frontier() == reference() == [order[3]]
+
     @given(worlds(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_restored_monolithic_engine_first_frontier(self, world, rnd):
