@@ -5,10 +5,10 @@ throughput, incremental ClusterGraph insertion, deduction queries, one
 Algorithm-3 selection scan, the engine's incremental pending-pair frontier
 against the pre-refactor full-rescan deduction sweep, the per-component
 reselection against one whole-order cursor (at tenant size and at one
-million candidate pairs, on both in-process graph backends), the
-vectorized array-kernel backend against sharded (numpy installs only),
-and the process-parallel and distributed (TCP socket) backends against
-in-process sharding.
+million candidate pairs, on the monolithic backend), the vectorized
+array-kernel backend against monolithic (numpy installs only), and the
+process-parallel and distributed (TCP socket) backends against the
+in-process monolithic backend.
 
 Machine-readable timings are emitted to ``BENCH_core.json`` in the repo
 root after the session; ``compare_bench.py`` diffs that artifact against
@@ -375,13 +375,14 @@ def test_async_runtime_throughput_vs_legacy_loop():
 
 
 # ----------------------------------------------------------------------
-# sharded vs monolithic engine backend at 1M+ candidate pairs
+# per-component vs whole-order selection at 1M+ candidate pairs
 # ----------------------------------------------------------------------
 # A blocked entity-resolution workload built from the datasets package's
 # cluster-size machinery: every block holds a histogram of ground-truth
 # clusters (all within-cluster pairs are candidates) plus cross-cluster
 # near-miss pairs, mimicking what blocking emits.  Blocks share no objects,
-# so the candidate graph has many components — the shape sharding exploits.
+# so the candidate graph has many components — the shape per-component
+# selection exploits.
 SHARD_BLOCK_SPEC = ClusterSizeSpec.from_mapping({8: 8, 4: 20, 2: 40, 1: 60})
 SHARD_N_BLOCKS = 1024
 SHARD_CROSS_PER_BLOCK = 640
@@ -398,14 +399,14 @@ SHARD_N_EVENTS = 8
 _SHARDED_WORKLOAD_CACHE: Optional[tuple] = None
 
 #: Per-session cache of full ``_drive_backend`` results at the 1M-pair
-#: scale, so the vectorized benchmark can reuse the sharded drive from the
-#: sharded-vs-monolithic test instead of paying for a second one.
+#: scale, so the vectorized benchmark can reuse the monolithic drive from
+#: the monolithic-vs-cursor test instead of paying for a second one.
 _SCALE_DRIVES: Dict[str, dict] = {}
 
 
 def _sharded_workload_cached():
-    """Build the 1M-pair blocked workload once per session (both the
-    sharded-vs-monolithic and the parallel-vs-sharded benchmarks use it)."""
+    """Build the 1M-pair blocked workload once per session (every 1M-pair
+    benchmark uses it)."""
     global _SHARDED_WORKLOAD_CACHE
     if _SHARDED_WORKLOAD_CACHE is None:
         _SHARDED_WORKLOAD_CACHE = _sharded_workload()
@@ -507,9 +508,7 @@ def _drive_backend(
         "n_events": len(answers),
         "n_labeled": len(engine.labeled),
     }
-    if backend == "sharded":
-        stats["n_shards"] = engine.graph.n_shards
-    if backend in ("monolithic", "sharded") and not whole_order_cursor:
+    if backend == "monolithic" and not whole_order_cursor:
         stats["n_frontier_components"] = engine.core.n_components
     elif backend == "vectorized":
         stats["n_components"] = engine.core.n_components
@@ -522,13 +521,13 @@ def _drive_backend(
     }
 
 
-def test_sharded_backend_beats_monolithic_at_1m_pairs():
+def test_monolithic_backend_beats_whole_order_cursor_at_1m_pairs():
     """Component-local selection, measured end to end at >=1M candidate
-    pairs: both in-process graph backends re-select only the components an
-    answer touched, while one whole-order :class:`FrontierCursor` — the
-    monolithic backend's selection before it became component-local —
-    re-scans the whole remaining order; all three observe byte-identical
-    labeling behaviour."""
+    pairs: the monolithic backend re-selects only the components an answer
+    touched, while one whole-order :class:`FrontierCursor` — its selection
+    before it became component-local — re-scans the whole remaining order;
+    both observe byte-identical labeling behaviour.  The entries keep their
+    ``sharded_scale_*`` names, so the trajectory stays continuous."""
     candidates, truth = _sharded_workload_cached()
     assert len(candidates) >= 1_000_000
 
@@ -538,23 +537,15 @@ def test_sharded_backend_beats_monolithic_at_1m_pairs():
     monolithic = _drive_backend(
         "monolithic", candidates, truth, answers=cursor["answers"]
     )
-    sharded = _drive_backend(
-        "sharded", candidates, truth, answers=cursor["answers"]
-    )
-    _SCALE_DRIVES["sharded"] = sharded
+    _SCALE_DRIVES["monolithic"] = monolithic
 
     # Parity at scale: same round-1 frontier, same frontier after every
     # answer event, same final labels (answers + cascaded deductions).
-    for drive in (monolithic, sharded):
-        assert drive["first_frontier"] == cursor["first_frontier"]
-        assert drive["event_frontiers"] == cursor["event_frontiers"]
-        assert drive["labeled"] == cursor["labeled"]
+    assert monolithic["first_frontier"] == cursor["first_frontier"]
+    assert monolithic["event_frontiers"] == cursor["event_frontiers"]
+    assert monolithic["labeled"] == cursor["labeled"]
 
-    for name, drive in (
-        ("cursor", cursor),
-        ("monolithic", monolithic),
-        ("sharded", sharded),
-    ):
+    for name, drive in (("cursor", cursor), ("monolithic", monolithic)):
         _record(
             f"sharded_scale_{name}",
             **drive["stats"],
@@ -562,21 +553,18 @@ def test_sharded_backend_beats_monolithic_at_1m_pairs():
         )
     cursor_s = cursor["stats"]["event_loop_s"]
     mono_s = monolithic["stats"]["event_loop_s"]
-    shard_s = sharded["stats"]["event_loop_s"]
     _record(
         "sharded_scale_speedup",
         monolithic_vs_cursor=cursor_s / mono_s if mono_s else float("inf"),
-        sharded_vs_cursor=cursor_s / shard_s if shard_s else float("inf"),
         n_pairs=len(candidates),
     )
     # The gap is structural — O(component) vs O(order) per answer event — so
-    # a 3x bar keeps the gate far from timing noise (observed ~30-40x).
-    for name, loop_s in (("monolithic", mono_s), ("sharded", shard_s)):
-        assert cursor_s > loop_s * 3, (
-            f"{name} event loop ({loop_s:.3f}s) must beat the whole-order "
-            f"cursor ({cursor_s:.3f}s) on {SHARD_N_EVENTS} answers over "
-            f"{len(candidates)} pairs"
-        )
+    # a 3x bar keeps the gate far from timing noise (observed ~35-50x).
+    assert cursor_s > mono_s * 3, (
+        f"monolithic event loop ({mono_s:.3f}s) must beat the whole-order "
+        f"cursor ({cursor_s:.3f}s) on {SHARD_N_EVENTS} answers over "
+        f"{len(candidates)} pairs"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -687,12 +675,13 @@ def test_monolithic_reselects_per_component_at_tenant_size():
     )
 
 
-def test_vectorized_backend_beats_sharded_at_1m_pairs():
+def test_vectorized_backend_beats_monolithic_at_1m_pairs():
     """The array-kernel tentpole, measured end to end at >=1M candidate
-    pairs: the vectorized backend replaces the sharded backend's per-answer
-    Python sweep (one ``deduce`` call per dirty pending pair) with one bulk
-    array pass per dirty component, and its Algorithm-3 frontier with the
-    Boruvka spanning-forest kernel — with byte-identical labeling behaviour.
+    pairs: the vectorized backend replaces the monolithic backend's
+    per-answer Python sweep (one ``deduce`` call per dirty pending pair)
+    with one bulk array pass per dirty component, and its Algorithm-3
+    frontier with the Boruvka spanning-forest kernel — with byte-identical
+    labeling behaviour.
 
     The artifact entries carry ``requires: "numpy"`` so the trajectory gate
     (compare_bench.py) treats them as optional: on a numpy-less runner the
@@ -707,20 +696,20 @@ def test_vectorized_backend_beats_sharded_at_1m_pairs():
     candidates, truth = _sharded_workload_cached()
     assert len(candidates) >= 1_000_000
 
-    sharded = _SCALE_DRIVES.get("sharded")
-    if sharded is None:  # standalone invocation (-k vectorized)
-        sharded = _SCALE_DRIVES["sharded"] = _drive_backend(
-            "sharded", candidates, truth
+    monolithic = _SCALE_DRIVES.get("monolithic")
+    if monolithic is None:  # standalone invocation (-k vectorized)
+        monolithic = _SCALE_DRIVES["monolithic"] = _drive_backend(
+            "monolithic", candidates, truth
         )
     vectorized = _drive_backend(
-        "vectorized", candidates, truth, answers=sharded["answers"]
+        "vectorized", candidates, truth, answers=monolithic["answers"]
     )
 
     # Backend parity at scale: same round-1 frontier, same frontier after
     # every answer event, same final labels (answers + cascaded deductions).
-    assert vectorized["first_frontier"] == sharded["first_frontier"]
-    assert vectorized["event_frontiers"] == sharded["event_frontiers"]
-    assert vectorized["labeled"] == sharded["labeled"]
+    assert vectorized["first_frontier"] == monolithic["first_frontier"]
+    assert vectorized["event_frontiers"] == monolithic["event_frontiers"]
+    assert vectorized["labeled"] == monolithic["labeled"]
 
     _record(
         "vectorized_scale_vectorized",
@@ -730,27 +719,27 @@ def test_vectorized_backend_beats_sharded_at_1m_pairs():
         requires="numpy",
         numpy_version=numpy.__version__,
     )
-    shard_s = sharded["stats"]["event_loop_s"]
+    mono_s = monolithic["stats"]["event_loop_s"]
     vec_s = vectorized["stats"]["event_loop_s"]
     _record(
         "vectorized_scale_speedup",
-        event_loop_speedup=shard_s / vec_s if vec_s else float("inf"),
+        event_loop_speedup=mono_s / vec_s if vec_s else float("inf"),
         n_pairs=len(candidates),
         requires="numpy",
         numpy_version=numpy.__version__,
     )
     # The per-event loop is ~99% sweep+frontier on both backends (the
-    # record_answer bookkeeping is O(alpha)); observed ~80x, gated at 5x to
-    # stay far from timing noise.
-    assert shard_s > vec_s * 5, (
+    # record_answer bookkeeping is O(alpha)); observed ~150-190x, gated at 5x
+    # to stay far from timing noise.
+    assert mono_s > vec_s * 5, (
         f"vectorized event loop ({vec_s:.3f}s) must be >=5x faster than "
-        f"sharded ({shard_s:.3f}s) on {SHARD_N_EVENTS} answers over "
+        f"monolithic ({mono_s:.3f}s) on {SHARD_N_EVENTS} answers over "
         f"{len(candidates)} pairs"
     )
 
 
 # ----------------------------------------------------------------------
-# process-parallel vs in-process sharded backend at 1M+ candidate pairs
+# process-parallel vs in-process monolithic backend at 1M+ candidate pairs
 # ----------------------------------------------------------------------
 # The parallel backend fans per-component sweeps and frontier recomputes
 # across worker processes, so its win appears when one event dirties *many*
@@ -764,7 +753,7 @@ PARALLEL_TICKS = 4
 
 
 #: Cache of per-backend campaign-tick drives, so the parallel and
-#: distributed scale tests share one in-process sharded baseline run.
+#: distributed scale tests share one in-process monolithic baseline run.
 _TICK_DRIVES: Dict[str, dict] = {}
 
 
@@ -856,38 +845,38 @@ def test_parallel_backend_scales_sweep_and_frontier():
     candidates, truth = _sharded_workload_cached()
     assert len(candidates) >= 1_000_000
 
-    sharded = _TICK_DRIVES.get("sharded")
-    if sharded is None:
-        sharded = _TICK_DRIVES["sharded"] = _drive_parallel_scale(
-            "sharded", candidates, truth
+    monolithic = _TICK_DRIVES.get("monolithic")
+    if monolithic is None:
+        monolithic = _TICK_DRIVES["monolithic"] = _drive_parallel_scale(
+            "monolithic", candidates, truth
         )
     parallel = _drive_parallel_scale(
-        "parallel", candidates, truth, answer_ticks=sharded["answer_ticks"]
+        "parallel", candidates, truth, answer_ticks=monolithic["answer_ticks"]
     )
 
     # Cross-backend parity at scale: same round-1 frontier, same deductions
     # and frontier after every tick, same final labels.
-    assert parallel["first_frontier"] == sharded["first_frontier"]
-    assert parallel["tick_sweeps"] == sharded["tick_sweeps"]
-    assert parallel["tick_frontiers"] == sharded["tick_frontiers"]
-    assert parallel["labeled"] == sharded["labeled"]
+    assert parallel["first_frontier"] == monolithic["first_frontier"]
+    assert parallel["tick_sweeps"] == monolithic["tick_sweeps"]
+    assert parallel["tick_frontiers"] == monolithic["tick_frontiers"]
+    assert parallel["labeled"] == monolithic["labeled"]
 
-    _record("parallel_scale_sharded", **sharded["stats"])
+    _record("parallel_scale_monolithic", **monolithic["stats"])
     _record("parallel_scale_parallel", **parallel["stats"])
-    shard_s = sharded["stats"]["sweep_frontier_s"]
+    mono_s = monolithic["stats"]["sweep_frontier_s"]
     par_s = parallel["stats"]["sweep_frontier_s"]
     n_cpus = available_cpus()
     _record(
         "parallel_scale_speedup",
-        sweep_frontier_speedup=shard_s / par_s if par_s else float("inf"),
+        sweep_frontier_speedup=mono_s / par_s if par_s else float("inf"),
         n_pairs=len(candidates),
         n_workers=PARALLEL_WORKERS,
         n_cpus=n_cpus,
     )
     if n_cpus >= 4:
-        assert shard_s > par_s * 2, (
+        assert mono_s > par_s * 2, (
             f"parallel sweep+frontier ({par_s:.3f}s) must be >=2x faster than "
-            f"in-process sharded ({shard_s:.3f}s) on {n_cpus} CPUs with "
+            f"in-process monolithic ({mono_s:.3f}s) on {n_cpus} CPUs with "
             f"{PARALLEL_WORKERS} workers at {len(candidates)} pairs"
         )
 
@@ -895,10 +884,10 @@ def test_parallel_backend_scales_sweep_and_frontier():
 def test_distributed_backend_scales_sweep_and_frontier():
     """The socket transport at >=1M candidate pairs: local ``ShardWorkerHost``
     processes over loopback TCP run the same batched campaign-tick loop as
-    the parallel backend's pipe workers, byte-identical to in-process
-    sharding.  The fan-out win must survive the JSON-over-socket framing:
-    gated at >=1.5x over in-process sharding on a >=4-CPU host (the pipe
-    workers' bar is 2x;
+    the parallel backend's pipe workers, byte-identical to the in-process
+    monolithic backend.  The fan-out win must survive the JSON-over-socket
+    framing: gated at >=1.5x over in-process monolithic on a >=4-CPU host
+    (the pipe workers' bar is 2x;
     the lower bar is the documented transport overhead budget).  On smaller
     hosts the timings are recorded without gating and the artifact's
     ``n_cpus`` field says why.
@@ -908,38 +897,38 @@ def test_distributed_backend_scales_sweep_and_frontier():
     candidates, truth = _sharded_workload_cached()
     assert len(candidates) >= 1_000_000
 
-    sharded = _TICK_DRIVES.get("sharded")
-    if sharded is None:  # standalone invocation (-k distributed)
-        sharded = _TICK_DRIVES["sharded"] = _drive_parallel_scale(
-            "sharded", candidates, truth
+    monolithic = _TICK_DRIVES.get("monolithic")
+    if monolithic is None:  # standalone invocation (-k distributed)
+        monolithic = _TICK_DRIVES["monolithic"] = _drive_parallel_scale(
+            "monolithic", candidates, truth
         )
     distributed = _drive_parallel_scale(
-        "distributed", candidates, truth, answer_ticks=sharded["answer_ticks"]
+        "distributed", candidates, truth, answer_ticks=monolithic["answer_ticks"]
     )
 
     # Cross-backend parity at scale: same round-1 frontier, same deductions
     # and frontier after every tick, same final labels — over real sockets.
-    assert distributed["first_frontier"] == sharded["first_frontier"]
-    assert distributed["tick_sweeps"] == sharded["tick_sweeps"]
-    assert distributed["tick_frontiers"] == sharded["tick_frontiers"]
-    assert distributed["labeled"] == sharded["labeled"]
+    assert distributed["first_frontier"] == monolithic["first_frontier"]
+    assert distributed["tick_sweeps"] == monolithic["tick_sweeps"]
+    assert distributed["tick_frontiers"] == monolithic["tick_frontiers"]
+    assert distributed["labeled"] == monolithic["labeled"]
 
-    _record("distributed_scale_sharded", **sharded["stats"])
+    _record("distributed_scale_monolithic", **monolithic["stats"])
     _record("distributed_scale_distributed", **distributed["stats"])
-    shard_s = sharded["stats"]["sweep_frontier_s"]
+    mono_s = monolithic["stats"]["sweep_frontier_s"]
     dist_s = distributed["stats"]["sweep_frontier_s"]
     n_cpus = available_cpus()
     _record(
         "distributed_scale_speedup",
-        sweep_frontier_speedup=shard_s / dist_s if dist_s else float("inf"),
+        sweep_frontier_speedup=mono_s / dist_s if dist_s else float("inf"),
         n_pairs=len(candidates),
         n_workers=PARALLEL_WORKERS,
         n_cpus=n_cpus,
     )
     if n_cpus >= 4:
-        assert shard_s > dist_s * 1.5, (
+        assert mono_s > dist_s * 1.5, (
             f"distributed sweep+frontier ({dist_s:.3f}s) must be >=1.5x faster "
-            f"than in-process sharded ({shard_s:.3f}s) on {n_cpus} CPUs with "
+            f"than in-process monolithic ({mono_s:.3f}s) on {n_cpus} CPUs with "
             f"{PARALLEL_WORKERS} socket workers at {len(candidates)} pairs"
         )
 

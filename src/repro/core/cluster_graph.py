@@ -90,10 +90,10 @@ class Conflict:
 def admit_label(graph, pair: Pair, label: Label) -> bool:
     """Police an insertion against what ``graph`` already implies.
 
-    The single shared conflict check for every ClusterGraph-contract
-    implementation (monolithic and sharded): returns True when the insertion
-    may proceed, False when it is rejected under FIRST_WINS (the conflict is
-    recorded on ``graph.conflicts``), and raises under STRICT.
+    The single shared conflict check of :class:`ClusterGraph` and the
+    vectorized engine core: returns True when the insertion may proceed,
+    False when it is rejected under FIRST_WINS (the conflict is recorded on
+    ``graph.conflicts``), and raises under STRICT.
 
     Args:
         graph: anything with ``deduce``/``policy``/``conflicts``.
@@ -184,21 +184,11 @@ class ClusterGraph:
         """
         if not admit_label(self, pair, label):
             return False
-        self.add_unchecked(pair, label)
-        return True
-
-    def add_unchecked(self, pair: Pair, label: Label) -> None:
-        """Insert a labeled pair whose consistency the caller has already
-        verified (via :func:`admit_label` against the authoritative graph).
-
-        The sharded backend polices conflicts once at its outer layer and
-        then applies the edge to the owning shard through this seam, so an
-        insert costs one deduction rather than two.
-        """
         if label is Label.MATCHING:
             self._add_matching(pair.left, pair.right)
         else:
             self._add_non_matching(pair.left, pair.right)
+        return True
 
     def add_matching(self, a: Hashable, b: Hashable) -> bool:
         """Insert ``(a, b)`` as a matching pair."""
@@ -340,28 +330,6 @@ class ClusterGraph:
                 if key not in seen:
                     seen.add(key)
                     yield (root, other)
-
-    def absorb(self, other: "ClusterGraph") -> None:
-        """Splice a *disjoint* ClusterGraph into this one in O(size of other).
-
-        The two graphs must relate disjoint object sets (no pair ever crossed
-        them), so clusters, cluster-level non-matching edges, and counters all
-        carry over unchanged — no unions fire and no listener events are
-        emitted.  ``other``'s listener is dropped; its recorded conflicts are
-        appended to this graph's.  Used by the sharded backend to merge two
-        component shards lazily when an answer bridges them.
-
-        Raises:
-            ValueError: if the conflict policies differ or the object sets
-                overlap.
-        """
-        if self._policy is not other._policy:
-            raise ValueError("cannot absorb a graph with a different conflict policy")
-        self._uf.absorb(other._uf)
-        self._nm.update(other._nm)
-        self._n_matching_edges += other._n_matching_edges
-        self._n_non_matching_edges += other._n_non_matching_edges
-        self.conflicts.extend(other.conflicts)
 
     def copy(self) -> "ClusterGraph":
         """An independent deep copy."""

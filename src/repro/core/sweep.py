@@ -35,12 +35,6 @@ class PendingPairIndex:
     after inserting a labeled pair so those endpoints migrate into the
     cluster-keyed index.
 
-    The index is backend-agnostic: it works identically over a monolithic
-    :class:`ClusterGraph` and a
-    :class:`~repro.engine.sharding.ShardedClusterGraph` — cluster roots are
-    plain objects living in exactly one shard, and the sharded graph funnels
-    every shard's merge/edge events through its own ``listener`` slot.
-
     Args:
         graph: the deduction graph (the index registers itself as listener);
             anything honouring the ClusterGraph ``listener``/``cluster_of``/

@@ -7,14 +7,11 @@ constant amortised time per operation.
 
 Elements may be arbitrary hashable objects and are added lazily on first use.
 
-Two extensions support the sharded backend and the incremental frontier:
-
-* :meth:`UnionFind.checkpoint` / :meth:`UnionFind.rollback` — a journal of
-  structural changes so a caller can apply speculative unions (the optimistic
-  "all unlabeled pairs match" scan) and undo them in time proportional to the
-  speculation, not the structure;
-* :meth:`UnionFind.absorb` — splice a *disjoint* union-find into this one in
-  O(len(other)), used when two component shards merge.
+One extension supports the incremental frontier:
+:meth:`UnionFind.checkpoint` / :meth:`UnionFind.rollback` — a journal of
+structural changes so a caller can apply speculative unions (the optimistic
+"all unlabeled pairs match" scan) and undo them in time proportional to the
+speculation, not the structure.
 """
 
 from __future__ import annotations
@@ -148,28 +145,6 @@ class UnionFind:
                 del self._parent[element]
                 del self._size[element]
                 self._n_components -= 1
-
-    # ------------------------------------------------------------------
-    # disjoint splice (shard merging)
-    # ------------------------------------------------------------------
-    def absorb(self, other: "UnionFind") -> None:
-        """Splice a *disjoint* union-find into this one in O(len(other)).
-
-        Components are preserved unchanged on both sides — no unions happen;
-        the element universes are simply combined.  Used by the sharded
-        cluster graph to merge two component shards lazily.
-
-        Raises:
-            ValueError: if the element sets overlap.
-            RuntimeError: if either side has an active checkpoint.
-        """
-        if self._journal is not None or other._journal is not None:
-            raise RuntimeError("cannot absorb while a checkpoint is active")
-        if self._parent.keys() & other._parent.keys():
-            raise ValueError("absorb requires disjoint element sets")
-        self._parent.update(other._parent)
-        self._size.update(other._size)
-        self._n_components += other._n_components
 
     def connected(self, a: Hashable, b: Hashable) -> bool:
         """True iff ``a`` and ``b`` are in the same component."""

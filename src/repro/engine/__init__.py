@@ -22,17 +22,16 @@ Public surface:
 * engine:     :class:`LabelingEngine` (+ ``DEFAULT_SHARD_THRESHOLD``), which
               forwards each event to its backend's engine core
 * frontier:   :class:`OptimisticGraph`, :func:`must_crowdsource_frontier`,
-              :class:`FrontierCursor` (decided-prefix incremental selection)
-* sharding:   :class:`ShardedClusterGraph` (per-component graph for 10M+
-              pair workloads), :class:`ShardedFrontier` (the per-component
-              selection of every in-process graph backend)
+              :class:`FrontierCursor` (decided-prefix incremental selection),
+              :class:`ShardedFrontier` (the per-component selection of the
+              monolithic backend and of every shard worker)
 * vectorized: :class:`VectorizedEngineCore`, :func:`vectorized_available`
               — array-native sweep/deduce/frontier kernels over numpy
               (``backend="vectorized"``; the optional ``perf`` extra)
 * workers:    :class:`ShardCoordinator`, :class:`ShardWorkerError`
-              (+ ``DEFAULT_PARALLEL_THRESHOLD``) — the sharded decomposition
-              fanned out across worker processes with worker-loss
-              re-assignment: pipe-attached local workers
+              (+ ``DEFAULT_PARALLEL_THRESHOLD``) — the per-component
+              decomposition fanned out across worker processes with
+              worker-loss re-assignment: pipe-attached local workers
               (``backend="parallel"``) or socket-attached
               :class:`ShardWorkerHost` processes (``backend="distributed"``;
               wire protocol: :func:`encode_frame`, :class:`FrameDecoder`,
@@ -66,10 +65,14 @@ from .distributed import (
 )
 from .engine import DEFAULT_SHARD_THRESHOLD, EngineBackend, LabelingEngine
 from .expected import ExpectedDeductionScorer, expected_value_choice
-from .frontier import FrontierCursor, OptimisticGraph, must_crowdsource_frontier
+from .frontier import (
+    FrontierCursor,
+    OptimisticGraph,
+    ShardedFrontier,
+    must_crowdsource_frontier,
+)
 from .hit_adapter import HITDispatchAdapter
 from .parallel import DEFAULT_PARALLEL_THRESHOLD, ShardWorkerError
-from .sharding import ShardedClusterGraph, ShardedFrontier
 from .vectorized import VectorizedEngineCore, vectorized_available
 
 __all__ = [
@@ -92,7 +95,6 @@ __all__ = [
     "ShardCoordinator",
     "ShardWorkerError",
     "ShardWorkerHost",
-    "ShardedClusterGraph",
     "ShardedFrontier",
     "VectorizedEngineCore",
     "encode_frame",

@@ -1190,7 +1190,7 @@ class AsyncDispatch:
             (:meth:`SimulatedPlatformClient.for_oracle`).  Clients that do
             not consult the oracle (live platforms) may ignore it.
         policy: conflict policy for the engine's deduction graph.
-        backend: engine backend (``"auto"``, ``"monolithic"``, ``"sharded"``,
+        backend: engine backend (``"auto"``, ``"monolithic"``,
             ``"vectorized"``, ``"parallel"``, or ``"distributed"``, as a
             string or :class:`~repro.engine.engine.EngineBackend`).
         shard_threshold / parallel_threshold / n_workers: engine knobs (see

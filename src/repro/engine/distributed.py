@@ -86,6 +86,7 @@ from typing import (
 from ..core.cluster_graph import Conflict, ConflictPolicy, InconsistentLabelError
 from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, CandidatePair, Label, Pair
 from ..core.union_find import UnionFind
+from .frontier import _as_pairs
 from .parallel import (
     _MAX_DEFAULT_WORKERS,
     _UNCHANGED,
@@ -93,7 +94,6 @@ from .parallel import (
     ShardWorkerError,
     available_cpus,
 )
-from .sharding import _as_pairs
 
 #: Version stamp of the coordinator/worker wire protocol; a mismatch at the
 #: hello handshake refuses the connection instead of desyncing later.
@@ -1497,7 +1497,7 @@ class ShardCoordinator:
 
     def deduce(self, pair: Pair) -> Optional[Label]:
         """Algorithm-1 deduction, routed to the owning worker (cross-worker
-        pairs are ``None`` without any messaging, as in-process sharding)."""
+        pairs are ``None`` without any messaging)."""
         left, right = pair.left, pair.right
         if left not in self._components or right not in self._components:
             return None
@@ -1510,7 +1510,6 @@ class ShardCoordinator:
     def stats(self) -> Dict[str, int]:
         """Aggregated graph statistics across all workers."""
         totals = {
-            "n_shards": 0,
             "n_objects": 0,
             "n_clusters": 0,
             "n_matching_edges": 0,

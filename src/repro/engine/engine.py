@@ -33,7 +33,7 @@ whatever order they arrive.  Events flow in through three entry points:
 The engine keeps the state every backend shares (the label map, the
 published and withheld sets, the result, snapshots, the fingerprint) and
 forwards each event once to its backend's *engine core*:
-:class:`GraphEngineCore` for the monolithic and sharded backends,
+:class:`GraphEngineCore` for the monolithic backend,
 :class:`~repro.engine.vectorized.VectorizedEngineCore`, or a
 :class:`~repro.engine.distributed.ShardCoordinator` over pipe-attached
 (parallel) or socket-attached (distributed) workers.
@@ -61,18 +61,17 @@ from ..core.result import LabelingResult, PairOutcome
 from ..core.sweep import PendingPairIndex
 from .distributed import ShardCoordinator
 from .parallel import DEFAULT_PARALLEL_THRESHOLD
-from .sharding import ShardedClusterGraph, ShardedFrontier
+from .frontier import ShardedFrontier
 from .vectorized import VectorizedEngineCore, vectorized_available
 
-#: Above this many pairs the ``auto`` backend stops using the monolithic
-#: graph: it picks the vectorized backend when numpy is importable (see
-#: :mod:`repro.engine.vectorized`), else the pure-Python sharded one.
+#: At or above this many pairs the ``auto`` backend picks the vectorized
+#: backend when numpy is importable (see :mod:`repro.engine.vectorized`);
+#: below it, or without numpy, the monolithic one.
 DEFAULT_SHARD_THRESHOLD = 100_000
 
 _BACKENDS = (
     "auto",
     "monolithic",
-    "sharded",
     "vectorized",
     "parallel",
     "distributed",
@@ -112,13 +111,12 @@ class _DuplicateOrder(Exception):
 
 
 class GraphEngineCore:
-    """The engine core of the monolithic and sharded backends.
+    """The engine core of the monolithic backend.
 
-    Holds the in-process deduction graph (a :class:`ClusterGraph`, or a
-    :class:`ShardedClusterGraph` on the sharded backend — the one thing
-    the two backends differ in), the per-component frontier selection (a
-    :class:`ShardedFrontier`, which re-selects only the components an
-    event touched) and the deduction sweep: incremental through a
+    Holds the in-process deduction graph (a :class:`ClusterGraph`), the
+    per-component frontier selection (a :class:`ShardedFrontier`, which
+    re-selects only the components an event touched) and the deduction
+    sweep: incremental through a
     :class:`PendingPairIndex`, or a rescan of the pending list for
     ``use_index=False``.  The selection reproduces
     :func:`~repro.engine.frontier.must_crowdsource_frontier`, and both
@@ -131,7 +129,7 @@ class GraphEngineCore:
 
     def __init__(
         self,
-        graph,
+        graph: ClusterGraph,
         pairs: List[Pair],
         positions: Dict[Pair, int],
         labeled: Dict[Pair, Label],
@@ -238,14 +236,13 @@ class EngineBackend(str, enum.Enum):
     """The engine backends, as an enum for the curated public surface.
 
     Members compare (and serialize) equal to their plain-string spellings,
-    so ``LabelingEngine(order, backend=EngineBackend.SHARDED)`` and
-    ``backend="sharded"`` are interchangeable everywhere a backend is
+    so ``LabelingEngine(order, backend=EngineBackend.VECTORIZED)`` and
+    ``backend="vectorized"`` are interchangeable everywhere a backend is
     accepted — including :class:`repro.spec.CampaignSpec`.
     """
 
     AUTO = "auto"
     MONOLITHIC = "monolithic"
-    SHARDED = "sharded"
     VECTORIZED = "vectorized"
     PARALLEL = "parallel"
     DISTRIBUTED = "distributed"
@@ -262,37 +259,38 @@ class LabelingEngine:
             :class:`PendingPairIndex`; the full-scan fallback produces
             identical results (property-tested) and exists for
             cross-validation.
-        backend: ``"monolithic"`` (one :class:`ClusterGraph`),
-            ``"sharded"`` (a per-component :class:`ShardedClusterGraph`;
-            both select through a per-component :class:`ShardedFrontier`),
+        backend: ``"monolithic"`` (one :class:`ClusterGraph`, selecting
+            through a per-component :class:`ShardedFrontier`),
             ``"vectorized"`` (array-native kernels over a flat integer
             encoding, see :mod:`repro.engine.vectorized`; requires numpy —
-            the ``perf`` extra — and silently falls back to ``"sharded"``
-            without it), ``"parallel"`` (the sharded decomposition fanned
-            out by a :class:`~repro.engine.distributed.ShardCoordinator`
-            across pipe-attached local worker processes; falls back to
-            in-process sharding below ``parallel_threshold`` pairs, where
-            pipe latency would dominate), ``"distributed"`` (the same
+            the ``perf`` extra — and silently falls back to
+            ``"monolithic"`` without it), ``"parallel"`` (the per-component
+            decomposition fanned out by a
+            :class:`~repro.engine.distributed.ShardCoordinator` across
+            pipe-attached local worker processes; falls back to
+            ``"monolithic"`` below ``parallel_threshold`` pairs, where pipe
+            latency would dominate), ``"distributed"`` (the same
             coordinator over socket-attached
             :class:`~repro.engine.distributed.ShardWorkerHost` processes —
             local or remote; never auto-selected and never silently
             downgraded: requesting remote workers is an explicit topology
-            decision), or ``"auto"`` — monolithic below ``shard_threshold``
-            pairs, vectorized at or above it when numpy is importable,
-            sharded otherwise (process parallelism is never auto-selected).
-            All backends are property-tested identical in observable
-            behaviour; sharding, vectorization, and process parallelism are
-            purely scaling features.  Both worker-backed backends re-assign
-            a lost worker's components to the surviving workers.
+            decision), or ``"auto"`` — vectorized at or above
+            ``shard_threshold`` pairs when numpy is importable, monolithic
+            otherwise (process parallelism is never auto-selected).  All
+            backends are property-tested identical in observable
+            behaviour; vectorization and process parallelism are purely
+            scaling features.  Both worker-backed backends re-assign a lost
+            worker's components to the surviving workers.
         shard_threshold: the ``auto`` cut-over point.
         parallel_threshold: below this many pairs ``backend="parallel"``
-            silently uses the in-process sharded backend instead (pass 0 to
-            force worker processes, as the differential tests do).
+            silently uses the monolithic backend instead (pass 0 to force
+            worker processes, as the differential tests do).
         n_workers: worker process count for the parallel backend (defaults
             to the available CPUs, capped at 8); on the distributed backend
             it is the ``spawn_local_workers`` default when neither
             ``workers`` nor ``spawn_local_workers`` is given.  An explicit
-            total of zero workers raises ``ValueError`` on both.
+            total of zero workers raises ``ValueError`` on both, at any
+            order size.
         mp_start_method: multiprocessing start method for the parallel
             backend and for spawned local distributed workers (default:
             ``fork`` where available, else ``spawn``).
@@ -322,6 +320,13 @@ class LabelingEngine:
             backend = backend.value
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+        if backend == "parallel" and n_workers is not None and n_workers < 1:
+            # Checked before the size fallback below, which would otherwise
+            # hide it on small orders.
+            raise ValueError(
+                "the parallel backend needs at least one worker, "
+                f"got n_workers={n_workers}"
+            )
         # Duplicate pairs in the order collapse to their first occurrence:
         # a pair has one label, and LabelingResult records each pair once.
         # Bulk path first: an all-CandidatePair order with no duplicates
@@ -362,23 +367,23 @@ class LabelingEngine:
         #: Published pairs that are also out of the deduction sweep's reach
         #: (already on the platform: the crowd will answer them regardless).
         self._withheld: Set[Pair] = set()
-        #: The in-process deduction graph (monolithic and sharded backends;
-        #: None where the graph lives in arrays or worker processes).
-        self.graph: Union[ClusterGraph, ShardedClusterGraph, None] = None
+        #: The in-process deduction graph (monolithic backend; None where
+        #: the graph lives in arrays or worker processes).
+        self.graph: Optional[ClusterGraph] = None
         self._policy = policy
         if backend == "auto":
-            if len(self.pairs) < shard_threshold:
-                backend = "monolithic"
+            if len(self.pairs) >= shard_threshold and vectorized_available():
+                backend = "vectorized"
             else:
-                backend = "vectorized" if vectorized_available() else "sharded"
+                backend = "monolithic"
         elif backend == "vectorized" and not vectorized_available():
             # numpy is an optional dependency (the ``perf`` extra): the
             # documented graceful fallback to the pure-Python backend.
-            backend = "sharded"
+            backend = "monolithic"
         elif backend == "parallel" and len(self.pairs) < parallel_threshold:
             # Process orchestration only pays for itself at scale: the
-            # documented auto-fallback to in-process sharding.
-            backend = "sharded"
+            # documented auto-fallback to the in-process backend.
+            backend = "monolithic"
         self.backend = backend
         if self.backend == "vectorized":
             self._core = VectorizedEngineCore(
@@ -400,11 +405,7 @@ class LabelingEngine:
                 mp_start_method=mp_start_method,
             )
         else:
-            self.graph = (
-                ShardedClusterGraph(policy=policy)
-                if self.backend == "sharded"
-                else ClusterGraph(policy=policy)
-            )
+            self.graph = ClusterGraph(policy=policy)
             self._core = GraphEngineCore(
                 self.graph,
                 self.pairs,
@@ -704,7 +705,7 @@ class LabelingEngine:
     @property
     def core(self):
         """The backend's engine core, which every event is forwarded to:
-        a :class:`GraphEngineCore` (monolithic, sharded), a
+        a :class:`GraphEngineCore` (monolithic), a
         :class:`~repro.engine.vectorized.VectorizedEngineCore`, or a
         :class:`~repro.engine.distributed.ShardCoordinator` (parallel:
         pipe-attached workers; distributed: socket-attached workers)."""

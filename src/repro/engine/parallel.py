@@ -1,26 +1,25 @@
-"""Process-parallel shard execution: the sharded backend across worker processes.
+"""Process-parallel shard execution: whole components across worker processes.
 
-The sharded backend (:mod:`repro.engine.sharding`) proved that both halves of
-the per-answer hot path — the deduction sweep and the Algorithm-3 frontier
-recompute — decompose exactly by connected component of the candidate-pair
-graph.  Components share no objects, so they also share no *work*, and only
-the GIL keeps a 10M-pair workload from using every core.  This module
-holds what a worker process runs for its share of that decomposition:
+Both halves of the per-answer hot path — the deduction sweep and the
+Algorithm-3 frontier recompute — decompose exactly by connected component
+of the candidate-pair graph (:class:`~repro.engine.frontier.ShardedFrontier`
+selects that way in-process).  Components share no objects, so they also
+share no *work*, and only the GIL keeps a 10M-pair workload from using
+every core.  This module holds what a worker process runs for its share of
+that decomposition:
 
 * :class:`_WorkerState` — one worker's shard state, built from its slice of
-  the order (:class:`~repro.engine.sharding.ShardedClusterGraph` +
+  the order (a :class:`~repro.core.cluster_graph.ClusterGraph` +
   :class:`~repro.core.sweep.PendingPairIndex` +
-  :class:`~repro.engine.sharding.ShardedFrontier` over global order
+  :class:`~repro.engine.frontier.ShardedFrontier` over global order
   positions).  Its handlers mirror the engine's events step for step;
   messages carry only order positions and small integers, and replies are
   position lists the coordinator merges by :func:`heapq.merge`, exactly as
   the worker's frontier merges its per-component selections.
-* lazy ``absorb`` as the only merge synchronisation — an answer can only
-  bridge two answer-graph shards *within* one static component (answers are
-  order pairs, and order pairs never cross static components), so every
-  cross-shard merge happens inside exactly one worker through the existing
-  small-into-large ``absorb`` splice.  Workers never coordinate with each
-  other.
+
+Workers never coordinate with each other.  An answer never crosses a
+static component — answers are order pairs, and the static components are
+those of the order — so every union happens inside one worker.
 
 ``backend="parallel"`` runs on the same
 :class:`~repro.engine.distributed.ShardCoordinator` as
@@ -28,10 +27,10 @@ holds what a worker process runs for its share of that decomposition:
 receive their components at spawn (inherited under ``fork``, the default
 where available; spawn-safety is pinned by a test).
 :class:`~repro.engine.engine.LabelingEngine` forwards every event to it —
-with auto-fallback to in-process sharding below a pair threshold, because
-process orchestration only pays for itself at scale.  A lost worker's
-components re-ship to the survivors; only losing every worker raises
-:class:`ShardWorkerError`.
+with auto-fallback to the in-process monolithic backend below a pair
+threshold, because process orchestration only pays for itself at scale.
+A lost worker's components re-ship to the survivors; only losing every
+worker raises :class:`ShardWorkerError`.
 """
 
 from __future__ import annotations
@@ -48,14 +47,15 @@ from typing import (
     Union,
 )
 
-from ..core.cluster_graph import Conflict, ConflictPolicy
+from ..core.cluster_graph import ClusterGraph, Conflict, ConflictPolicy
 from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, Label, Pair
 from ..core.sweep import PendingPairIndex
-from .sharding import ShardedClusterGraph, ShardedFrontier
+from .frontier import ShardedFrontier
 
 #: Below this many pairs ``backend="parallel"`` falls back to the in-process
-#: sharded backend: per-message pipe latency (~0.1 ms) dwarfs per-component
-#: work on small orders, and the in-process backend is already O(component).
+#: monolithic backend: per-message pipe latency (~0.1 ms) dwarfs
+#: per-component work on small orders, and the in-process backend is already
+#: O(component).
 DEFAULT_PARALLEL_THRESHOLD = 250_000
 
 #: Ceiling for the default worker count; past this, per-worker component
@@ -78,7 +78,7 @@ class ShardWorkerError(RuntimeError):
     """Shard workers were lost and none survives to take over their
     components (or the coordinator is closed).  The shard state is gone, so
     the coordinator refuses further commands; rebuild the engine (or rerun
-    with ``backend="sharded"``) to recover.  Losing *some* workers is not an
+    with ``backend="monolithic"``) to recover.  Losing *some* workers is not an
     error: their components re-ship to the survivors."""
 
 
@@ -91,9 +91,8 @@ class _WorkerState:
 
     A worker holds what ``GraphEngineCore`` holds in-process, over its
     share of the order: a :class:`ShardedFrontier` with global order
-    positions, a :class:`ShardedClusterGraph` and a
-    :class:`PendingPairIndex` for answers and the incremental deduction
-    sweep.  Handlers replicate the engine's event bookkeeping step for
+    positions, a :class:`ClusterGraph` and a :class:`PendingPairIndex` for
+    answers and the incremental deduction sweep.  Handlers replicate the engine's event bookkeeping step for
     step, which is what the differential tests pin.
     """
 
@@ -104,7 +103,7 @@ class _WorkerState:
         self._frontier = ShardedFrontier(
             [pair for _, pair in entries], [gpos for gpos, _ in entries]
         )
-        self._graph = ShardedClusterGraph(policy=policy)
+        self._graph = ClusterGraph(policy=policy)
         self._index = PendingPairIndex(self._graph, (pair for _, pair in entries))
         self._labeled: Dict[Pair, Label] = {}
         self._published: Set[Pair] = set()
@@ -178,7 +177,6 @@ class _WorkerState:
     def stats(self) -> Dict[str, int]:
         graph = self._graph
         return {
-            "n_shards": graph.n_shards,
             "n_objects": graph.n_objects,
             "n_clusters": graph.n_clusters,
             "n_matching_edges": graph.n_matching_edges,

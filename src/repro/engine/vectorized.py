@@ -1,6 +1,6 @@
 """Vectorized backend: array-native kernels for the engine's hot paths.
 
-The sharded backend (PR 3) made the per-answer sweep+frontier work
+The per-component frontier made the per-answer sweep+frontier work
 component-local, but every kernel is still a Python loop over dict-based
 structures.  This module re-implements the three hot paths as *batched
 array operations* over a flat integer encoding of the labeling order:
@@ -14,7 +14,7 @@ array operations* over a flat integer encoding of the labeling order:
   set of components; one :meth:`VectorizedEngineCore.sweep` then resolves
   everything the run implies with a single bulk pass per dirty component
   (the dirty-component idea from
-  :class:`~repro.engine.sharding.ShardedFrontier`, applied to deduction);
+  :class:`~repro.engine.frontier.ShardedFrontier`, applied to deduction);
 * **vectorized Algorithm-3 frontier** — for components with no
   non-matching labels, the must-crowdsource selection is computed exactly
   by a Boruvka minimum-spanning-forest kernel (see below) instead of the
@@ -46,7 +46,7 @@ Array namespace policy
     installed and falling back to plain ``numpy``.  numpy is an *optional*
     dependency (the ``perf`` extra): when it is missing,
     ``LabelingEngine(backend="vectorized")`` silently degrades to the
-    pure-Python sharded backend, and ``backend="auto"`` skips the
+    pure-Python monolithic backend, and ``backend="auto"`` skips the
     vectorized tier.  Two kernels intentionally use numpy-specific
     behaviour beyond the array API standard — object-dtype arrays for
     O(1) pair materialization and duplicate-index scatter assignment

@@ -265,6 +265,7 @@ class CampaignService:
         self,
         campaign_id: str,
         spec: CampaignSpec,
+        engine: LabelingEngine,
         journal: Journal,
         replay_events: List[Dict[str, Any]],
         *,
@@ -274,7 +275,6 @@ class CampaignService:
         client = JournalingPlatformClient(
             self._make_inner_client(spec), journal, replay_events=replay_events
         )
-        engine = spec.build_engine()
         gate = PauseGate()
         runtime = CrowdRuntime(engine, client, spec=spec, gate=gate)
         if snapshot is not None:
@@ -322,14 +322,19 @@ class CampaignService:
 
         The journal header (the spec's JSON form) is durable before the
         first HIT is issued.
+
+        Raises:
+            ValueError: the id is taken, the platform kind is unregistered,
+                or the spec's engine cannot be built (an unknown backend, a
+                zero worker count); nothing is written to disk then.
         """
         if campaign_id is None:
             campaign_id = self._allocate_id()
         if campaign_id in self._campaigns:
             raise ValueError(f"campaign {campaign_id!r} already exists")
-        # Fail on an unregistered platform kind or an unencodable spec
-        # before any disk state: an empty journal would fail every later
-        # recover().
+        # Fail on an unregistered platform kind, an unencodable spec or an
+        # engine that cannot be built before any disk state: a journal whose
+        # header cannot be hosted would fail every later recover().
         self._make_inner_client(spec)
         header = {
             "type": "header",
@@ -337,13 +342,18 @@ class CampaignService:
             "campaign_id": campaign_id,
             "spec": spec.to_dict(),
         }
-        journal = Journal(
-            os.path.join(self.root, campaign_id, JOURNAL_FILENAME),
-            fsync_every=self._journal_fsync_every(spec),
-        )
-        journal.append(header)
-        journal.flush()
-        return self._host(campaign_id, spec, journal, [], recovered=False)
+        engine = spec.build_engine()
+        try:
+            journal = Journal(
+                os.path.join(self.root, campaign_id, JOURNAL_FILENAME),
+                fsync_every=self._journal_fsync_every(spec),
+            )
+            journal.append(header)
+            journal.flush()
+        except BaseException:
+            engine.close()
+            raise
+        return self._host(campaign_id, spec, engine, journal, [], recovered=False)
 
     async def recover(self) -> List[str]:
         """Replay every journal under the root; returns recovered ids.
@@ -381,8 +391,9 @@ class CampaignService:
                     snapshot = events[i]
                     events = events[i + 1:]
                     break
+            engine = spec.build_engine()
             self._host(
-                campaign_id, spec, journal, events,
+                campaign_id, spec, engine, journal, events,
                 recovered=True, snapshot=snapshot,
             )
             recovered.append(campaign_id)

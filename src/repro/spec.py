@@ -469,7 +469,10 @@ class CampaignSpec:
         # lazily to keep this module on the engine's import path.
         from .engine.async_dispatch import ORDERINGS, RuntimeMode
 
-        RuntimeMode(self.mode)
+        try:
+            RuntimeMode(self.mode)
+        except ValueError:
+            raise SpecError(f"unknown mode {self.mode!r}") from None
         if self.ordering not in ORDERINGS:
             raise SpecError(
                 f"unknown ordering {self.ordering!r}; "
@@ -481,7 +484,11 @@ class CampaignSpec:
                 f"picks one next question at a time), got mode={self.mode!r}"
             )
         if not isinstance(self.policy, ConflictPolicy):
-            object.__setattr__(self, "policy", ConflictPolicy(self.policy))
+            try:
+                policy = ConflictPolicy(self.policy)
+            except ValueError:
+                raise SpecError(f"unknown conflict policy {self.policy!r}") from None
+            object.__setattr__(self, "policy", policy)
         if self.workers is not None:
             if isinstance(self.workers, str):
                 raise SpecError(
@@ -666,11 +673,18 @@ class CampaignSpec:
             raise
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise SpecError(f"malformed spec order: {exc}") from exc
+        backend = data.get("backend", "auto")
+        if backend == "sharded":
+            # The in-process sharded backend was folded into monolithic;
+            # the two were always fingerprint-identical, and engine
+            # snapshots are backend-portable, so older documents and
+            # journal headers that name it run on its successor.
+            backend = "monolithic"
         return cls(
             order=order,
             mode=data.get("mode", "instant"),
-            policy=ConflictPolicy(data.get("policy", "strict")),
-            backend=data.get("backend", "auto"),
+            policy=data.get("policy", "strict"),
+            backend=backend,
             shard_threshold=data.get("shard_threshold"),
             parallel_threshold=data.get("parallel_threshold"),
             n_workers=data.get("n_workers"),

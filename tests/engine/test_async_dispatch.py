@@ -9,7 +9,7 @@ runtime to the frozen pre-refactor loops in ``tests/engine/reference.py``:
 * under seeded shuffled completion orders (many workers, lognormal
   latency) and under injected expiry + re-issue, the observable result —
   labels, per-round published sets, crowdsourced counts — is still
-  identical, on both the monolithic and the sharded engine backend;
+  identical, on the monolithic and the vectorized engine backends;
 * a full campaign through :class:`PollingPlatformClient` against the
   in-memory fake backend completes with out-of-order completions and an
   expired-and-reissued HIT;
@@ -50,7 +50,7 @@ from .reference import (
     shuffled_client_factory,
 )
 
-BACKENDS = ("monolithic", "sharded")
+BACKENDS = ("monolithic", "vectorized")
 
 
 class TestSequentialParity:

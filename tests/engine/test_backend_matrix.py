@@ -2,8 +2,8 @@
 
 Before this suite existed, backend parity lived in copy-pasted per-backend
 test classes (``test_parity.py`` asserted the monolithic backend against the
-frozen PR-1 references, ``test_sharding.py`` repeated the same assertions
-for ``backend="sharded"``).  This file replaces those copies with one
+frozen PR-1 references, and a second file repeated the same assertions for
+each further backend).  This file replaces those copies with one
 parametrized matrix, so a future backend gets full parity coverage by adding
 one entry to :data:`BACKENDS`.
 
@@ -36,8 +36,11 @@ forces them even on these small worlds), so every cell here is also an
 end-to-end differential test of the process-parallel executor.  The
 ``vectorized`` column exercises the array-native kernels when numpy is
 installed; without it the engine's documented fallback makes the column a
-second run of the sharded backend, so the matrix passes either way (the
-``no-extras`` CI leg relies on that).  The ``distributed`` column spawns
+second run of the monolithic backend, so the matrix passes either way (the
+``no-extras`` CI leg relies on that).  The ``vectorized-batched`` column is
+the same engine with every component forced through the batched Boruvka
+kernel, which these small worlds otherwise never reach (see
+``tests/engine/conftest.py``).  The ``distributed`` column spawns
 local :class:`~repro.engine.distributed.ShardWorkerHost` processes and runs
 the whole command protocol over real TCP sockets, so every cell doubles as
 an end-to-end wire-protocol differential (fault injection lives in
@@ -63,7 +66,13 @@ from ..aio import run_async
 from ..strategies import worlds
 from .reference import RecordingOracle, reference_parallel, reference_sequential
 
-BACKENDS = ("monolithic", "sharded", "vectorized", "parallel", "distributed")
+BACKENDS = (
+    "monolithic",
+    "vectorized",
+    "vectorized-batched",
+    "parallel",
+    "distributed",
+)
 
 #: Worker processes per parallel-backend engine in this file: enough to
 #: split multi-component worlds, small enough to keep per-example spawn
@@ -73,6 +82,10 @@ PARALLEL_WORKERS = 2
 
 def backend_options(backend: str) -> dict:
     """Constructor kwargs that force the named backend on tiny worlds."""
+    if backend == "vectorized-batched":
+        # The engine is plain ``vectorized``; tests/engine/conftest.py
+        # routes its components through the batched kernel.
+        return {"backend": "vectorized"}
     options = {"backend": backend}
     if backend == "parallel":
         options.update(parallel_threshold=0, n_workers=PARALLEL_WORKERS)

@@ -79,27 +79,6 @@ class TestUnionFindRollback:
         else:  # pragma: no cover - failure path
             raise AssertionError("expected RuntimeError")
 
-    def test_absorb_disjoint(self):
-        left, right = UnionFind(), UnionFind()
-        left.union(1, 2)
-        right.union("x", "y")
-        right.add("z")
-        left.absorb(right)
-        assert len(left) == 5
-        assert left.n_components == 3
-        assert left.connected("x", "y") and not left.connected(1, "x")
-
-    def test_absorb_rejects_overlap(self):
-        left, right = UnionFind(), UnionFind()
-        left.add(1)
-        right.add(1)
-        try:
-            left.absorb(right)
-        except ValueError:
-            pass
-        else:  # pragma: no cover - failure path
-            raise AssertionError("expected ValueError")
-
 
 def _optimistic_ops(max_obj: int = 12, max_size: int = 30):
     return st.lists(
@@ -230,8 +209,8 @@ class TestFrontierCursorParity:
         assert cursor.frontier(labeled) == must_crowdsource_frontier(order, labeled)
 
     def test_positions_for_subsequences(self):
-        """Sharded use: a cursor over an interleaved subsequence reports the
-        global positions it was given."""
+        """ShardedFrontier's use: a cursor over an interleaved subsequence
+        reports the global positions it was given."""
         order = [Pair(1, 2), Pair(2, 3)]
         cursor = FrontierCursor(order, positions=[3, 7])
         assert cursor.select({}) == [(3, Pair(1, 2)), (7, Pair(2, 3))]

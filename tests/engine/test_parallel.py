@@ -11,9 +11,14 @@ answer streams, including:
 * shuffled completion orders and injected expiry + re-issue through the
   async runtime (answers reach the workers out of publication order);
 * forced merge storms — all-positive answer streams that collapse every
-  answer-graph shard inside a worker through the lazy ``absorb`` seam;
+  component into one cluster inside its worker;
 * worker-count equivalence: 1 worker vs N workers vs the in-process
   backends, at every intermediate frontier;
+* the split itself, in-process: whole static components dealt to separate
+  ``_WorkerState`` objects, each with its own plain ``ClusterGraph``, give
+  the deductions, conflicts, sweeps and merged frontiers of one
+  monolithic engine — an answer never crosses a static component, so no
+  union ever needs two workers;
 * spawn-safety: pipe workers run under the ``spawn`` start method (the
   default is ``fork`` where available, for zero-copy snapshots).
 
@@ -28,14 +33,17 @@ Recovery from the loss of *some* workers is pinned by the chaos cases in
 
 from __future__ import annotations
 
+import heapq
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cluster_graph import ConflictPolicy, InconsistentLabelError
 from repro.core.oracle import GroundTruthOracle
-from repro.core.pairs import Label, Pair
+from repro.core.pairs import LABEL_CODE, LABEL_OF_CODE, Label, Pair
+from repro.core.union_find import UnionFind
 from repro.engine import (
     AsyncDispatch,
     CrowdRuntime,
@@ -45,6 +53,7 @@ from repro.engine import (
     ShardWorkerError,
     must_crowdsource_frontier,
 )
+from repro.engine.parallel import _UNCHANGED, _WorkerState
 from repro.crowd.clients import SimulatedPlatformClient
 
 from ..aio import run_async
@@ -113,15 +122,15 @@ class TestShuffledCompletionOrders:
 
 
 class TestWorkerCountEquivalence:
-    """1 worker vs N workers vs the in-process sharded backend, checked at
-    every intermediate frontier of a round-parallel drive."""
+    """1 worker vs N workers vs the in-process monolithic backend, checked
+    at every intermediate frontier of a round-parallel drive."""
 
     @given(worlds(), st.sampled_from((1, 3)))
     @settings(max_examples=10, deadline=None)
     def test_frontiers_identical_at_every_round(self, world, n_workers):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        inproc = LabelingEngine(candidates, backend="sharded")
+        inproc = LabelingEngine(candidates, backend="monolithic")
         with LabelingEngine(candidates, n_workers=n_workers, **PARALLEL) as par:
             assert par.backend == "parallel"
             round_index = 0
@@ -155,8 +164,8 @@ class TestWorkerCountEquivalence:
 
 
 class TestMergeStorms:
-    """All-positive streams force every answer-graph shard to merge through
-    the lazy ``absorb`` seam inside its worker."""
+    """All-positive streams merge every component into one cluster inside
+    its worker."""
 
     def test_chain_collapses_to_one_shard_per_component(self):
         order, _ = block_world(n_blocks=6, objects_per_block=6)
@@ -177,8 +186,7 @@ class TestMergeStorms:
                 round_index += 1
             assert par.labeled == reference.labeled
             stats = par.executor.stats()
-            # Every block collapsed into one cluster in one shard.
-            assert stats["n_shards"] == 6
+            # Every block collapsed into one cluster.
             assert stats["n_clusters"] == 6
             par.executor.check_invariants()
 
@@ -186,7 +194,7 @@ class TestMergeStorms:
     @settings(max_examples=10, deadline=None)
     def test_random_spanning_storm_matches_monolithic(self, rnd):
         """Random spanning-tree orders over one giant component: answers
-        keep bridging shards until a single shard remains."""
+        keep merging clusters until a single cluster remains."""
         n = 24
         order = [Pair(i, rnd.randrange(i)) for i in range(1, n)]
         rnd.shuffle(order)
@@ -195,6 +203,263 @@ class TestMergeStorms:
         result = AsyncDispatch(n_workers=2, **PARALLEL).run(order, truth)
         assert result.outcomes == reference.outcomes
         assert result.rounds == reference.rounds
+
+
+class WorkerSplit:
+    """Whole static components of an engine's order dealt round-robin to
+    in-process :class:`_WorkerState` objects, driven the way
+    :class:`ShardCoordinator` drives its workers: each event goes to the
+    owner of its pair, sweeps and frontiers merge by order position."""
+
+    def __init__(self, pairs, n_workers: int, policy=ConflictPolicy.STRICT) -> None:
+        self.pairs = list(pairs)
+        self.position = {pair: gpos for gpos, pair in enumerate(self.pairs)}
+        components = UnionFind()
+        for pair in self.pairs:
+            components.union(pair.left, pair.right)
+        by_root: dict = {}
+        for gpos, pair in enumerate(self.pairs):
+            by_root.setdefault(components.find(pair.left), []).append((gpos, pair))
+        shares: list = [[] for _ in range(n_workers)]
+        for i, entries in enumerate(by_root.values()):
+            shares[i % n_workers].extend(entries)
+        shares = [sorted(share) for share in shares if share]
+        self.workers = [_WorkerState(share, policy) for share in shares]
+        self._worker_of_object = {
+            obj: worker
+            for worker, share in zip(self.workers, shares)
+            for _, pair in share
+            for obj in pair
+        }
+        self._frontiers: list = [[] for _ in self.workers]
+
+    def owner(self, pair: Pair) -> _WorkerState:
+        return self._worker_of_object[pair.left]
+
+    def answer(self, pair: Pair, label: Label):
+        return self.owner(pair).answer(self.position[pair], LABEL_CODE[label])
+
+    def publish(self, batch) -> None:
+        for pair in batch:
+            self.owner(pair).publish([self.position[pair]], withhold=True)
+
+    def sweep(self):
+        merged = heapq.merge(*(worker.sweep() for worker in self.workers))
+        return [(self.pairs[gpos], LABEL_OF_CODE[code]) for gpos, code in merged]
+
+    def frontier(self):
+        for i, worker in enumerate(self.workers):
+            reply = worker.frontier()
+            if reply != _UNCHANGED:
+                self._frontiers[i] = reply
+        return [self.pairs[gpos] for gpos in heapq.merge(*self._frontiers)]
+
+    def deduce(self, pair: Pair):
+        """Objects held by different workers share no static component, so
+        no answer can relate them."""
+        left = self._worker_of_object.get(pair.left)
+        if left is None or left is not self._worker_of_object.get(pair.right):
+            return None
+        code = left.deduce(pair)
+        return None if code is None else LABEL_OF_CODE[code]
+
+    def totals(self) -> dict:
+        keys = ("n_objects", "n_clusters", "n_matching_edges", "n_non_matching_edges")
+        stats = [worker.stats() for worker in self.workers]
+        return {key: sum(s[key] for s in stats) for key in keys}
+
+
+def assert_split_matches(engine: LabelingEngine, split: WorkerSplit, objects) -> None:
+    """The split's graphs hold exactly the one graph's structure."""
+    graph = engine.graph
+    assert split.totals() == {
+        "n_objects": graph.n_objects,
+        "n_clusters": graph.n_clusters,
+        "n_matching_edges": graph.n_matching_edges,
+        "n_non_matching_edges": graph.n_non_matching_edges,
+    }
+    assert {
+        frozenset(cluster) for worker in split.workers for cluster in worker.clusters()
+    } == {frozenset(cluster) for cluster in graph.clusters()}
+    objects = sorted(objects)
+    for i, a in enumerate(objects):
+        for b in objects[i + 1:]:
+            assert split.deduce(Pair(a, b)) == engine.deduce(Pair(a, b))
+    for worker in split.workers:
+        worker.check()
+
+
+class TestWorkerSplitParity:
+    """Shard workers hold plain ``ClusterGraph`` objects and never
+    coordinate: the in-process split equals one monolithic engine."""
+
+    @given(
+        worlds(max_objects=14, max_pairs=40),
+        st.randoms(use_true_random=False),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_consistent_answer_sequences(self, world, rnd, n_workers):
+        """Oracle-truth answers in random order: identical deductions,
+        clusters and counters."""
+        candidates, entity_of = world
+        truth = GroundTruthOracle(entity_of)
+        engine = LabelingEngine(candidates, backend="monolithic")
+        split = WorkerSplit(engine.pairs, n_workers)
+        pairs = list(engine.pairs)
+        rnd.shuffle(pairs)
+        for pair in pairs:
+            label = truth.label(pair)
+            applied, conflict = split.answer(pair, label)
+            assert engine.record_answer(pair, label, 0) == applied
+            assert conflict is None
+        assert_split_matches(engine, split, entity_of)
+
+    @given(
+        worlds(max_objects=12, max_pairs=30),
+        st.randoms(use_true_random=False),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_noisy_first_wins_sequences(self, world, rnd, n_workers):
+        """Under FIRST_WINS with randomly flipped labels, each worker drops
+        exactly the edges the one graph drops and reports its conflict."""
+        candidates, entity_of = world
+        truth = GroundTruthOracle(entity_of)
+        policy = ConflictPolicy.FIRST_WINS
+        engine = LabelingEngine(candidates, policy=policy, backend="monolithic")
+        split = WorkerSplit(engine.pairs, n_workers, policy)
+        for pair in engine.pairs:
+            label = truth.label(pair)
+            if rnd.random() < 0.3:
+                label = label.negate()
+            n_conflicts = len(engine.graph.conflicts)
+            applied, conflict = split.answer(pair, label)
+            assert engine.record_answer(pair, label, 0) == applied
+            assert engine.graph.conflicts[n_conflicts:] == (
+                [] if conflict is None else [conflict]
+            )
+        assert_split_matches(engine, split, entity_of)
+
+    @given(worlds(max_objects=10, max_pairs=20), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_via_pending_pair_index(self, world, n_workers):
+        """The workers' incremental sweeps, merged by position, resolve
+        exactly what the one engine's sweep resolves, answer by answer."""
+        candidates, entity_of = world
+        truth = GroundTruthOracle(entity_of)
+        engine = LabelingEngine(candidates, backend="monolithic")
+        split = WorkerSplit(engine.pairs, n_workers)
+        for round_index, pair in enumerate(engine.pairs):
+            if pair in engine.labeled:
+                continue
+            label = truth.label(pair)
+            engine.record_answer(pair, label, round_index)
+            split.answer(pair, label)
+            assert split.sweep() == engine.sweep(round_index)
+        assert engine.is_done
+
+    @given(worlds(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_merged_frontiers_equal_the_engine_frontier(self, world, n_workers):
+        """Round-parallel drive: the position merge of the workers'
+        selections is the engine's Algorithm-3 frontier every round."""
+        candidates, entity_of = world
+        truth = GroundTruthOracle(entity_of)
+        engine = LabelingEngine(candidates, backend="monolithic")
+        split = WorkerSplit(engine.pairs, n_workers)
+        round_index = 0
+        while not engine.is_done:
+            batch = engine.frontier()
+            assert split.frontier() == batch
+            engine.publish(batch)
+            split.publish(batch)
+            assert split.frontier() == engine.frontier() == []
+            for pair in batch:
+                label = truth.label(pair)
+                engine.record_answer(pair, label, round_index)
+                split.answer(pair, label)
+            assert split.sweep() == engine.sweep(round_index)
+            round_index += 1
+        assert split.frontier() == []
+
+    def test_all_positive_chain_stays_in_one_worker(self):
+        """Adversarial all-positive chain: 30 two-object clusters bridged
+        one by one into one, all inside the worker holding the chain,
+        while the worker holding an unrelated component sees nothing."""
+        n = 60
+        chain = [Pair(i, i + 1) for i in range(n - 1)]
+        other = [Pair(100, 101), Pair(101, 102)]
+        engine = LabelingEngine(chain + other, backend="monolithic")
+        split = WorkerSplit(engine.pairs, 2)
+        holder, bystander = split.owner(chain[0]), split.owner(other[0])
+        assert holder is not bystander
+        before = bystander.stats()
+        for pair in chain[0::2] + chain[1::2]:
+            applied, _ = split.answer(pair, Label.MATCHING)
+            assert applied and engine.record_answer(pair, Label.MATCHING, 0)
+        assert bystander.stats() == before
+        assert holder.stats()["n_clusters"] == 1
+        assert_split_matches(engine, split, range(n))
+        for i in range(1, n):
+            assert split.deduce(Pair(0, i)) is Label.MATCHING
+        assert split.deduce(Pair(0, 100)) is None
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_all_positive_random_spanning_order(self, rnd):
+        """Two random spanning trees answered all-positive in random order
+        converge to one cluster per worker, as in the one graph."""
+        n = 30
+        order = [Pair(i, rnd.randrange(i)) for i in range(1, n)]
+        order += [Pair(100 + i, 100 + rnd.randrange(i)) for i in range(1, n)]
+        rnd.shuffle(order)
+        engine = LabelingEngine(order, backend="monolithic")
+        split = WorkerSplit(engine.pairs, 2)
+        assert len(split.workers) == 2
+        answers = list(order)
+        rnd.shuffle(answers)
+        for pair in answers:
+            applied, _ = split.answer(pair, Label.MATCHING)
+            assert applied and engine.record_answer(pair, Label.MATCHING, 0)
+        assert [worker.stats()["n_clusters"] for worker in split.workers] == [1, 1]
+        assert_split_matches(engine, split, list(range(n)) + list(range(100, 100 + n)))
+
+    def test_disjoint_components_stay_in_separate_workers(self):
+        order = [
+            Pair("a1", "a2"),
+            Pair("b1", "b2"),
+            Pair("c1", "c2"),
+            Pair("a1", "b1"),
+        ]
+        engine = LabelingEngine(order, backend="monolithic")
+        split = WorkerSplit(engine.pairs, 3)
+        # Two static components, so two workers: a1-b1 ties a and b.
+        assert len(split.workers) == 2
+        assert split.owner(order[0]) is split.owner(order[1])
+        answers = [Label.MATCHING, Label.NON_MATCHING, Label.MATCHING, Label.NON_MATCHING]
+        for pair, label in zip(order, answers):
+            split.answer(pair, label)
+            engine.record_answer(pair, label, 0)
+        assert [worker.stats()["n_objects"] for worker in split.workers] == [4, 2]
+        # Negative transitivity through the a1-b1 answer, inside one worker...
+        assert split.deduce(Pair("a2", "b1")) is Label.NON_MATCHING
+        # ...nothing between unrelated clusters of it, nor across workers.
+        assert split.deduce(Pair("a1", "b2")) is None
+        assert split.deduce(Pair("a1", "c1")) is None
+        assert_split_matches(engine, split, ["a1", "a2", "b1", "b2", "c1", "c2"])
+
+    def test_strict_policy_raises_like_monolithic(self):
+        order = [Pair("a", "b"), Pair("b", "c"), Pair("a", "c")]
+        engine = LabelingEngine(order, backend="monolithic")
+        split = WorkerSplit(engine.pairs, 2)
+        for pair in order[:2]:
+            split.answer(pair, Label.MATCHING)
+            engine.record_answer(pair, Label.MATCHING, 0)
+        with pytest.raises(InconsistentLabelError):
+            engine.record_answer(order[2], Label.NON_MATCHING, 0)
+        with pytest.raises(InconsistentLabelError):
+            split.answer(order[2], Label.NON_MATCHING)
 
 
 class TestSpawnSafety:
@@ -396,7 +661,7 @@ class TestBackendRegistration:
     def test_auto_fallback_below_threshold(self):
         order, _ = block_world(n_blocks=2, objects_per_block=3)
         engine = LabelingEngine(order, backend="parallel")  # default threshold
-        assert engine.backend == "sharded"  # fell back: order is tiny
+        assert engine.backend == "monolithic"  # fell back: order is tiny
         assert engine.executor is None
         forced = LabelingEngine(order, backend="parallel", parallel_threshold=0)
         try:
@@ -404,6 +669,18 @@ class TestBackendRegistration:
             assert forced.executor is not None
         finally:
             forced.close()
+
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    @pytest.mark.parametrize(
+        "threshold", [None, 0], ids=["below-threshold", "at-threshold"]
+    )
+    def test_explicit_non_positive_worker_count_rejected(self, n_workers, threshold):
+        """The size fallback does not hide an explicit worker count below
+        one: it raises whether or not the order would spawn workers."""
+        order, _ = block_world(n_blocks=2, objects_per_block=3)
+        options = {} if threshold is None else {"parallel_threshold": threshold}
+        with pytest.raises(ValueError, match="at least one worker"):
+            LabelingEngine(order, backend="parallel", n_workers=n_workers, **options)
 
     def test_result_readable_after_close(self):
         order, truth = block_world(n_blocks=2, objects_per_block=3)

@@ -27,17 +27,7 @@ from repro.core.result import LabelingResult
 from repro.engine.engine import LabelingEngine
 
 from ..strategies import worlds
-
-BACKENDS = ("monolithic", "sharded", "vectorized", "parallel", "distributed")
-
-
-def backend_options(backend: str) -> dict:
-    options = {"backend": backend}
-    if backend == "parallel":
-        options.update(parallel_threshold=0, n_workers=2)
-    elif backend == "distributed":
-        options.update(spawn_local_workers=2)
-    return options
+from .test_backend_matrix import BACKENDS, backend_options
 
 
 def fingerprint(engine) -> str:

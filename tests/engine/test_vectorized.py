@@ -17,7 +17,7 @@ frozen references; this file attacks the kernels themselves:
   :class:`FrontierCursor` (the checkpoint/rollback incremental path);
 * **no-numpy fallback** — with ``sys.modules["numpy"]`` stubbed out the
   backend reports unavailable, ``backend="vectorized"`` degrades to
-  sharded, and ``backend="auto"`` skips the vectorized tier.
+  monolithic, and ``backend="auto"`` skips the vectorized tier.
 
 The fallback tests run everywhere; everything touching the kernels is
 skipped on interpreters without numpy (the ``no-extras`` CI leg).
@@ -237,20 +237,20 @@ class TestNoNumpyFallback:
         assert array_namespace() is None
         assert not vectorized_available()
 
-    def test_explicit_vectorized_backend_falls_back_to_sharded(
+    def test_explicit_vectorized_backend_falls_back_to_monolithic(
         self, monkeypatch
     ):
         self._hide_numpy(monkeypatch)
         order = [Pair("a", "b"), Pair("b", "c")]
         engine = LabelingEngine(order, backend="vectorized")
-        assert engine.backend == "sharded"
+        assert engine.backend == "monolithic"
         assert not isinstance(engine.core, VectorizedEngineCore)
 
     def test_auto_skips_the_vectorized_tier(self, monkeypatch):
         self._hide_numpy(monkeypatch)
         order = [Pair(f"l{i}", f"r{i}") for i in range(12)]
         engine = LabelingEngine(order, shard_threshold=10)
-        assert engine.backend == "sharded"
+        assert engine.backend == "monolithic"
 
     def test_core_construction_raises_import_error(self, monkeypatch):
         self._hide_numpy(monkeypatch)
@@ -259,7 +259,7 @@ class TestNoNumpyFallback:
 
     @needs_numpy
     def test_fallback_engine_still_labels_correctly(self, monkeypatch):
-        """The degraded engine is a fully functional sharded engine."""
+        """The degraded engine is a fully functional monolithic engine."""
         self._hide_numpy(monkeypatch)
         truth = GroundTruthOracle({"a": 1, "b": 1, "c": 2})
         order = [Pair("a", "b"), Pair("b", "c"), Pair("a", "c")]

@@ -141,3 +141,18 @@ def journal_record_offsets(path: str) -> List[int]:
             pos += len(line)
             offsets.append(pos)
     return offsets
+
+
+def with_backend_renamed(journal_bytes: bytes, backend: str) -> bytes:
+    """``journal_bytes`` as if its campaign had run on ``backend``: the
+    header's spec and every snapshot's engine state name it.  Takes whole
+    records only (no torn final line)."""
+    out = []
+    for line in journal_bytes.splitlines():
+        record = json.loads(line)
+        if record["type"] == "header":
+            record["spec"]["backend"] = backend
+        elif record["type"] == "snapshot":
+            record["engine"]["backend"] = backend
+        out.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(out).encode("utf-8")

@@ -11,6 +11,7 @@ the byte-identical engine fingerprint with the same assignments spent.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -26,6 +27,7 @@ from .helpers import (
     make_spec,
     register_stepped,
     run_to_completion,
+    with_backend_renamed,
 )
 
 MODES = ["instant", "rounds", "sequential", "hit-rounds", "flood"]
@@ -169,7 +171,6 @@ def test_compaction_requested_mid_run_lands_at_the_run_end(tmp_path):
     "backend,kwargs",
     [
         ("monolithic", {}),
-        ("sharded", {}),
         ("vectorized", {}),
         ("parallel", {"parallel_threshold": 0, "n_workers": 2}),
     ],
@@ -223,6 +224,42 @@ def test_crash_at_any_boundary_of_a_compacted_journal(mode, tmp_path):
         got_fp, got_spend, _ = recover_and_finish(root)
         assert got_fp == fp, f"{mode}: fingerprint diverged at cut {i}"
         assert got_spend == spend, f"{mode}: spend diverged at cut {i}"
+
+
+@pytest.mark.parametrize("cut", ["whole", "snapshot"])
+def test_compacted_journal_naming_the_sharded_backend_recovers(cut, tmp_path):
+    """A compacted journal whose header and snapshot name ``sharded`` (the
+    in-process backend later folded into ``monolithic``) recovers from its
+    snapshot: engine snapshots are backend-portable.  Whole, the tail
+    replays; cut right after the snapshot, the rest runs live.  Both land
+    on the uninterrupted monolithic run's fingerprint and spend."""
+    fp, spend = reference_run(make_spec("instant", backend="monolithic"), tmp_path)
+
+    async def compacting_run():
+        service = CampaignService(tmp_path / "compacted")
+        spec = make_spec(
+            "instant", backend="monolithic", journal=JournalConfig(compact_every=8)
+        )
+        campaign = await run_to_completion(service, spec, campaign_id="cmp")
+        assert campaign.state.value == "done", campaign.error
+        await service.close()
+
+    run_async(compacting_run())
+    src = tmp_path / "compacted" / "cmp" / "journal.jsonl"
+    lines = with_backend_renamed(src.read_bytes(), "sharded").splitlines(
+        keepends=True
+    )
+    header, snapshot = (json.loads(line) for line in lines[:2])
+    assert header["spec"]["backend"] == "sharded"
+    assert snapshot["type"] == "snapshot"
+    assert snapshot["engine"]["backend"] == "sharded"
+    root = tmp_path / "old"
+    (root / "cmp").mkdir(parents=True)
+    kept = lines if cut == "whole" else lines[:2]
+    (root / "cmp" / "journal.jsonl").write_bytes(b"".join(kept))
+    got_fp, got_spend, _ = recover_and_finish(root)
+    assert got_fp == fp
+    assert got_spend == spend
 
 
 def test_on_demand_compact_of_a_running_campaign(tmp_path):
@@ -388,7 +425,7 @@ def test_status_of_a_snapshot_recovered_campaign_keeps_outcomes_deferred(tmp_pat
     """The crowdsourced/deduced counts a status reports come from the
     snapshot, so reading them leaves the outcome records of a vectorized
     snapshot restore unbuilt (with numpy absent the backend falls back to
-    sharded, whose restore replays the outcomes eagerly)."""
+    monolithic, whose restore replays the outcomes eagerly)."""
     root = tmp_path / "root"
     spec = make_spec("instant", backend="vectorized")
 

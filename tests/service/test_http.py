@@ -196,11 +196,24 @@ def test_malformed_request_line_is_400_not_a_crash(tmp_path):
         [[1], [2], 0.5],  # object ids that are not JSON scalars
         "ab",  # a string, not a [left, right] array
         [0, 1, 0.5, 0.5],  # one element too many
+        # Spec fields to override instead of an order entry to append.
+        pytest.param({"mode": "bogus"}, id="mode"),
+        pytest.param({"policy": "bogus"}, id="policy"),
+        # These decode; the engine they name cannot be built.
+        pytest.param({"backend": "bogus"}, id="backend"),
+        pytest.param({"backend": "parallel", "n_workers": 0}, id="no-workers"),
+        pytest.param(
+            {"backend": "parallel", "n_workers": 0, "parallel_threshold": 0},
+            id="no-workers-at-threshold",
+        ),
     ],
 )
 def test_malformed_create_is_400_and_leaves_recovery_intact(tmp_path, entry):
     spec = make_spec("instant").to_dict()
-    body = json.dumps({**spec, "order": spec["order"] + [entry]})
+    if isinstance(entry, dict):
+        body = json.dumps({**spec, **entry})
+    else:
+        body = json.dumps({**spec, "order": spec["order"] + [entry]})
 
     async def scenario(service, request):
         status, payload = await request("POST", "/campaigns", body)

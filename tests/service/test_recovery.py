@@ -30,6 +30,7 @@ from .helpers import (
     journal_record_offsets,
     make_spec,
     run_to_completion,
+    with_backend_renamed,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -156,7 +157,6 @@ def test_version_2_journal_recovers_to_its_recorded_fingerprint(
     "backend,kwargs",
     [
         ("monolithic", {}),
-        ("sharded", {}),
         ("vectorized", {}),
         ("parallel", {"parallel_threshold": 0, "n_workers": 2}),
         ("distributed", {"spawn_local_workers": 2}),
@@ -175,6 +175,26 @@ def test_torn_journal_resumes_identical_on_every_backend(backend, kwargs, tmp_pa
         got_fp, got_spend = recover_truncated(torn, len(torn), tmp_path, backend)
     assert got_fp == fp
     assert got_spend == spend
+
+
+@pytest.mark.parametrize("cut", ["whole", "half"])
+def test_journal_naming_the_sharded_backend_recovers_as_monolithic(cut, tmp_path):
+    """A journal header may name ``sharded``, the in-process backend later
+    folded into ``monolithic``.  Such a journal replays in full (whole) or
+    replays its first half and runs the rest live (half), and lands on the
+    uninterrupted monolithic run's byte-identical fingerprint and spend."""
+    fp, spend, journal_bytes = reference_run(
+        make_spec("instant", backend="monolithic"), tmp_path
+    )
+    old = with_backend_renamed(journal_bytes, "sharded")
+    header = json.loads(old.splitlines()[0])
+    assert header["spec"]["backend"] == "sharded"
+    if cut == "whole":
+        end = len(old)
+    else:
+        offsets = [i + 1 for i, byte in enumerate(old) if byte == 0x0A]
+        end = offsets[len(offsets) // 2]
+    assert recover_truncated(old, end, tmp_path, cut) == (fp, spend)
 
 
 KILLED_CHILD = textwrap.dedent(

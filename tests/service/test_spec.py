@@ -36,7 +36,7 @@ def full_spec() -> CampaignSpec:
         order=[CandidatePair(make_pair(a, b), 0.7) for a, b in PAIRS],
         mode="rounds",
         policy=ConflictPolicy.FIRST_WINS,
-        backend="sharded",
+        backend="parallel",
         shard_threshold=10,
         parallel_threshold=20,
         n_workers=2,
@@ -84,8 +84,17 @@ def test_serial_mode_is_not_speccable():
 
 
 def test_invalid_mode_rejected_eagerly():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match="unknown mode"):
         CampaignSpec(order=PAIRS, mode="warp-speed")
+
+
+def test_invalid_policy_rejected_eagerly():
+    with pytest.raises(SpecError, match="unknown conflict policy"):
+        CampaignSpec(order=PAIRS, policy="last-wins")
+    data = CampaignSpec(order=PAIRS).to_dict()
+    data["policy"] = "last-wins"
+    with pytest.raises(SpecError, match="unknown conflict policy"):
+        CampaignSpec.from_dict(data)
 
 
 def test_order_normalises_tuples_pairs_and_candidates():
@@ -129,9 +138,11 @@ def test_engine_backend_enum_is_accepted_everywhere():
 
 
 def test_build_engine_honours_spec_knobs():
-    spec = CampaignSpec(order=PAIRS, mode="sequential", backend="sharded")
+    spec = CampaignSpec(
+        order=PAIRS, mode="sequential", backend="parallel", parallel_threshold=100
+    )
     engine = spec.build_engine()
-    assert engine.backend == "sharded"
+    assert engine.backend == "monolithic"  # below the spec's threshold
     engine.close()
 
 
@@ -339,11 +350,13 @@ class TestSchemaVersion2:
     def test_version_1_documents_decode_with_pre_2_defaults(self):
         data = CampaignSpec(order=PAIRS).to_dict()
         data["version"] = 1
+        data["backend"] = "sharded"
         del data["ordering"]
         del data["aggregation"]
         spec = CampaignSpec.from_dict(data)
         assert spec.ordering == "static"
         assert spec.aggregation == AggregationConfig()
+        assert spec.backend == "monolithic"
 
     def test_current_documents_carry_version_3(self):
         assert SPEC_SCHEMA_VERSION == 3
@@ -357,11 +370,27 @@ class TestSchemaVersion2:
     def test_version_2_documents_decode_without_distributed_knobs(self):
         data = CampaignSpec(order=PAIRS).to_dict()
         data["version"] = 2
+        data["backend"] = "sharded"
         del data["workers"]
         del data["spawn_local_workers"]
         spec = CampaignSpec.from_dict(data)
         assert spec.workers is None
         assert spec.spawn_local_workers is None
+        assert spec.backend == "monolithic"
+
+    def test_version_3_sharded_documents_decode_as_monolithic(self):
+        """``sharded`` was an in-process backend, fingerprint-identical to
+        ``monolithic`` and folded into it: a document naming it builds a
+        monolithic engine and re-encodes as such."""
+        data = CampaignSpec(order=PAIRS, mode="sequential").to_dict()
+        assert data["version"] == 3
+        data["backend"] = "sharded"
+        spec = CampaignSpec.from_dict(data)
+        assert spec.backend == "monolithic"
+        assert spec.to_dict()["backend"] == "monolithic"
+        engine = spec.build_engine()
+        assert engine.backend == "monolithic"
+        engine.close()
 
     def test_workers_round_trip_and_validation(self):
         spec = CampaignSpec(
