@@ -13,10 +13,15 @@ in-process monolithic backend.
 Machine-readable timings are emitted to ``BENCH_core.json`` in the repo
 root after the session; ``compare_bench.py`` diffs that artifact against
 the committed baseline in CI, so every PR extends the perf trajectory.
+Between tests a fixed interpreter + numpy kernel that runs none of the
+program's code is timed; its median (``host_calibration``) is the
+machine-speed proxy CI calibrates by, so a change that moves many entries
+cannot move the scale the others are judged on.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import platform as platform_module
 import random
@@ -51,13 +56,14 @@ from repro.crowd.latency import ZeroLatency
 from repro.crowd.platforms import RecordReplayBackend
 from repro.crowd.platform import SimulatedPlatform
 from repro.crowd.worker import make_worker_pool
-from repro.datasets.distributions import ClusterSizeSpec, product_spec
+from repro.datasets.distributions import ClusterSizeSpec, paper_spec, product_spec
 from repro.engine import (
     CrowdRuntime,
     FrontierCursor,
     HITDispatchAdapter,
     LabelingEngine,
     RuntimeMode,
+    ShardedFrontier,
     must_crowdsource_frontier,
     vectorized_available,
 )
@@ -70,10 +76,33 @@ SWEEP_STREAM_CAP = 1200
 
 RESULTS: Dict[str, dict] = {}
 _ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_core.json"
+#: Timings of :func:`_calibration_kernel`, one after every test.
+_CALIBRATION_SAMPLES: List[float] = []
 
 
 def _record(name: str, **payload) -> None:
     RESULTS[name] = payload
+
+
+def _calibration_kernel() -> float:
+    """Seconds a fixed interpreter + numpy workload takes on this host."""
+    import numpy
+
+    start = time.perf_counter()
+    table: Dict[int, int] = {}
+    for i in range(100_000):
+        table[i % 1009] = table.get(i % 1009, 0) + i
+    values = numpy.random.default_rng(0).random(200_000)
+    numpy.unique((numpy.sort(values) * 1e6).astype(numpy.int64))
+    return time.perf_counter() - start
+
+
+@pytest.fixture(autouse=True)
+def _sample_host_speed():
+    """Time the calibration kernel after each test."""
+    yield
+    if vectorized_available():
+        _CALIBRATION_SAMPLES.append(_calibration_kernel())
 
 
 def _timed(benchmark, name: str, fn):
@@ -91,6 +120,13 @@ def _emit_artifact():
     yield
     if not RESULTS:
         return
+    if _CALIBRATION_SAMPLES:
+        _record(
+            "host_calibration",
+            total_s=statistics.median(_CALIBRATION_SAMPLES),
+            n_samples=len(_CALIBRATION_SAMPLES),
+            requires="numpy",
+        )
     _ARTIFACT.write_text(
         json.dumps(
             {
@@ -375,6 +411,187 @@ def test_async_runtime_throughput_vs_legacy_loop():
 
 
 # ----------------------------------------------------------------------
+# vectorized large-run tick: forest + non-matching scan vs FrontierCursor
+# ----------------------------------------------------------------------
+# A Paper-shaped campaign answered by a constant-latency crowd: the first
+# frontier comes back as one run, whose sweep deduces ~90% of the order and
+# labels most components NON_MATCHING somewhere; every later tick answers
+# the previous reselection as one run.  It runs before the 1M-pair tests:
+# their workload stays cached for the session, and the collector's passes
+# over it would land in these timings.
+LARGE_RUN_SEED = 5
+LARGE_RUN_COPIES = 6
+#: The near-miss share that puts the deduced share near 91%.
+LARGE_RUN_NEAR_MISS_SHARE = 0.00208
+#: Drives per selection path; each timing is their median (the first
+#: sweep's share of garbage-collection pauses varies from drive to drive).
+LARGE_RUN_REPEATS = 3
+
+
+def _paper_workload(seed: int = LARGE_RUN_SEED):
+    """A Paper-shaped order of about 100k pairs: each copy of the Figure
+    10(a) histogram is one block holding every within-cluster pair, plus a
+    share of its cross-cluster pairs as near misses, all in
+    descending-likelihood order."""
+    rng = random.Random(seed)
+    spec = paper_spec()
+    entity_of: Dict[int, int] = {}
+    candidates: List[CandidatePair] = []
+    next_obj = 0
+    for _ in range(LARGE_RUN_COPIES):
+        members: List[int] = []
+        for size in spec.sizes():
+            cluster = range(next_obj, next_obj + size)
+            next_obj += size
+            entity = len(entity_of)
+            for i, a in enumerate(cluster):
+                entity_of[a] = entity
+                for b in cluster[i + 1 :]:
+                    candidates.append(CandidatePair(Pair(a, b), rng.uniform(0.5, 1.0)))
+            members.extend(cluster)
+        n_cross = len(members) * (len(members) - 1) // 2 - spec.n_matching_pairs()
+        wanted = round(LARGE_RUN_NEAR_MISS_SHARE * n_cross)
+        near_misses = set()
+        while len(near_misses) < wanted:
+            a, b = rng.sample(members, 2)
+            pair = Pair(a, b)
+            if entity_of[a] != entity_of[b] and pair not in near_misses:
+                near_misses.add(pair)
+                candidates.append(CandidatePair(pair, rng.uniform(0.0, 0.5)))
+    candidates.sort(key=lambda cand: -cand.likelihood)
+    return candidates, GroundTruthOracle(entity_of)
+
+
+def _drive_large_run(candidates, truth, *, cursors: bool):
+    """Publish the first frontier and answer it as one run, then answer
+    every later reselection as one run until the order is labeled.
+
+    With ``cursors`` the selection goes through a :class:`ShardedFrontier`
+    (one :class:`FrontierCursor` per dirty component, the selection the
+    vectorized core made for components with a non-matching label before
+    its forest + non-matching scan) reading the engine's label map.
+    """
+    engine = LabelingEngine(candidates, backend="vectorized")
+    if cursors:
+        sharded = ShardedFrontier(engine.pairs)
+
+        def select():
+            return sharded.frontier(engine.labeled, engine.published)
+
+        def touched(pairs):
+            for pair in pairs:
+                sharded.mark_dirty(pair)
+
+    else:
+        select = engine.frontier
+
+        def touched(pairs):
+            pass
+
+    batch = select()
+    frontiers: List[List[Pair]] = []
+    timings: List[Tuple[float, float, float]] = []
+    n_deduced: List[int] = []
+    tick = 0
+    # Timed with the collector off, as timeit does: where a full collection
+    # lands depends on everything the process holds (here, the earlier
+    # tests' garbage and caches), and it moved the first sweep between
+    # 0.45 and 0.8 s from run to run.  perfbench's gc.pause_ms carries
+    # the collector's share of a campaign.
+    gc.collect()
+    gc.disable()
+    try:
+        while batch:
+            engine.publish(batch)
+            touched(batch)
+            answers = [(pair, truth.label(pair)) for pair in batch]
+            start = time.perf_counter()
+            engine.record_answers(answers, tick)
+            swept = time.perf_counter()
+            resolved = engine.sweep(tick)
+            selected = time.perf_counter()
+            touched(pair for pair, _ in answers)
+            touched(pair for pair, _ in resolved)
+            reselected = time.perf_counter()
+            batch = select()
+            done = time.perf_counter()
+            frontiers.append(batch)
+            timings.append((swept - start, selected - swept, done - reselected))
+            n_deduced.append(len(resolved))
+            tick += 1
+    finally:
+        gc.enable()
+    assert engine.is_done
+    later = timings[1:]
+    return {
+        "stats": {
+            "record_s": timings[0][0],
+            "sweep_s": timings[0][1],
+            "first_frontier_s": timings[0][2],
+            "per_tick_s": sum(map(sum, later)) / len(later),
+            "per_reselection_s": sum(tick[2] for tick in later) / len(later),
+            "n_pairs": len(engine.pairs),
+            "n_first_run_deduced": n_deduced[0],
+            "n_ticks": len(timings),
+            "n_crowdsourced": engine.result.n_crowdsourced,
+        },
+        "frontiers": frontiers,
+        "labeled": dict(engine.labeled),
+    }
+
+
+def test_vectorized_large_run_tick_beats_frontier_cursors():
+    """The scale-instant tick that follows a large run: its sweep records
+    ~90% of the order at once, and the reselection scans each component
+    with a non-matching label through its forest + non-matching scan
+    instead of a :class:`FrontierCursor` over every pair."""
+    if not vectorized_available():
+        pytest.skip("numpy unavailable: the vectorized backend is the perf extra")
+    from repro.engine.parallel import available_cpus
+
+    candidates, truth = _paper_workload()
+    stats: Dict[str, dict] = {}
+    reference = None
+    for name in ("forest", "cursor"):
+        drives = [
+            _drive_large_run(candidates, truth, cursors=name == "cursor")
+            for _ in range(LARGE_RUN_REPEATS)
+        ]
+        reference = reference or drives[0]
+        for drive in drives:
+            assert drive["frontiers"] == reference["frontiers"]
+            assert drive["labeled"] == reference["labeled"]
+        stats[name] = {
+            key: statistics.median(d["stats"][key] for d in drives)
+            if key.endswith("_s")
+            else value
+            for key, value in drives[0]["stats"].items()
+        }
+        _record(
+            f"vectorized_large_run_{name}",
+            **stats[name],
+            n_cpus=available_cpus(),
+            requires="numpy",
+        )
+    forest, cursor = stats["forest"], stats["cursor"]
+    # Observed over four runs on a 2-CPU VM: the first reselection
+    # 3.6-4.4x faster (most of the order is decided and the forest +
+    # non-matching scan skips the deduced matching pairs), later ones
+    # 1.3-1.7x (the decided prefix already sits past those; what is left is
+    # mostly non-matching near misses, which both scans visit).
+    assert cursor["first_frontier_s"] > 2.5 * forest["first_frontier_s"], (
+        "first reselection after the large run: forest + non-matching scan "
+        f"{forest['first_frontier_s']:.3f}s vs FrontierCursor "
+        f"{cursor['first_frontier_s']:.3f}s"
+    )
+    assert cursor["per_reselection_s"] > 1.1 * forest["per_reselection_s"], (
+        "later reselections: forest + non-matching scan "
+        f"{forest['per_reselection_s'] * 1e3:.1f}ms vs FrontierCursor "
+        f"{cursor['per_reselection_s'] * 1e3:.1f}ms per tick"
+    )
+
+
+# ----------------------------------------------------------------------
 # per-component vs whole-order selection at 1M+ candidate pairs
 # ----------------------------------------------------------------------
 # A blocked entity-resolution workload built from the datasets package's
@@ -574,6 +791,10 @@ TENANT_SEED = 7
 #: Answers driven per selection path; each costs the whole-order cursor
 #: one scan of ~the whole order.
 TENANT_N_ANSWERS = 400
+#: Drives per selection path on the vectorized backend; each timing is
+#: their median (one drive lasts ~0.1 s, short enough for a burst of host
+#: noise to move its mean by half).
+TENANT_VECTORIZED_REPEATS = 5
 
 
 def _tenant_workload(seed: int = TENANT_SEED):
@@ -614,23 +835,28 @@ def _tenant_workload(seed: int = TENANT_SEED):
     return candidates, GroundTruthOracle(entity_of)
 
 
-def _drive_tenant_reselections(candidates, truth, *, whole_order_cursor):
+def _drive_tenant_reselections(
+    candidates, truth, *, whole_order_cursor, backend="monolithic"
+):
     """Instant decision at one answer per tick: publish the frontier, then
-    answer a seeded-random published pair, sweep, and re-select (timed)."""
-    engine = LabelingEngine(candidates, backend="monolithic")
+    answer a seeded-random published pair, sweep, and re-select (the sweep
+    and the reselection timed)."""
+    engine = LabelingEngine(candidates, backend=backend)
     frontier = _selection(engine, whole_order_cursor)
     rng = random.Random(TENANT_SEED)
     outstanding = frontier()
     engine.publish(outstanding)
     frontiers: List[List[Pair]] = []
-    select_s = 0.0
+    sweep_s = select_s = 0.0
     for round_index in range(TENANT_N_ANSWERS):
         pair = outstanding.pop(rng.randrange(len(outstanding)))
         engine.record_answer(pair, truth.label(pair), round_index)
-        engine.sweep(round_index)
         start = time.perf_counter()
+        engine.sweep(round_index)
+        swept = time.perf_counter()
         batch = frontier()
-        select_s += time.perf_counter() - start
+        select_s += time.perf_counter() - swept
+        sweep_s += swept - start
         frontiers.append(batch)
         engine.publish(batch)
         outstanding.extend(batch)
@@ -638,6 +864,7 @@ def _drive_tenant_reselections(candidates, truth, *, whole_order_cursor):
         "stats": {
             "reselect_s": select_s,
             "per_reselection_s": select_s / TENANT_N_ANSWERS,
+            "per_sweep_s": sweep_s / TENANT_N_ANSWERS,
             "n_reselections": TENANT_N_ANSWERS,
             "n_pairs": len(engine.pairs),
         },
@@ -672,6 +899,59 @@ def test_monolithic_reselects_per_component_at_tenant_size():
     assert cursor_s > mono_s * 3, (
         f"per-component reselection ({mono_s:.3f}s) must beat the whole-order "
         f"cursor ({cursor_s:.3f}s) over {TENANT_N_ANSWERS} answers"
+    )
+
+
+def test_vectorized_small_components_select_by_scalar_scan():
+    """The tenant drive on the vectorized backend: its components (blocks
+    of about 8 records) sit far below ``SMALL_COMPONENT_THRESHOLD``, so
+    those with a non-matching label select through the scalar scan, as the
+    monolithic backend's cursors do.  With the threshold at 0 the same
+    drive runs every component through the array kernels (the Boruvka MSF
+    and the forest + non-matching scan), whose fixed cost per call is what
+    the threshold avoids; the large side of the cut is
+    ``vectorized_large_run_forest``."""
+    if not vectorized_available():
+        pytest.skip("numpy unavailable: the vectorized backend is the perf extra")
+    from repro.engine import vectorized
+
+    def drive(threshold):
+        saved = vectorized.SMALL_COMPONENT_THRESHOLD
+        vectorized.SMALL_COMPONENT_THRESHOLD = threshold
+        try:
+            return _drive_tenant_reselections(
+                candidates, truth, whole_order_cursor=False, backend="vectorized"
+            )
+        finally:
+            vectorized.SMALL_COMPONENT_THRESHOLD = saved
+
+    candidates, truth = _tenant_workload()
+    reference = _drive_tenant_reselections(
+        candidates, truth, whole_order_cursor=False
+    )
+    # Interleaved, so a burst of host noise lands on both sides.
+    drives: Dict[str, list] = {"scan": [], "kernels": []}
+    for _ in range(TENANT_VECTORIZED_REPEATS):
+        drives["scan"].append(drive(vectorized.SMALL_COMPONENT_THRESHOLD))
+        drives["kernels"].append(drive(0))
+    stats: Dict[str, dict] = {}
+    for name, runs in drives.items():
+        for run in runs:
+            assert run["frontiers"] == reference["frontiers"]
+            assert run["labeled"] == reference["labeled"]
+        stats[name] = {
+            key: statistics.median(run["stats"][key] for run in runs)
+            if key.endswith("_s")
+            else value
+            for key, value in runs[0]["stats"].items()
+        }
+        _record(f"tenant_reselect_vectorized_{name}", **stats[name], requires="numpy")
+    scan, kernels = stats["scan"], stats["kernels"]
+    scan_s = scan["per_reselection_s"]
+    kernels_s = kernels["per_reselection_s"]
+    assert kernels_s > scan_s, (
+        f"small components: scalar scan {scan_s * 1e6:.0f}us vs array kernels "
+        f"{kernels_s * 1e6:.0f}us per reselection"
     )
 
 

@@ -31,16 +31,17 @@ far more run-to-run variance than pytest-benchmark means.
 
 Because the committed baseline usually comes from different hardware than
 the CI runner, ``--calibrate`` rescales the baseline by a machine-speed
-proxy before gating: ``--calibrate median`` (recommended; used in CI) uses
+proxy before gating: ``--calibrate METRIC`` uses one designated metric's
+ratio and exempts that metric from gating (CI uses ``host_calibration``, a
+kernel that runs none of the program's code); ``--calibrate median`` uses
 the median fresh/baseline ratio across all shared timings, which a single
-genuine regression cannot shift, and exempts nothing; ``--calibrate
-METRIC`` uses one designated metric's ratio and exempts that metric from
-gating.
+genuine regression cannot shift but a change moving many timings can, and
+exempts nothing.
 
 Usage:
     python benchmarks/compare_bench.py \
         --baseline BENCH_core.json.baseline --fresh BENCH_core.json \
-        [--threshold 0.25] [--calibrate median] \
+        [--threshold 0.25] [--calibrate host_calibration] \
         [--summary "$GITHUB_STEP_SUMMARY"]
 """
 
@@ -314,8 +315,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="METRIC|median",
         help="rescale the baseline by a machine-speed proxy before gating: "
-        "'median' uses the median shared-timing ratio (recommended; exempts "
-        "nothing), a metric name uses that metric's ratio and exempts it",
+        "a metric name uses that metric's ratio and exempts it (CI: "
+        "host_calibration), 'median' uses the median shared-timing ratio "
+        "and exempts nothing",
     )
     parser.add_argument(
         "--single-sample-slack",

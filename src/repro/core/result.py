@@ -10,7 +10,7 @@ platform traces, and the quality metrics compare ``matches()`` to truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Set
+from typing import Dict, Iterator, List, Mapping, Sequence, Set
 
 from .pairs import Label, LabeledPair, Pair, Provenance
 
@@ -68,25 +68,37 @@ class LabelingResult:
         provenance: Provenance,
         round_index: int,
     ) -> None:
-        """Record the outcome for ``pair``.
+        """Record the outcome for ``pair``: :meth:`record_many` for one pair.
 
         Raises:
             ValueError: if the pair was already recorded (labels are final).
         """
+        self.record_many({pair: label}, provenance, round_index)
+
+    def record_many(
+        self,
+        labels: Mapping[Pair, Label],
+        provenance: Provenance,
+        round_index: int,
+    ) -> None:
+        """Record one outcome per entry of ``labels``, in its order: each
+        outcome's position is the number of outcomes recorded before it.
+
+        Raises:
+            ValueError: if a pair was already recorded; nothing is recorded
+                then.
+        """
         outcomes = self.outcomes
-        if pair in outcomes:
+        # Two key views: the check iterates the smaller side.
+        if not outcomes.keys().isdisjoint(labels.keys()):
+            pair = next(pair for pair in labels if pair in outcomes)
             raise ValueError(f"{pair!r} was already labeled")
-        outcomes[pair] = PairOutcome(
-            pair=pair,
-            label=label,
-            provenance=provenance,
-            round_index=round_index,
-            position=len(outcomes),
-        )
+        for position, (pair, label) in enumerate(labels.items(), len(outcomes)):
+            outcomes[pair] = PairOutcome(pair, label, provenance, round_index, position)
         if provenance is Provenance.CROWDSOURCED:
-            self._n_crowdsourced += 1
+            self._n_crowdsourced += len(labels)
         else:
-            self._n_deduced += 1
+            self._n_deduced += len(labels)
 
     # ------------------------------------------------------------------
     # headline statistics

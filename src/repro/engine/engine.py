@@ -774,13 +774,10 @@ class LabelingEngine:
     # ------------------------------------------------------------------
     def record_deduced(self, pair: Pair, label: Label, round_index: int) -> None:
         """Record a label obtained for free via transitive relations."""
-        self._note_deduced(pair, label, round_index)
-        self._core.record_deduced(pair, label)
-
-    def _note_deduced(self, pair: Pair, label: Label, round_index: int) -> None:
         self.labeled[pair] = label
         self.result.record(pair, label, Provenance.DEDUCED, round_index)
         self.published.discard(pair)
+        self._core.record_deduced(pair, label)
 
     def record_answer(self, pair: Pair, label: Label, round_index: int) -> bool:
         """Record one crowd answer: :meth:`record_answers` for a run of one.
@@ -859,10 +856,17 @@ class LabelingEngine:
         records its resolutions itself.  Withheld pairs are never resolved
         — they are on the platform and will be crowd-answered.
 
+        The sweep is recorded in one pass: one bulk result record, one
+        label-map update and one removal from the published set.
+
         Returns:
             (pair, deduced label) per newly resolved pair, in order position.
         """
         resolved = self._core.sweep()
-        for pair, label in resolved:
-            self._note_deduced(pair, label, round_index)
+        if resolved:
+            # One hash per pair: dict-to-dict updates reuse stored hashes.
+            swept = dict(resolved)
+            self.result.record_many(swept, Provenance.DEDUCED, round_index)
+            self.labeled.update(swept)
+            self.published.difference_update(swept)
         return resolved

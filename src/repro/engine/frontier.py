@@ -171,7 +171,17 @@ class OptimisticGraph:
         """True iff no path between the objects can have fewer than two
         non-matching edges, i.e. the pair is undeducible under every possible
         outcome of the assumed pairs."""
-        return self.deduce(pair) is None
+        return self.separated(pair.left, pair.right)
+
+    def separated(self, a: Hashable, b: Hashable) -> bool:
+        """:meth:`must_crowdsource` for the objects ``a`` and ``b``: they sit
+        in different clusters with no non-matching edge between them."""
+        uf = self._uf
+        if a not in uf or b not in uf:
+            return True
+        root_a = uf.find(a)
+        root_b = uf.find(b)
+        return root_a != root_b and root_b not in self._nm.get(root_a, ())
 
 
 def must_crowdsource_frontier(

@@ -103,6 +103,6 @@ class HITDispatchAdapter:
         dropped from the buffer (they no longer need crowdsourcing)."""
         resolved = self._engine.sweep(round_index)
         if resolved and self._buffer:
-            rescued = {pair for pair, _ in resolved}
-            self._buffer = [pair for pair in self._buffer if pair not in rescued]
+            labeled = self._engine.labeled
+            self._buffer = [pair for pair in self._buffer if pair not in labeled]
         return resolved

@@ -18,7 +18,8 @@ array operations* over a flat integer encoding of the labeling order:
 * **vectorized Algorithm-3 frontier** — for components with no
   non-matching labels, the must-crowdsource selection is computed exactly
   by a Boruvka minimum-spanning-forest kernel (see below) instead of the
-  per-pair optimistic scan.
+  per-pair optimistic scan; components with one scan only that forest and
+  their non-matching labels.
 
 Frontier/MSF equivalence
     In the Algorithm-3 scan every pair — labeled matching or assumed
@@ -33,11 +34,26 @@ Frontier/MSF equivalence
     a forest edge — then hook and flatten) compute the same mask in
     O(log n) array passes.  Selection and publication never affect how
     the optimistic graph evolves, so exclusions are applied as a mask
-    *after* the forest is marked.  Components that do contain a
-    non-matching label fall back to their own
-    :class:`~repro.engine.frontier.FrontierCursor`, the property-tested
-    scalar implementation — negative deducibility does not reduce to a
-    spanning forest.
+    *after* the forest is marked.
+
+    A component with non-matching labels still reduces to a forest plus
+    those labels.  Only pairs not labeled NON_MATCHING merge clusters in
+    the scan, so the clusters at any position are those of the greedy
+    forest of the component's non-NON_MATCHING pairs.  A pair outside that
+    forest has both endpoints joined before the scan reaches it: Algorithm
+    3 deduces it MATCHING, and its assumed merge changes nothing.  The
+    scan over (a) that forest and (b) the component's NON_MATCHING-labeled
+    pairs therefore selects exactly what the full scan selects.
+    :class:`_ForestCursor` runs it from a decided prefix on, as
+    :class:`~repro.engine.frontier.FrontierCursor` does: the prefix is
+    folded into a persistent :class:`~repro.engine.frontier.OptimisticGraph`
+    once, and each call marks the suffix's forest with the Boruvka kernel
+    seeded with the prefix's connectivity, then scans it under a
+    checkpoint it rolls back.  Components of at most
+    :data:`SMALL_COMPONENT_THRESHOLD` pairs select through
+    :class:`_ScanCursor` instead, the same decided-prefix scan over every
+    suffix pair with no array kernel, as the MSF path runs the scalar
+    greedy forest there.
 
 Array namespace policy
     Kernels take the array namespace as a parameter
@@ -60,16 +76,19 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.cluster_graph import Conflict, ConflictPolicy, admit_label, record_each
 from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, CandidatePair, Label, Pair
-from .frontier import FrontierCursor, greedy_forest
+from .frontier import OptimisticGraph, greedy_forest
 
 #: Components with at most this many pairs recompute their frontier with a
-#: scalar greedy-forest scan: the Boruvka kernel pays O(n_objects) array
-#: passes per round, which only amortizes over large batches.
+#: scalar scan (the greedy forest, or :class:`_ScanCursor` once they carry a
+#: non-matching label): the Boruvka kernel pays O(n_objects) array passes
+#: per round, which only amortizes over large batches.
 SMALL_COMPONENT_THRESHOLD = 4096
 
 #: The ``label_code`` of a pending pair; labeled pairs carry
 #: :data:`~repro.core.pairs.LABEL_CODE`.
 CODE_UNLABELED = 0
+_CODE_MATCHING = LABEL_CODE[Label.MATCHING]
+_CODE_NON_MATCHING = LABEL_CODE[Label.NON_MATCHING]
 
 #: Kind tag of the :meth:`VectorizedEngineCore.snapshot_arrays` payload.
 VECTOR_SNAPSHOT_KIND = "vectorized-arrays-v1"
@@ -222,6 +241,172 @@ def _forest_mask(xp, left, right, n_objects, parent=None):
     return mask, parent
 
 
+def _fold_labels(graph: OptimisticGraph, lefts, rights, codes) -> None:
+    """Insert labeled entries into ``graph`` with their real labels."""
+    for a, b, code in zip(lefts, rights, codes):
+        if code == _CODE_MATCHING:
+            graph.assume_matching(a, b)
+        else:
+            graph.add_non_matching(a, b)
+
+
+def _scan_suffix(graph: OptimisticGraph, lefts, rights, codes, held) -> List[int]:
+    """Algorithm 3's scan of the entries on top of ``graph``'s decided
+    prefix, under a checkpoint it rolls back.
+
+    Returns:
+        The indices of the selected entries: unlabeled, not ``held``, and
+        separated in the optimistic graph when the scan reaches them.
+    """
+    picked: List[int] = []
+    graph.checkpoint()
+    try:
+        for k, (a, b, code, is_held) in enumerate(zip(lefts, rights, codes, held)):
+            if code == _CODE_NON_MATCHING:
+                graph.add_non_matching(a, b)
+                continue
+            if code == CODE_UNLABELED and not is_held and graph.separated(a, b):
+                picked.append(k)
+            # Labeled matching, or assumed matching as in the full scan.
+            graph.assume_matching(a, b)
+    finally:
+        graph.rollback()
+    return picked
+
+
+class _ScanCursor:
+    """Algorithm 3 over one small component that carries a non-matching
+    label: :class:`~repro.engine.frontier.FrontierCursor`'s scan of the
+    whole undecided suffix, reading label codes and the exclusion mask.
+
+    Components of at most :data:`SMALL_COMPONENT_THRESHOLD` pairs select
+    here: a handful of list operations, where :class:`_ForestCursor` pays
+    dozens of array calls per selection.
+
+    Args:
+        xp: the array namespace.
+        positions: the component's global order positions, ascending.
+        left, right: the global object ids of each position's endpoints.
+    """
+
+    def __init__(self, xp, positions, left, right) -> None:
+        self._xp = xp
+        self._positions = positions
+        self._left = left.tolist()
+        self._right = right.tolist()
+        self._graph = OptimisticGraph()
+        self._cursor = 0
+
+    def select(self, label_code, excluded):
+        """The component's must-crowdsource positions, ascending."""
+        start = self._cursor
+        rest = self._positions[start:]
+        codes = label_code[rest].tolist()
+        try:
+            advance = codes.index(CODE_UNLABELED)
+        except ValueError:
+            advance = len(codes)
+        stop = start + advance
+        _fold_labels(
+            self._graph, self._left[start:stop], self._right[start:stop], codes[:advance]
+        )
+        self._cursor = stop
+        rest = rest[advance:]
+        picked = _scan_suffix(
+            self._graph,
+            self._left[stop:],
+            self._right[stop:],
+            codes[advance:],
+            excluded[rest].tolist(),
+        )
+        return rest[self._xp.asarray(picked, dtype=self._xp.int64)]
+
+
+class _ForestCursor:
+    """Algorithm 3 over one large component that carries a non-matching
+    label.
+
+    Scans only the component's greedy forest of non-NON_MATCHING pairs and
+    its NON_MATCHING-labeled pairs (see "Frontier/MSF equivalence" in the
+    module docstring), over local object ids ``0..n-1``.  The leading run
+    of labeled pairs is folded once into a persistent
+    :class:`OptimisticGraph` and into ``_parent``, the same connectivity as
+    an array, which seeds the Boruvka kernel for the undecided suffix.
+
+    Args:
+        xp: the array namespace.
+        positions: the component's global order positions, ascending.
+        left, right: the global object ids of each position's endpoints.
+    """
+
+    def __init__(self, xp, positions, left, right) -> None:
+        objects = xp.unique(xp.concatenate((left, right)))
+        self._xp = xp
+        self._positions = positions
+        # A component's objects number far below 2**31.
+        self._left = xp.searchsorted(objects, left).astype(xp.int32)
+        self._right = xp.searchsorted(objects, right).astype(xp.int32)
+        self._n = int(objects.shape[0])
+        self._parent = xp.arange(self._n, dtype=xp.int64)
+        self._graph = OptimisticGraph()
+        self._cursor = 0
+
+    def _fold(self, codes) -> None:
+        """Fold the labeled entries ``codes`` at the cursor into the prefix."""
+        xp = self._xp
+        start = self._cursor
+        stop = start + codes.shape[0]
+        left, right = self._left[start:stop], self._right[start:stop]
+        matching = xp.nonzero(codes == _CODE_MATCHING)[0]
+        in_forest, self._parent = _forest_mask(
+            xp, left[matching], right[matching], self._n, parent=self._parent
+        )
+        folded = xp.sort(
+            xp.concatenate(
+                (matching[in_forest], xp.nonzero(codes == _CODE_NON_MATCHING)[0])
+            )
+        )
+        _fold_labels(
+            self._graph,
+            left[folded].tolist(),
+            right[folded].tolist(),
+            codes[folded].tolist(),
+        )
+        self._cursor = stop
+
+    def select(self, label_code, excluded):
+        """The component's must-crowdsource positions, ascending."""
+        xp = self._xp
+        codes = label_code[self._positions[self._cursor :]]
+        undecided = xp.nonzero(codes == CODE_UNLABELED)[0]
+        if not undecided.shape[0]:
+            self._cursor = self._positions.shape[0]
+            return self._positions[:0]
+        advance = int(undecided[0])
+        if advance:
+            self._fold(codes[:advance])
+            codes = codes[advance:]
+        start = self._cursor
+        positions = self._positions[start:]
+        left, right = self._left[start:], self._right[start:]
+        non_matching = codes == _CODE_NON_MATCHING
+        merging = xp.nonzero(~non_matching)[0]
+        in_forest, _ = _forest_mask(
+            xp, left[merging], right[merging], self._n, parent=self._parent.copy()
+        )
+        scan = xp.sort(
+            xp.concatenate((merging[in_forest], xp.nonzero(non_matching)[0]))
+        )
+        picked = _scan_suffix(
+            self._graph,
+            left[scan].tolist(),
+            right[scan].tolist(),
+            codes[scan].tolist(),
+            excluded[positions[scan]].tolist(),
+        )
+        return positions[scan[xp.asarray(picked, dtype=xp.int64)]]
+
+
 # ----------------------------------------------------------------------
 # the engine core
 # ----------------------------------------------------------------------
@@ -338,16 +523,10 @@ class VectorizedEngineCore:
         self.policy = policy
         self.conflicts: List[Conflict] = []
 
-        # Labeling/publication state masks over order positions, and the
-        # same labels and publications by pair for the scalar frontier
-        # fallback (FrontierCursor reads a label map and an exclude set);
-        # those two are None after restore_arrays until the fallback first
-        # needs them, see _pair_state.
+        # Labeling/publication state masks over order positions.
         self._label_code = xp.zeros(m, dtype=xp.int8)
         self._excluded = xp.zeros(m, dtype=bool)
         self._withheld = xp.zeros(m, dtype=bool)
-        self._labeled: Optional[Dict[Pair, Label]] = {}
-        self._published: Optional[Set[Pair]] = set()
 
         # Dirty bookkeeping.  Sweeps are root-granular: each union-find
         # root owns the pending order positions touching its cluster, and
@@ -364,7 +543,7 @@ class VectorizedEngineCore:
         self._frontier_all_dirty = True
         self._frontier_dirty: Set[int] = set()
         self._nm_label_comps: Set[int] = set()
-        self._cursors: Dict[int, FrontierCursor] = {}
+        self._cursors: Dict[int, Union[_ScanCursor, _ForestCursor]] = {}
         self._selected: Dict[int, object] = {}
         self._merged: Optional[List[Pair]] = None
         self._empty_positions = xp.empty(0, dtype=xp.int64)
@@ -620,9 +799,6 @@ class VectorizedEngineCore:
         pos = self._pos_of.get(pair)
         if pos is None:
             return
-        if self._labeled is not None:
-            self._labeled[pair] = label
-            self._published.discard(pair)
         self._label_code[pos] = LABEL_CODE[label]
         self._excluded[pos] = False
         self._withheld[pos] = False
@@ -633,8 +809,8 @@ class VectorizedEngineCore:
             comp = int(self._comp_of_pair[pos])
             self._frontier_dirty.add(comp)
             if label is Label.NON_MATCHING:
-                # The component leaves the MSF fast path for good: negative
-                # deducibility needs the full optimistic scan.
+                # The component leaves the MSF fast path for good: its
+                # selection needs the forest + non-matching scan.
                 self._nm_label_comps.add(comp)
 
     def record_deduced(self, pair: Pair, label: Label) -> None:
@@ -651,8 +827,6 @@ class VectorizedEngineCore:
             if pos is None:
                 continue
             self._excluded[pos] = True
-            if self._published is not None:
-                self._published.add(pair)
             self._merged = None
             if comp_of_pair is not None:
                 self._frontier_dirty.add(int(comp_of_pair[pos]))
@@ -666,26 +840,6 @@ class VectorizedEngineCore:
             pos = pos_of.get(pair)
             if pos is not None:
                 self._withheld[pos] = True
-
-    def _pair_state(self) -> Tuple[Dict[Pair, Label], Set[Pair]]:
-        """The label map and published set the scalar frontier fallback
-        reads.  After :meth:`restore_arrays` they are rebuilt from the masks
-        here, on first use, not in the restore: the engine's own label map
-        already hashes every labeled pair once there, and a recovered
-        campaign that is already done never selects again."""
-        if self._labeled is None:
-            xp = self._xp
-            done = xp.nonzero(self._label_code != CODE_UNLABELED)[0]
-            self._labeled = dict(
-                zip(
-                    self._pair_arr[done].tolist(),
-                    map(LABEL_OF_CODE.__getitem__, self._label_code[done].tolist()),
-                )
-            )
-            self._published = set(
-                self._pair_arr[xp.nonzero(self._excluded)[0]].tolist()
-            )
-        return self._labeled, self._published
 
     # ------------------------------------------------------------------
     # bulk kernels
@@ -706,7 +860,8 @@ class VectorizedEngineCore:
 
         Visited pending lists are compacted on the way: already-labeled
         positions drop out for good, withheld positions stay listed (they
-        leave the pending set only by being labeled).
+        leave the pending set only by being labeled).  The resolutions are
+        written to the state masks as a whole, one array write per mask.
 
         Returns:
             (pair, implied label) per newly resolved pair, in order
@@ -750,26 +905,47 @@ class VectorizedEngineCore:
         roots_r = _find_many(xp, self._parent, self._right[pending])
         seen = self._seen[self._left[pending]] & self._seen[self._right[pending]]
         same = (roots_l == roots_r) & seen
-        pairs = self.pairs
-        resolved: List[Tuple[int, Pair, Label]] = []
-        for pos in pending[same].tolist():
-            resolved.append((pos, pairs[pos], Label.MATCHING))
+        resolved = xp.nonzero(same)[0]
+        hits: List[int] = []
         if self._nm:
             nm = self._nm
-            cross = seen & ~same
-            if bool(cross.any()):
-                for pos, root_a, root_b in zip(
-                    pending[cross].tolist(),
-                    roots_l[cross].tolist(),
-                    roots_r[cross].tolist(),
-                ):
-                    if root_b in nm.get(root_a, ()):
-                        resolved.append((pos, pairs[pos], Label.NON_MATCHING))
-        resolved.sort(key=lambda entry: entry[0])
-        out = [(pair, label) for _, pair, label in resolved]
-        for pair, label in out:
-            self._note_labeled(pair, label)
-        return out
+            cross = xp.nonzero(seen & ~same)[0]
+            if cross.shape[0]:
+                hits = [
+                    k
+                    for k, root_a, root_b in zip(
+                        cross.tolist(),
+                        roots_l[cross].tolist(),
+                        roots_r[cross].tolist(),
+                    )
+                    if root_b in nm.get(root_a, ())
+                ]
+            if hits:
+                resolved = xp.sort(
+                    xp.concatenate((resolved, xp.asarray(hits, dtype=xp.int64)))
+                )
+        if not resolved.shape[0]:
+            return []
+        positions = pending[resolved]
+        matching = same[resolved]
+        codes = xp.full(positions.shape[0], _CODE_NON_MATCHING, dtype=xp.int8)
+        codes[matching] = _CODE_MATCHING
+        # Withheld positions were filtered out above: only the label and
+        # exclusion masks change.
+        self._label_code[positions] = codes
+        self._excluded[positions] = False
+        self._merged = None
+        if self._comp_of_pair is not None:
+            comps = self._comp_of_pair[positions]
+            self._frontier_dirty.update(comps.tolist())
+            if hits:
+                self._nm_label_comps.update(comps[~matching].tolist())
+        return list(
+            zip(
+                self._pair_arr[positions].tolist(),
+                map(LABEL_OF_CODE.__getitem__, codes.tolist()),
+            )
+        )
 
     def frontier(self) -> List[Pair]:
         """The current must-crowdsource pairs, in order (Algorithm 3).
@@ -779,9 +955,10 @@ class VectorizedEngineCore:
         Dirty components with no non-matching label recompute through the
         Boruvka MSF kernel — batched into a single kernel invocation across
         components, since disjoint components cannot interact; components
-        carrying a non-matching label fall back to a per-component
-        :class:`FrontierCursor`.  Clean components serve their cached
-        selections.
+        carrying a non-matching label select through their own cursor, a
+        :class:`_ScanCursor` at or below :data:`SMALL_COMPONENT_THRESHOLD`
+        pairs and a :class:`_ForestCursor` above it.  Clean components
+        serve their cached selections.
         """
         if self._merged is not None and not self._frontier_dirty:
             return list(self._merged)
@@ -795,13 +972,15 @@ class VectorizedEngineCore:
             if comp in self._nm_label_comps:
                 cursor = self._cursors.get(comp)
                 if cursor is None:
-                    cursor = self._cursors[comp] = FrontierCursor(
-                        self._pair_arr[positions].tolist(), positions.tolist()
+                    kind = (
+                        _ScanCursor
+                        if positions.shape[0] <= SMALL_COMPONENT_THRESHOLD
+                        else _ForestCursor
                     )
-                selected = cursor.select(*self._pair_state())
-                self._selected[comp] = xp.asarray(
-                    [position for position, _ in selected], dtype=xp.int64
-                )
+                    cursor = self._cursors[comp] = kind(
+                        xp, positions, self._left[positions], self._right[positions]
+                    )
+                self._selected[comp] = cursor.select(self._label_code, self._excluded)
             elif positions.shape[0] <= SMALL_COMPONENT_THRESHOLD:
                 mask, _ = greedy_forest(
                     self._left[positions].tolist(), self._right[positions].tolist()
@@ -1025,5 +1204,4 @@ class VectorizedEngineCore:
         self._cursors = {}
         self._selected = {}
         self._merged = None
-        self._labeled = self._published = None
         return True

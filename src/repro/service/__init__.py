@@ -23,7 +23,7 @@ specification, and the crash-recovery runbook.
 
 from .journal import Journal, JournalCorruptError, JournalReplayError
 from .journaling import JournalingPlatformClient
-from .service import Campaign, CampaignService, CampaignState
+from .service import Campaign, CampaignService, CampaignState, RecoveryError
 from .http import CampaignHTTPServer
 
 __all__ = [
@@ -34,5 +34,6 @@ __all__ = [
     "Campaign",
     "CampaignService",
     "CampaignState",
+    "RecoveryError",
     "CampaignHTTPServer",
 ]

@@ -66,6 +66,30 @@ ClientFactory = Callable[[CampaignSpec], PlatformClient]
 JOURNAL_FILENAME = "journal.jsonl"
 
 
+class RecoveryError(RuntimeError):
+    """Journals that :meth:`CampaignService.recover` could not host.
+
+    Every other journal under the root was recovered and is running.
+
+    Attributes:
+        failures: ``journal path -> the exception it failed with``.
+        recovered: ids of the campaigns that did recover.
+    """
+
+    def __init__(
+        self, failures: Dict[str, Exception], recovered: List[str]
+    ) -> None:
+        self.failures = failures
+        self.recovered = recovered
+        causes = "; ".join(
+            f"{path}: {type(exc).__name__}: {exc}" for path, exc in failures.items()
+        )
+        super().__init__(
+            f"{len(failures)} journal(s) could not be recovered ({causes}); "
+            f"recovered: {recovered}"
+        )
+
+
 class CampaignState(str, enum.Enum):
     RUNNING = "running"
     PAUSED = "paused"
@@ -365,8 +389,16 @@ class CampaignService:
         directly; only the post-snapshot tail replays) or, without one,
         fully replayed through a fresh runtime to identical engine state —
         and continued live from where the dead process stopped.
+
+        Raises:
+            RecoveryError: after every journal was tried, when some could
+                not be hosted (a corrupt journal, an undecodable spec, an
+                engine that cannot be built).  It names each failed journal
+                with its cause and carries the ids that did recover; those
+                campaigns are running.
         """
         recovered: List[str] = []
+        failures: Dict[str, Exception] = {}
         if not os.path.isdir(self.root):
             return recovered
         for campaign_id in sorted(os.listdir(self.root)):
@@ -375,16 +407,30 @@ class CampaignService:
             path = os.path.join(self.root, campaign_id, JOURNAL_FILENAME)
             if not os.path.isfile(path):
                 continue
-            header, events = Journal.read(path, repair=True)
-            spec = CampaignSpec.from_dict(header["spec"], trusted_order=True)
-            journal = Journal(
-                path,
-                fsync_every=self._journal_fsync_every(spec),
-                # read() above just parsed and repaired this very file;
-                # re-parsing a 100k-record journal to rediscover the next
-                # seq would double recovery's fixed cost.
-                resume_seq=(events[-1]["seq"] if events else header["seq"]) + 1,
-            )
+            try:
+                self._recover_journal(campaign_id, path)
+            except Exception as exc:
+                failures[path] = exc
+                continue
+            recovered.append(campaign_id)
+        if failures:
+            raise RecoveryError(failures, recovered)
+        return recovered
+
+    def _recover_journal(self, campaign_id: str, path: str) -> None:
+        """Host the campaign journaled at ``path``, releasing the journal
+        and engine it opened if that fails."""
+        header, events = Journal.read(path, repair=True)
+        spec = CampaignSpec.from_dict(header["spec"], trusted_order=True)
+        journal = Journal(
+            path,
+            fsync_every=self._journal_fsync_every(spec),
+            # read() above just parsed and repaired this very file;
+            # re-parsing a 100k-record journal to rediscover the next
+            # seq would double recovery's fixed cost.
+            resume_seq=(events[-1]["seq"] if events else header["seq"]) + 1,
+        )
+        try:
             snapshot = None
             for i in range(len(events) - 1, -1, -1):
                 if events[i].get("type") == "snapshot":
@@ -392,12 +438,17 @@ class CampaignService:
                     events = events[i + 1:]
                     break
             engine = spec.build_engine()
-            self._host(
-                campaign_id, spec, engine, journal, events,
-                recovered=True, snapshot=snapshot,
-            )
-            recovered.append(campaign_id)
-        return recovered
+            try:
+                self._host(
+                    campaign_id, spec, engine, journal, events,
+                    recovered=True, snapshot=snapshot,
+                )
+            except BaseException:
+                engine.close()
+                raise
+        except BaseException:
+            journal.close()
+            raise
 
     # ------------------------------------------------------------------
     # journal compaction

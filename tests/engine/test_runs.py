@@ -26,7 +26,6 @@ that:
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +38,7 @@ from repro.crowd.clients import InMemoryCrowdBackend, ManualClock, PollingPlatfo
 from repro.crowd.platform import HITCompletion
 from repro.engine import CrowdRuntime, LabelingEngine, RuntimeMode
 
-from ..strategies import worlds
+from ..strategies import flipped_answers, worlds
 from .test_backend_matrix import BACKENDS, backend_options
 
 MODES = (RuntimeMode.ROUNDS, RuntimeMode.HIT_INSTANT, RuntimeMode.HIT_ROUNDS)
@@ -89,22 +88,6 @@ def disjoint_pairs(n: int):
     answer deduces another, so every pair is crowdsourced."""
     pairs = [Pair(f"a{i}", f"b{i}") for i in range(n)]
     return pairs, {obj: i for i, pair in enumerate(pairs) for obj in pair}
-
-
-def flipped_answers(world, share: float, seed: int):
-    """An ``answer_fn`` answering ``world``'s truth, with a seeded ``share``
-    of its pairs flipped (the same pairs on every call)."""
-    candidates, entity_of = world
-    truth = GroundTruthOracle(entity_of)
-    rng = random.Random(seed)
-    flipped = {c.pair for c in candidates if rng.random() < share}
-    flip = {Label.MATCHING: Label.NON_MATCHING, Label.NON_MATCHING: Label.MATCHING}
-
-    def answer(pair):
-        label = truth.label(pair)
-        return flip[label] if pair in flipped else label
-
-    return answer
 
 
 def run_campaign(

@@ -12,9 +12,16 @@ frozen references; this file attacks the kernels themselves:
   different orders must converge to the same deduce state and frontier
   (the async runtime applies out-of-order completions);
 * **checkpoint/rollback parity** — across growing labeled/excluded states,
-  the Boruvka/cursor frontier must equal both
+  the Boruvka/forest-cursor frontier must equal both
   :func:`must_crowdsource_frontier` (the reference scan) and a persistent
   :class:`FrontierCursor` (the checkpoint/rollback incremental path);
+* **runs with pairs left in flight** — instant-decision ticks that answer
+  part of the published pairs as one run and sweep once, so decided
+  prefixes stop at in-flight pairs and later advance past forest pairs
+  labeled NON_MATCHING; the frontier must equal the reference after every
+  tick, with perfect and with flipped answers, across a snapshot/restore;
+* **bulk result recording** — a sweep's outcomes are recorded in one call
+  that numbers and checks them as one ``record`` per pair would;
 * **no-numpy fallback** — with ``sys.modules["numpy"]`` stubbed out the
   backend reports unavailable, ``backend="vectorized"`` degrades to
   monolithic, and ``backend="auto"`` skips the vectorized tier.
@@ -26,6 +33,7 @@ skipped on interpreters without numpy (the ``no-extras`` CI leg).
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import sys
 
@@ -39,7 +47,8 @@ from repro.core.cluster_graph import (
     InconsistentLabelError,
 )
 from repro.core.oracle import GroundTruthOracle
-from repro.core.pairs import Label, Pair
+from repro.core.pairs import Label, Pair, Provenance
+from repro.core.result import LabelingResult
 from repro.engine import (
     DEFAULT_SHARD_THRESHOLD,
     FrontierCursor,
@@ -50,7 +59,8 @@ from repro.engine import (
 )
 from repro.engine.vectorized import array_namespace
 
-from ..strategies import worlds
+from ..strategies import flipped_answers, worlds
+from .test_backend_matrix import backend_options
 
 needs_numpy = pytest.mark.skipif(
     not vectorized_available(), reason="vectorized backend requires numpy"
@@ -214,6 +224,148 @@ class TestFrontierParity:
         finally:
             mod.SMALL_COMPONENT_THRESHOLD = original
         assert batched_frontier == scalar.frontier()
+
+
+def _assert_reference_frontier(engine):
+    assert engine.frontier() == must_crowdsource_frontier(
+        engine.pairs, engine.labeled, engine.published
+    )
+    engine.core.check_invariants()
+
+
+@needs_numpy
+class TestRunsWithPairsInFlight:
+    """Instant decision at run granularity: each tick publishes the
+    frontier, answers a random part of the published pairs as one run
+    (``record_answers``, then one ``sweep``) and leaves the rest in flight
+    across ticks.  The ``vectorized-batched`` column runs with
+    ``SMALL_COMPONENT_THRESHOLD`` 0 (tests/engine/conftest.py)."""
+
+    @pytest.mark.parametrize("backend", ["vectorized", "vectorized-batched"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["perfect", "flipped"])
+    @given(
+        world=worlds(max_objects=14, max_pairs=40),
+        rng=st.randoms(use_true_random=False),
+        flip_seed=st.integers(0, 2**16),
+        restore_at=st.integers(0, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_frontier_equals_reference_after_every_tick(
+        self, backend, noisy, world, rng, flip_seed, restore_at
+    ):
+        candidates, entity_of = world
+        if noisy:
+            answer = flipped_answers(world, 0.2, flip_seed)
+            policy = ConflictPolicy.FIRST_WINS
+        else:
+            answer = GroundTruthOracle(entity_of).label
+            policy = ConflictPolicy.STRICT
+        options = dict(backend_options(backend), policy=policy)
+        engine = LabelingEngine(candidates, **options)
+        in_flight = []
+        tick = 0
+        while not engine.is_done:
+            _assert_reference_frontier(engine)
+            batch = engine.frontier()
+            engine.publish(batch)
+            in_flight.extend(batch)
+            assert in_flight, "nothing selected and nothing in flight"
+            if tick == restore_at:
+                snapshot = json.loads(json.dumps(engine.snapshot_state()))
+                restored = LabelingEngine(candidates, **options)
+                restored.restore_state(snapshot)
+                assert restored.state_fingerprint() == engine.state_fingerprint()
+                engine = restored
+            rng.shuffle(in_flight)
+            cut = rng.randint(1, len(in_flight))
+            run, in_flight = in_flight[:cut], in_flight[cut:]
+            engine.record_answers([(pair, answer(pair)) for pair in run], tick)
+            engine.sweep(tick)
+            tick += 1
+        assert in_flight == []
+        _assert_reference_frontier(engine)
+
+    def _published_run(self, order, truth):
+        engine = LabelingEngine(order, backend="vectorized")
+        first = engine.frontier()
+        engine.publish(first)
+        return engine, first, GroundTruthOracle(truth).label
+
+    def test_matching_answer_unlocks_a_pair(self):
+        """The order (b,c) (b,d) (a,b) (a,c) (c,d), with a = b and c, d
+        apart: after (a,b) comes back MATCHING the sweep deduces (a,c)
+        NON_MATCHING, and (c,d) becomes must-crowdsource."""
+        order = [
+            Pair("b", "c"), Pair("b", "d"), Pair("a", "b"), Pair("a", "c"), Pair("c", "d")
+        ]
+        engine, first, label = self._published_run(
+            order, {"a": 0, "b": 0, "c": 1, "d": 2}
+        )
+        assert first == order[:3]
+        engine.record_answers([(pair, label(pair)) for pair in order[:2]], 0)
+        assert engine.sweep(0) == []
+        _assert_reference_frontier(engine)
+        assert engine.frontier() == []
+        engine.record_answers([(order[2], label(order[2]))], 1)
+        assert engine.sweep(1) == [(Pair("a", "c"), Label.NON_MATCHING)]
+        _assert_reference_frontier(engine)
+        assert engine.frontier() == [Pair("c", "d")]
+
+    def test_forest_pair_labeled_non_matching_is_replaced_later(self):
+        """(a,b) and (a,c) span the component; (b,c) is outside the forest
+        until both come back NON_MATCHING, which makes it the forest pair
+        that joins b and c, and must-crowdsource."""
+        order = [Pair("a", "b"), Pair("a", "c"), Pair("b", "c"), Pair("c", "d")]
+        engine, first, label = self._published_run(
+            order, {"a": 0, "b": 1, "c": 2, "d": 2}
+        )
+        assert first == [Pair("a", "b"), Pair("a", "c"), Pair("c", "d")]
+        # (a,b) answered, (a,c) still in flight: the prefix stops at it.
+        engine.record_answers([(order[0], label(order[0]))], 0)
+        engine.sweep(0)
+        _assert_reference_frontier(engine)
+        assert engine.frontier() == []
+        # The prefix advances past (a,c), now a NON_MATCHING forest pair.
+        engine.record_answers([(order[1], label(order[1]))], 1)
+        assert engine.sweep(1) == []
+        _assert_reference_frontier(engine)
+        assert engine.frontier() == [Pair("b", "c")]
+
+
+class TestBulkResultRecording:
+    """``LabelingResult.record_many`` numbers and checks outcomes as
+    successive ``record`` calls would."""
+
+    def test_positions_continue_record_numbering(self):
+        result = LabelingResult()
+        result.record(Pair("a", "b"), Label.MATCHING, Provenance.CROWDSOURCED, 0)
+        labels = {
+            Pair("b", "c"): Label.NON_MATCHING,
+            Pair("a", "c"): Label.NON_MATCHING,
+        }
+        result.record_many(labels, Provenance.DEDUCED, 1)
+        result.record(Pair("c", "d"), Label.MATCHING, Provenance.CROWDSOURCED, 2)
+        assert [o.position for o in result] == [0, 1, 2, 3]
+        assert [o.pair for o in result][1:3] == list(labels)
+        outcome = result.outcomes[Pair("b", "c")]
+        assert (outcome.label, outcome.provenance, outcome.round_index) == (
+            Label.NON_MATCHING,
+            Provenance.DEDUCED,
+            1,
+        )
+        assert (result.n_crowdsourced, result.n_deduced) == (2, 2)
+
+    def test_a_duplicate_raises_before_anything_is_written(self):
+        result = LabelingResult()
+        result.record(Pair("a", "b"), Label.MATCHING, Provenance.CROWDSOURCED, 0)
+        labels = {
+            Pair("a", "c"): Label.NON_MATCHING,
+            Pair("a", "b"): Label.NON_MATCHING,
+        }
+        with pytest.raises(ValueError, match=r"Pair\('a', 'b'\) was already labeled"):
+            result.record_many(labels, Provenance.DEDUCED, 1)
+        assert list(result.outcomes) == [Pair("a", "b")]
+        assert (result.n_crowdsourced, result.n_deduced) == (1, 0)
 
 
 class TestNoNumpyFallback:

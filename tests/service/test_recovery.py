@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import CampaignService
+from repro.service import CampaignService, RecoveryError
 from repro.service.journal import Journal
 
 from ..aio import run_async
@@ -283,3 +283,70 @@ def test_recovering_a_finished_campaign_is_a_pure_replay(tmp_path):
     assert run_async(scenario()) == fp
     _, events = Journal.read(str(root / "c1" / "journal.jsonl"))
     assert len(events) + 1 == seq_before, "pure replay must not journal anew"
+
+
+def _header_spec_overridden(journal_bytes: bytes, **fields) -> bytes:
+    """``journal_bytes`` with ``fields`` set in the header's spec."""
+    lines = journal_bytes.splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["spec"].update(fields)
+    return (json.dumps(header, sort_keys=True) + "\n").encode("utf-8") + b"".join(
+        lines[1:]
+    )
+
+
+@pytest.mark.parametrize(
+    "damage, cause",
+    [
+        pytest.param(
+            lambda good: good.replace(b"\n", b"\n{not json\n", 2),
+            "JournalCorruptError",
+            id="corrupt",
+        ),
+        pytest.param(
+            lambda good: _header_spec_overridden(good, mode="bogus"),
+            "SpecError",
+            id="undecodable-spec",
+        ),
+        pytest.param(
+            lambda good: _header_spec_overridden(
+                good, backend="parallel", n_workers=0, parallel_threshold=0
+            ),
+            "ValueError",
+            id="unbuildable-engine",
+        ),
+    ],
+)
+def test_a_bad_journal_does_not_stop_the_others(damage, cause, tmp_path):
+    """A journal that cannot be hosted sorts first under the root; the one
+    after it still recovers to its uninterrupted fingerprint, and the
+    error names the bad journal and carries the recovered id."""
+    spec = make_spec("instant")
+    fp, spend, journal_bytes = reference_run(spec, tmp_path)
+    offsets = journal_record_offsets(
+        tmp_path / "reference" / "ref" / "journal.jsonl"
+    )
+    root = tmp_path / "mixed"
+    (root / "a-bad").mkdir(parents=True)
+    (root / "b-good").mkdir()
+    bad_path = root / "a-bad" / "journal.jsonl"
+    bad_path.write_bytes(damage(journal_bytes))
+    (root / "b-good" / "journal.jsonl").write_bytes(journal_bytes[: offsets[2]])
+
+    async def scenario():
+        service = CampaignService(root)
+        with pytest.raises(RecoveryError) as info:
+            await service.recover()
+        error = info.value
+        assert error.recovered == ["b-good"]
+        assert list(error.failures) == [str(bad_path)]
+        assert type(error.failures[str(bad_path)]).__name__ == cause
+        assert str(bad_path) in str(error) and cause in str(error)
+        campaign = await service.wait("b-good")
+        assert campaign.state.value == "done", campaign.error
+        got = fingerprint_json(campaign.engine)
+        got_spend = campaign.runtime.report.assignments_committed
+        await service.close()
+        return got, got_spend
+
+    assert run_async(scenario()) == (fp, spend)

@@ -8,6 +8,7 @@ such worlds.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Tuple
 
 from hypothesis import strategies as st
@@ -92,3 +93,19 @@ def consistent_labelings(
     )
     oracle = GroundTruthOracle(entity_of)
     return [LabeledPair(c.pair, oracle.label(c.pair)) for c in candidates]
+
+
+def flipped_answers(world, share: float, seed: int):
+    """An ``answer_fn`` answering ``world``'s truth, with a seeded ``share``
+    of its pairs flipped (the same pairs on every call)."""
+    candidates, entity_of = world
+    truth = GroundTruthOracle(entity_of)
+    rng = random.Random(seed)
+    flipped = {c.pair for c in candidates if rng.random() < share}
+    flip = {Label.MATCHING: Label.NON_MATCHING, Label.NON_MATCHING: Label.MATCHING}
+
+    def answer(pair):
+        label = truth.label(pair)
+        return flip[label] if pair in flipped else label
+
+    return answer
