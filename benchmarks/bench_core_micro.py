@@ -7,8 +7,8 @@ against the pre-refactor full-rescan deduction sweep, the per-component
 reselection against one whole-order cursor (at tenant size and at one
 million candidate pairs, on the monolithic backend), the vectorized
 array-kernel backend against monolithic (numpy installs only), and the
-process-parallel and distributed (TCP socket) backends against the
-in-process monolithic backend.
+distributed backend's socket workers against the in-process monolithic and
+vectorized backends.
 
 Machine-readable timings are emitted to ``BENCH_core.json`` in the repo
 root after the session; ``compare_bench.py`` diffs that artifact against
@@ -1019,38 +1019,33 @@ def test_vectorized_backend_beats_monolithic_at_1m_pairs():
 
 
 # ----------------------------------------------------------------------
-# process-parallel vs in-process monolithic backend at 1M+ candidate pairs
+# socket workers vs the in-process backends at 1M+ candidate pairs
 # ----------------------------------------------------------------------
-# The parallel backend fans per-component sweeps and frontier recomputes
-# across worker processes, so its win appears when one event dirties *many*
-# components at once — the shape of a real campaign tick, where a burst of
-# completions lands between frontier recomputes.  Each timed tick applies a
-# batch of answers spread across components (untimed bookkeeping), then runs
-# one sweep + one frontier recompute (timed: that is the work that fans out).
-PARALLEL_WORKERS = 4
-PARALLEL_EVENTS_PER_TICK = 32
-PARALLEL_TICKS = 4
+# The distributed backend fans per-component sweeps and frontier recomputes
+# across worker processes, so its win would appear when one event dirties
+# *many* components at once — the shape of a real campaign tick, where a
+# burst of completions lands between frontier recomputes.  Each timed tick
+# applies a batch of answers spread across components (untimed bookkeeping),
+# then runs one sweep + one frontier recompute (timed: that is the work that
+# fans out).
+SCALE_WORKERS = 4
+SCALE_EVENTS_PER_TICK = 32
+SCALE_TICKS = 4
 
 
-#: Cache of per-backend campaign-tick drives, so the parallel and
-#: distributed scale tests share one in-process monolithic baseline run.
-_TICK_DRIVES: Dict[str, dict] = {}
-
-
-def _drive_parallel_scale(backend: str, candidates, truth, answer_ticks=None):
+def _drive_scale_ticks(backend: str, candidates, truth, answer_ticks=None):
     """Drive ``backend`` through the batched campaign-tick loop; returns
     timings plus everything the cross-backend parity assertions need."""
     from repro.engine.parallel import available_cpus
 
-    if backend == "distributed":
-        # Local worker hosts over loopback sockets: the real wire protocol,
-        # same worker count as the parallel backend's pipe workers.
-        backend_kwargs = dict(spawn_local_workers=PARALLEL_WORKERS)
-    else:
-        backend_kwargs = dict(parallel_threshold=0, n_workers=PARALLEL_WORKERS)
+    # Local worker hosts over loopback sockets: the real wire protocol.
+    backend_kwargs = (
+        dict(spawn_local_workers=SCALE_WORKERS) if backend == "distributed" else {}
+    )
     start = time.perf_counter()
     engine = LabelingEngine(candidates, backend=backend, **backend_kwargs)
     build_s = time.perf_counter() - start
+    assert engine.backend == backend
     try:
         start = time.perf_counter()
         first_frontier = engine.frontier()
@@ -1059,12 +1054,12 @@ def _drive_parallel_scale(backend: str, candidates, truth, answer_ticks=None):
         if answer_ticks is None:
             # Stride-sample the frontier so each tick's answers land in many
             # distinct components (deterministic: the frontier is).
-            n_answers = PARALLEL_EVENTS_PER_TICK * PARALLEL_TICKS
+            n_answers = SCALE_EVENTS_PER_TICK * SCALE_TICKS
             stride = max(1, len(first_frontier) // n_answers)
             sampled = first_frontier[::stride][:n_answers]
             answer_ticks = [
-                sampled[i : i + PARALLEL_EVENTS_PER_TICK]
-                for i in range(0, len(sampled), PARALLEL_EVENTS_PER_TICK)
+                sampled[i : i + SCALE_EVENTS_PER_TICK]
+                for i in range(0, len(sampled), SCALE_EVENTS_PER_TICK)
             ]
         engine.publish(first_frontier)
         engine.frontier()  # re-cache after the publish (untimed warm-up)
@@ -1097,9 +1092,10 @@ def _drive_parallel_scale(backend: str, candidates, truth, answer_ticks=None):
             "n_labeled": len(engine.labeled),
             "n_cpus": available_cpus(),
         }
-        if backend in ("parallel", "distributed"):
+        if engine.executor is not None:
             stats["n_workers"] = engine.executor.n_workers
             stats["n_components"] = engine.executor.n_components
+            stats["n_reassignments"] = len(engine.executor.reassignments)
         return {
             "stats": stats,
             "first_frontier": first_frontier,
@@ -1112,86 +1108,53 @@ def _drive_parallel_scale(backend: str, candidates, truth, answer_ticks=None):
         engine.close()
 
 
-def test_parallel_backend_scales_sweep_and_frontier():
-    """The process-parallel tentpole, measured at >=1M candidate pairs:
-    batched sweep+frontier ticks fan out across worker processes, and both
-    backends observe byte-identical labeling behaviour.  The >=2x throughput
-    bar applies where the hardware can express it (>=4 CPUs, as on the CI
-    bench runner); on smaller hosts the timings are recorded without gating
-    and the artifact's ``n_cpus`` field says why.
-    """
-    from repro.engine.parallel import available_cpus
-
-    candidates, truth = _sharded_workload_cached()
-    assert len(candidates) >= 1_000_000
-
-    monolithic = _TICK_DRIVES.get("monolithic")
-    if monolithic is None:
-        monolithic = _TICK_DRIVES["monolithic"] = _drive_parallel_scale(
-            "monolithic", candidates, truth
-        )
-    parallel = _drive_parallel_scale(
-        "parallel", candidates, truth, answer_ticks=monolithic["answer_ticks"]
-    )
-
-    # Cross-backend parity at scale: same round-1 frontier, same deductions
-    # and frontier after every tick, same final labels.
-    assert parallel["first_frontier"] == monolithic["first_frontier"]
-    assert parallel["tick_sweeps"] == monolithic["tick_sweeps"]
-    assert parallel["tick_frontiers"] == monolithic["tick_frontiers"]
-    assert parallel["labeled"] == monolithic["labeled"]
-
-    _record("parallel_scale_monolithic", **monolithic["stats"])
-    _record("parallel_scale_parallel", **parallel["stats"])
-    mono_s = monolithic["stats"]["sweep_frontier_s"]
-    par_s = parallel["stats"]["sweep_frontier_s"]
-    n_cpus = available_cpus()
-    _record(
-        "parallel_scale_speedup",
-        sweep_frontier_speedup=mono_s / par_s if par_s else float("inf"),
-        n_pairs=len(candidates),
-        n_workers=PARALLEL_WORKERS,
-        n_cpus=n_cpus,
-    )
-    if n_cpus >= 4:
-        assert mono_s > par_s * 2, (
-            f"parallel sweep+frontier ({par_s:.3f}s) must be >=2x faster than "
-            f"in-process monolithic ({mono_s:.3f}s) on {n_cpus} CPUs with "
-            f"{PARALLEL_WORKERS} workers at {len(candidates)} pairs"
-        )
+def _assert_same_ticks(drive: dict, reference: dict) -> None:
+    """Cross-backend parity at scale: same round-1 frontier, same
+    deductions and frontier after every tick, same final labels."""
+    assert drive["first_frontier"] == reference["first_frontier"]
+    assert drive["tick_sweeps"] == reference["tick_sweeps"]
+    assert drive["tick_frontiers"] == reference["tick_frontiers"]
+    assert drive["labeled"] == reference["labeled"]
 
 
 def test_distributed_backend_scales_sweep_and_frontier():
-    """The socket transport at >=1M candidate pairs: local ``ShardWorkerHost``
-    processes over loopback TCP run the same batched campaign-tick loop as
-    the parallel backend's pipe workers, byte-identical to the in-process
-    monolithic backend.  The fan-out win must survive the JSON-over-socket
-    framing: gated at >=1.5x over in-process monolithic on a >=4-CPU host
-    (the pipe workers' bar is 2x;
-    the lower bar is the documented transport overhead budget).  On smaller
-    hosts the timings are recorded without gating and the artifact's
-    ``n_cpus`` field says why.
+    """Socket workers at >=1M candidate pairs: local ``ShardWorkerHost``
+    processes over loopback TCP run the batched campaign-tick loop
+    byte-identical to the in-process monolithic and vectorized backends,
+    which run the same answer ticks.  The fan-out win must survive the
+    JSON-over-socket framing: gated at >=1.5x over in-process monolithic
+    on a >=4-CPU host.  On smaller hosts the timings are recorded without
+    gating and the artifact's ``n_cpus`` field says why.  The vectorized
+    drive is recorded without a gate (``requires: "numpy"``): what one
+    in-process core does per tick against the workers depends on the
+    hardware, and a gate is set from measured numbers.  Every local worker
+    answers within the default heartbeat bound, so the drive loses none.
     """
     from repro.engine.parallel import available_cpus
 
     candidates, truth = _sharded_workload_cached()
     assert len(candidates) >= 1_000_000
 
-    monolithic = _TICK_DRIVES.get("monolithic")
-    if monolithic is None:  # standalone invocation (-k distributed)
-        monolithic = _TICK_DRIVES["monolithic"] = _drive_parallel_scale(
-            "monolithic", candidates, truth
-        )
-    distributed = _drive_parallel_scale(
-        "distributed", candidates, truth, answer_ticks=monolithic["answer_ticks"]
+    monolithic = _drive_scale_ticks("monolithic", candidates, truth)
+    answer_ticks = monolithic["answer_ticks"]
+    distributed = _drive_scale_ticks(
+        "distributed", candidates, truth, answer_ticks=answer_ticks
     )
+    _assert_same_ticks(distributed, monolithic)
+    assert distributed["stats"]["n_reassignments"] == 0
+    if vectorized_available():
+        import numpy
 
-    # Cross-backend parity at scale: same round-1 frontier, same deductions
-    # and frontier after every tick, same final labels — over real sockets.
-    assert distributed["first_frontier"] == monolithic["first_frontier"]
-    assert distributed["tick_sweeps"] == monolithic["tick_sweeps"]
-    assert distributed["tick_frontiers"] == monolithic["tick_frontiers"]
-    assert distributed["labeled"] == monolithic["labeled"]
+        vectorized = _drive_scale_ticks(
+            "vectorized", candidates, truth, answer_ticks=answer_ticks
+        )
+        _assert_same_ticks(vectorized, monolithic)
+        _record(
+            "distributed_scale_vectorized",
+            **vectorized["stats"],
+            requires="numpy",
+            numpy_version=numpy.__version__,
+        )
 
     _record("distributed_scale_monolithic", **monolithic["stats"])
     _record("distributed_scale_distributed", **distributed["stats"])
@@ -1202,14 +1165,14 @@ def test_distributed_backend_scales_sweep_and_frontier():
         "distributed_scale_speedup",
         sweep_frontier_speedup=mono_s / dist_s if dist_s else float("inf"),
         n_pairs=len(candidates),
-        n_workers=PARALLEL_WORKERS,
+        n_workers=SCALE_WORKERS,
         n_cpus=n_cpus,
     )
     if n_cpus >= 4:
         assert mono_s > dist_s * 1.5, (
             f"distributed sweep+frontier ({dist_s:.3f}s) must be >=1.5x faster "
             f"than in-process monolithic ({mono_s:.3f}s) on {n_cpus} CPUs with "
-            f"{PARALLEL_WORKERS} socket workers at {len(candidates)} pairs"
+            f"{SCALE_WORKERS} socket workers at {len(candidates)} pairs"
         )
 
 

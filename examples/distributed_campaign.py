@@ -1,14 +1,13 @@
 """A crowdsourced-join campaign on the distributed shard backend.
 
 ``backend="distributed"`` runs the engine's per-component shards on
-worker processes reached over TCP sockets — the same shared-nothing
-command protocol as ``backend="parallel"``, but with a transport that can
-leave the machine (``workers=["host:port", ...]`` connects to remote
-``ShardWorkerHost`` processes started with
-``python -m repro.engine.distributed --worker host:port``).  Here the
-``spawn_local_workers=N`` convenience forks the worker hosts locally, so
-the example runs offline in seconds while still exercising the real wire
-protocol end to end.
+worker processes reached over TCP sockets, a shared-nothing command
+protocol that can leave the machine (``workers=["host:port", ...]``
+connects to remote ``ShardWorkerHost`` processes started with
+``python -m repro.engine.distributed --worker host:port``).  Here
+``spawn_local_workers=N`` forks the worker hosts locally, so the example
+runs offline in seconds while still exercising the real wire protocol end
+to end.
 
 Two acts:
 

@@ -28,13 +28,12 @@ Public surface:
 * vectorized: :class:`VectorizedEngineCore`, :func:`vectorized_available`
               — array-native sweep/deduce/frontier kernels over numpy
               (``backend="vectorized"``; the optional ``perf`` extra)
-* workers:    :class:`ShardCoordinator`, :class:`ShardWorkerError`
-              (+ ``DEFAULT_PARALLEL_THRESHOLD``) — the per-component
-              decomposition fanned out across worker processes with
-              worker-loss re-assignment: pipe-attached local workers
-              (``backend="parallel"``) or socket-attached
-              :class:`ShardWorkerHost` processes (``backend="distributed"``;
-              wire protocol: :func:`encode_frame`, :class:`FrameDecoder`,
+* workers:    :class:`ShardCoordinator`, :class:`ShardWorkerError` — the
+              per-component decomposition fanned out across
+              socket-attached :class:`ShardWorkerHost` processes, spawned
+              on loopback or remote, with worker-loss re-assignment
+              (``backend="distributed"``; wire protocol:
+              :func:`encode_frame`, :class:`FrameDecoder`,
               :class:`ProtocolError`, ``PROTOCOL_VERSION``; runbook:
               ``python -m repro.engine.distributed --worker host:port``)
 * runtime:    :class:`CrowdRuntime`, :class:`RuntimeMode`,
@@ -72,13 +71,12 @@ from .frontier import (
     must_crowdsource_frontier,
 )
 from .hit_adapter import HITDispatchAdapter
-from .parallel import DEFAULT_PARALLEL_THRESHOLD, ShardWorkerError
+from .parallel import ShardWorkerError
 from .vectorized import VectorizedEngineCore, vectorized_available
 
 __all__ = [
     "AsyncDispatch",
     "CrowdRuntime",
-    "DEFAULT_PARALLEL_THRESHOLD",
     "DEFAULT_SHARD_THRESHOLD",
     "EngineBackend",
     "ExpectedDeductionScorer",

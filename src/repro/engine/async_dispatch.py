@@ -691,9 +691,8 @@ class CrowdRuntime:
         finally:
             await self._client.close()
             # The runtime owns the campaign lifecycle: release the engine's
-            # parallel-backend worker processes (no-op on in-process
-            # backends).  Result state lives in this process and stays
-            # readable after close.
+            # worker hosts (no-op on in-process backends).  Result state
+            # lives in this process and stays readable after close.
             self._engine.close()
         return self.report
 
@@ -1191,9 +1190,9 @@ class AsyncDispatch:
             not consult the oracle (live platforms) may ignore it.
         policy: conflict policy for the engine's deduction graph.
         backend: engine backend (``"auto"``, ``"monolithic"``,
-            ``"vectorized"``, ``"parallel"``, or ``"distributed"``, as a
-            string or :class:`~repro.engine.engine.EngineBackend`).
-        shard_threshold / parallel_threshold / n_workers: engine knobs (see
+            ``"vectorized"``, or ``"distributed"``, as a string or
+            :class:`~repro.engine.engine.EngineBackend`).
+        shard_threshold: the ``auto`` cut-over (see
             :class:`LabelingEngine`).
         workers: ``"host:port"`` addresses of already-running shard worker
             hosts (``backend="distributed"`` only).
@@ -1216,8 +1215,6 @@ class AsyncDispatch:
         policy: Optional[ConflictPolicy] = None,
         backend: Optional[str] = None,
         shard_threshold: Optional[int] = None,
-        parallel_threshold: Optional[int] = None,
-        n_workers: Optional[int] = None,
         workers: Optional[Sequence[str]] = None,
         spawn_local_workers: Optional[int] = None,
         budget=_UNSET,
@@ -1248,8 +1245,6 @@ class AsyncDispatch:
             "policy": policy,
             "backend": backend,
             "shard_threshold": shard_threshold,
-            "parallel_threshold": parallel_threshold,
-            "n_workers": n_workers,
             "workers": workers,
             "spawn_local_workers": spawn_local_workers,
         }

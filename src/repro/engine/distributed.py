@@ -1,68 +1,60 @@
-"""Shard execution across worker processes and hosts: one coordinator, two transports.
+"""Shard execution across worker processes and hosts: one coordinator over sockets.
 
-The parallel and distributed backends share one shared-nothing command
-protocol: component snapshots ship once, then the hot path carries only
-order positions and label codes.  :class:`ShardCoordinator` speaks it to
-every worker through one channel seam (send / receive / close), with two
-channels behind it:
+The distributed backend fans the per-component decomposition out over a
+shared-nothing command protocol: component snapshots ship once, then the
+hot path carries only order positions and label codes.
+:class:`ShardCoordinator` speaks it to every worker through one channel (a
+blocking TCP socket) and :class:`ShardWorkerHost` serves it: an
+``asyncio`` TCP server (stdlib only) that turns worker *processes* into
+worker *hosts*, the path past one machine for 100M+ pair workloads.  Each
+connection gets an independent session; the coordinator ships component
+snapshots (``load``).  A background task heartbeats while the session is
+idle; a handler that stalls starves its own heartbeat, which is exactly how
+the coordinator detects a hung worker.  Run one standalone with
+``python -m repro.engine.distributed --worker host:port``;
+``backend="distributed"`` connects to such hosts and/or spawns local ones
+on loopback (``spawn_local_workers``).
 
-* **sockets** — :class:`ShardWorkerHost`, an ``asyncio`` TCP server (stdlib
-  only) that a coordinator connects to, which turns worker *processes* into
-  worker *hosts*: the path past one machine for 100M+ pair workloads.  Each
-  connection gets an independent session; the coordinator ships component
-  snapshots (``load``).  A background task heartbeats while the session is
-  idle; a handler that stalls starves its own heartbeat, which is exactly
-  how the coordinator detects a hung worker.  Run one standalone with
-  ``python -m repro.engine.distributed --worker host:port``.
-  ``backend="distributed"`` uses these, remote or spawned on loopback.
-* **pipes** — locally spawned worker processes (``backend="parallel"``)
-  that receive their initial components at spawn (inherited under
-  ``fork``) and then serve the same command lists, pickled.  Liveness is the
-  process itself plus the reply deadline; there is no heartbeat bound, so a
-  long handler on a big order is never declared dead.
+Every worker runs the same :class:`_WorkerSession` dispatch over the same
+:class:`~repro.engine.parallel._WorkerState`, whose handlers mirror the
+in-process engine step for step — byte-identical behaviour is the whole
+point, and the differential suite pins it.  The coordinator uses plain
+*blocking* I/O — engine calls are synchronous, and on the async runtime they
+happen inside a running event loop, where nesting ``asyncio.run`` is
+impossible — and keeps an **authoritative event log** per static component.
 
-Both kinds of worker run the same :class:`_WorkerSession` dispatch over the
-same :class:`~repro.engine.parallel._WorkerState` the in-process backends
-mirror — byte-identical behaviour is the whole point, and the differential
-suite pins it.  The coordinator uses plain *blocking* I/O — engine calls are
-synchronous, and on the async runtime they happen inside a running event
-loop, where nesting ``asyncio.run`` is impossible — and keeps an
-**authoritative event log** per static component.
-
-Wire format on sockets: length-prefixed JSON — a 4-byte big-endian size then
-a UTF-8 JSON array, no new dependencies.  Snapshots reuse the engine
+Wire format: length-prefixed JSON — a 4-byte big-endian size then a UTF-8
+JSON array led by its command or reply kind, no new dependencies.  Both ends
+decode a body through one helper, so a malformed frame is a
+:class:`ProtocolError` wherever it lands.  Snapshots reuse the engine
 snapshot's column packing (:func:`~repro.engine.engine._pack_ints`: base64
 little-endian int arrays), so a 250k-position bundle decodes with a memcpy
 instead of a 250k-element JSON array parse.  Object ids must be JSON scalars
 (str/int/float/bool/None) — the same contract
-:func:`repro.spec.encode_object` enforces — and a coordinator with any
-socket worker validates this up front; pipe-only coordinators take any
-picklable id.
+:func:`repro.spec.encode_object` enforces — and the coordinator validates
+this up front.
 
-Failure contract: a closed pipe or dropped connection, a dead local
-process, heartbeat silence, or a reply timeout marks a worker **dead** — but
-instead of poisoning the coordinator, it re-ships the dead worker's
-components to the surviving workers from its authoritative snapshot (the
-static entries plus the committed event log) and replays the in-flight
-command.  Events commit to the log only after the owning worker acknowledged
-them, so a worker that died *after* applying a command but *before*
-replying is replayed without it and the retried command applies it exactly
-once.  A run of answers goes out as one ``answers`` command per worker that
-owns part of it, and a loss retries only the lost worker's share.  Only when
-**no** workers survive does the coordinator poison itself and raise
-:class:`ShardWorkerError`.
+Failure contract: a dropped connection, heartbeat silence, a reply timeout
+or a malformed reply marks a worker **dead** — but instead of poisoning the
+coordinator, it re-ships the dead worker's components to the surviving
+workers from its authoritative snapshot (the static entries plus the
+committed event log) and replays the in-flight command.  Events commit to
+the log only after the owning worker acknowledged them, so a worker that
+died *after* applying a command but *before* replying is replayed without
+it and the retried command applies it exactly once.  A run of answers goes
+out as one ``answers`` command per worker that owns part of it, and a loss
+retries only the lost worker's share.  Only when **no** workers survive does
+the coordinator poison itself and raise :class:`ShardWorkerError`.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import gc
 import heapq
 import json
 import multiprocessing
 import os
-import select
 import socket
 import struct
 import sys
@@ -114,13 +106,18 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: own heartbeat), so the default is generous; chaos tests tune it down.
 DEFAULT_HEARTBEAT_TIMEOUT = 60.0
 
-#: Poll slice while waiting for a reply on either channel — liveness
-#: (connection or process state, heartbeat recency, deadline) is re-checked
-#: this often.
+#: Poll slice while waiting for a reply — liveness (connection state,
+#: heartbeat recency, deadline) is re-checked this often.  A local worker
+#: whose link went away also gets this long to exit, so its loss reports
+#: the exit code.
 _POLL_INTERVAL = 0.05
 
 _HELLO = "hello"
 _HEARTBEAT_FRAME = None  # built after encode_frame is defined
+
+#: Frame length of each reply kind: ``["ok", seq, payload]`` and
+#: ``["exc", seq, type name, message]``.
+_REPLY_LENGTH = {"ok": 3, "exc": 4}
 
 #: JSON-scalar types an object id may have on the distributed backend.
 _SCALAR_TYPES = (str, int, float, bool, type(None))
@@ -146,7 +143,7 @@ class ProtocolError(RuntimeError):
 
 def _shipped_exception(type_name: str, message: str) -> BaseException:
     """Rebuild an exception a worker shipped by type name."""
-    exc_type = _EXC_TYPES.get(type_name)
+    exc_type = _EXC_TYPES.get(str(type_name))
     if exc_type is None:
         return RuntimeError(f"{type_name}: {message}")
     return exc_type(message)
@@ -155,17 +152,36 @@ def _shipped_exception(type_name: str, message: str) -> BaseException:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def encode_frame(message: Any, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
-    """One wire frame: 4-byte big-endian length + compact UTF-8 JSON body.
-
-    Messages must be JSON *arrays* — every protocol frame is one, and the
-    restriction keeps :meth:`FrameDecoder.next_frame`'s ``None`` ("need more
-    bytes") unambiguous.
-    """
+def _check_message(message: Any) -> None:
+    """Every protocol frame is a JSON array led by its command or reply
+    kind; the restriction keeps :meth:`FrameDecoder.next_frame`'s ``None``
+    ("need more bytes") unambiguous and ``message[0]`` always readable."""
     if not isinstance(message, (list, tuple)):
         raise ProtocolError(
             f"wire messages must be JSON arrays, got {type(message).__name__}"
         )
+    if not message or not isinstance(message[0], str):
+        raise ProtocolError(
+            f"wire messages must lead with a kind string, got {list(message[:1])!r}"
+        )
+
+
+def _decode_body(body: bytes) -> list:
+    """A frame body as its message, on either end of the wire.  Invalid
+    UTF-8, malformed JSON, nesting past the interpreter's recursion limit
+    and a message of the wrong shape all raise :class:`ProtocolError`."""
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ProtocolError(f"undecodable frame body: {exc}") from None
+    _check_message(message)
+    return message
+
+
+def encode_frame(message: Any, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
+    """One wire frame: 4-byte big-endian length + compact UTF-8 JSON body
+    (a JSON array led by its kind string)."""
+    _check_message(message)
     body = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(body) > max_frame_bytes:
         raise ProtocolError(
@@ -205,12 +221,7 @@ class FrameDecoder:
             return None
         body = bytes(self._buffer[4 : 4 + length])
         del self._buffer[: 4 + length]
-        message = json.loads(body.decode("utf-8"))
-        if not isinstance(message, list):
-            raise ProtocolError(
-                f"wire messages must be JSON arrays, got {type(message).__name__}"
-            )
-        return message
+        return _decode_body(body)
 
 
 _HEARTBEAT_FRAME = encode_frame(["hb"])
@@ -227,13 +238,7 @@ async def _read_frame(
             f"incoming frame of {length} bytes exceeds the "
             f"{max_frame_bytes}-byte limit"
         )
-    body = await reader.readexactly(length)
-    message = json.loads(body.decode("utf-8"))
-    if not isinstance(message, list):
-        raise ProtocolError(
-            f"wire messages must be JSON arrays, got {type(message).__name__}"
-        )
-    return message
+    return _decode_body(await reader.readexactly(length))
 
 
 async def _write_frame(writer: asyncio.StreamWriter, frame: bytes) -> bool:
@@ -258,11 +263,11 @@ def _parse_address(address: str) -> Tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# worker side: the shared session, the asyncio host, the pipe worker
+# worker side: the session and the asyncio host
 # ----------------------------------------------------------------------
 class _WorkerSession:
-    """One worker's shard state, behind the command dispatch both worker
-    kinds share (a :class:`ShardWorkerHost` connection, a pipe worker).
+    """One worker's shard state, behind the command dispatch of a
+    :class:`ShardWorkerHost` connection.
 
     One :class:`_WorkerState` *bundle* per snapshot — the initial one plus
     one per re-assignment — each holding whole components, so bundles never
@@ -305,6 +310,9 @@ class _WorkerSession:
 
     # -- command handlers ---------------------------------------------
     def load(self, bundle: dict, policy_value: str, events: List[list]) -> int:
+        """Build a bundle from a shipped snapshot (ascending order
+        positions) and replay its committed events; returns the pair
+        count."""
         from .engine import _unpack_ints  # lazy: engine imports this module
 
         entries = [
@@ -313,16 +321,6 @@ class _WorkerSession:
                 _unpack_ints(bundle["pos"]), bundle["left"], bundle["right"]
             )
         ]
-        return self.add_bundle(entries, policy_value, events)
-
-    def add_bundle(
-        self,
-        entries: List[Tuple[int, Pair]],
-        policy_value: str,
-        events: Sequence[list] = (),
-    ) -> int:
-        """Build a bundle from ascending ``(position, pair)`` entries and
-        replay its committed events; returns the pair count."""
         state = _WorkerState(entries, ConflictPolicy(policy_value))
         for event in events:
             kind = event[0]
@@ -511,22 +509,23 @@ class ShardWorkerHost:
             while True:
                 try:
                     frame = await _read_frame(reader, self._max_frame_bytes)
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    ProtocolError,
-                    json.JSONDecodeError,
-                ):
+                except (asyncio.IncompleteReadError, ConnectionError, ProtocolError):
                     return  # coordinator gone or stream corrupt: drop session
                 name = frame[0]
                 if name == "hb":
                     continue
+                if len(frame) < (4 if name == "init" else 2):
+                    return  # a command short of its arguments: stream corrupt
                 seq = frame[1]
                 if name == "init":
+                    try:
+                        interval = float(frame[3])
+                    except (TypeError, ValueError):
+                        return  # no heartbeat cadence: stream corrupt
                     session.worker_id = frame[2]
                     if heartbeat_task is None:
                         heartbeat_task = asyncio.create_task(
-                            self._heartbeat(writer, float(frame[3]))
+                            self._heartbeat(writer, interval)
                         )
                     if not await _write_frame(writer, encode_frame(["ok", seq, None])):
                         return
@@ -566,36 +565,8 @@ def _local_worker_host_main(conn, fault_hook, max_frame_bytes: int) -> None:
         pass
 
 
-def _pipe_worker_main(
-    worker_id: int,
-    conn,
-    entries: List[Tuple[int, Pair]],
-    policy_value: str,
-    fault_hook: Optional[Callable[[Optional[int], str], None]],
-) -> None:
-    """Child-process entry point for a pipe-attached worker: build the
-    spawn-time snapshot, then serve command frames until the coordinator
-    goes away (it terminates pipe workers rather than asking them to stop).
-    Handler errors ship back through :meth:`_WorkerSession.dispatch`."""
-    session = _WorkerSession(worker_id)
-    session.add_bundle(entries, policy_value)
-    # The snapshot (and, under fork, the entire inherited parent heap) is
-    # permanent for this worker's lifetime: move it out of the collector's
-    # reach so gen-2 passes during the serve loop never scan it — and, under
-    # fork, never unshare its copy-on-write pages by touching gc headers.
-    # (No gc.collect() first: a full pass over a large inherited heap costs
-    # more than the bounded garbage it would reclaim.)
-    gc.freeze()
-    while True:
-        try:
-            frame = conn.recv()
-            conn.send(session.dispatch(frame, fault_hook))
-        except (EOFError, OSError):  # the coordinator went away
-            return
-
-
 # ----------------------------------------------------------------------
-# coordinator (blocking channels; usable from inside a running event loop)
+# coordinator (blocking sockets; usable from inside a running event loop)
 # ----------------------------------------------------------------------
 class _WorkerDied(Exception):
     """Internal control flow: a worker was detected dead mid-operation."""
@@ -653,7 +624,7 @@ class _SocketChannel:
         while True:
             try:
                 frame = self._decoder.next_frame()
-            except (ProtocolError, json.JSONDecodeError) as exc:
+            except ProtocolError as exc:
                 raise _ChannelLost(f"bad frame: {exc}") from None
             if frame is not None:
                 if frame[0] != "hb":
@@ -698,56 +669,10 @@ class _SocketChannel:
         self._sock = None
 
 
-class _PipeChannel:
-    """Pickled command lists to a local worker process over a
-    :func:`multiprocessing.Pipe`.  Liveness while waiting for a reply: the
-    process itself and the reply deadline.  There is no heartbeat bound, so
-    a long handler on a big order is never declared dead."""
-
-    where = "on a local pipe"
-
-    def __init__(self, conn, process: "multiprocessing.process.BaseProcess") -> None:
-        self._conn = conn
-        self._process = process
-        # One poll object for the channel's lifetime: Connection.poll()
-        # builds a fresh selector per call, a large share of a round trip.
-        self._readable = select.poll()
-        self._readable.register(conn.fileno(), select.POLLIN)
-
-    def send(self, message: list) -> None:
-        try:
-            self._conn.send(message)
-        except OSError as exc:
-            raise self._lost(f"send failed: {exc}") from None
-
-    def recv(self, deadline: float) -> list:
-        try:
-            while not self._readable.poll(_POLL_INTERVAL * 1000):
-                if not self._process.is_alive():
-                    raise self._lost("process exited")
-                if time.monotonic() > deadline:
-                    raise _ChannelLost("reply deadline exceeded")
-            return self._conn.recv()
-        except (EOFError, OSError) as exc:
-            raise self._lost(f"recv failed: {exc!r}") from None
-
-    def _lost(self, cause: str) -> _ChannelLost:
-        if not self._conn.closed:
-            # The worker's end went away: reap it, so its exit code is
-            # reportable.
-            self._process.join(timeout=0.5)
-        code = self._process.exitcode
-        return _ChannelLost(cause if code is None else f"died with exit code {code}")
-
-    def close(self, stop: bool = False) -> None:
-        """Close the pipe (a pipe worker is terminated, not asked to stop)."""
-        self._conn.close()
-
-
 @dataclass
 class _WorkerLink:
     worker_id: int
-    channel: Union[_SocketChannel, _PipeChannel]
+    channel: _SocketChannel
     pid: Optional[int] = None
     process: Optional["multiprocessing.process.BaseProcess"] = None
     seq: int = 0
@@ -757,9 +682,9 @@ class _WorkerLink:
 
 
 def _shutdown_links(links: List[_WorkerLink]) -> None:
-    """Best-effort shutdown shared by close() and the GC finalizer: socket
-    hosts get a fire-and-forget ``stop``, every channel closes, and local
-    child processes are reaped (terminate, escalating to kill)."""
+    """Best-effort shutdown shared by close() and the GC finalizer: every
+    host gets a fire-and-forget ``stop`` and its connection closes, and
+    local child processes are reaped (terminate, escalating to kill)."""
     for link in links:
         link.channel.close(stop=True)
     for link in links:
@@ -774,19 +699,18 @@ def _shutdown_links(links: List[_WorkerLink]) -> None:
 
 
 class ShardCoordinator:
-    """The engine core of ``backend="parallel"`` and
-    ``backend="distributed"``: the shard protocol over pipe- or
-    socket-attached workers, with re-assignment on worker loss.
+    """The engine core of ``backend="distributed"``: the shard protocol over
+    socket-attached worker hosts, spawned locally or running remotely, with
+    re-assignment on worker loss.
 
     The labeling order is partitioned by static candidate-graph component and
     whole components are assigned to workers greedily (largest first onto the
     least-loaded worker — deterministic), so every event for a component is
     handled by exactly one worker.  Each worker receives its components once
-    as a snapshot — at spawn for pipe workers, as a ``load`` bundle for
-    socket workers — and hot-path messages carry only order positions and
-    label codes.  ``sweep()`` and ``frontier()`` broadcast, the workers
-    recompute their dirty components concurrently, and the coordinator only
-    merges position lists.
+    as a snapshot (a ``load`` bundle), and hot-path messages carry only
+    order positions and label codes.  ``sweep()`` and ``frontier()``
+    broadcast, the workers recompute their dirty components concurrently,
+    and the coordinator only merges position lists.
 
     A worker death does not poison the campaign: the coordinator re-ships
     the dead worker's components (static entries + the committed
@@ -795,41 +719,36 @@ class ShardCoordinator:
 
     Args:
         order: the labeling order (pairs or candidate pairs; duplicates must
-            already be collapsed, as ``LabelingEngine`` does).  With any
-            socket worker, object ids must be JSON scalars.
+            already be collapsed, as ``LabelingEngine`` does).  Object ids
+            must be JSON scalars.
         positions: optional pair -> order position map (reuses the engine's).
         policy: conflict policy for the workers' deduction graphs.
         workers: ``"host:port"`` addresses of running
             :class:`ShardWorkerHost` processes to connect to.
-        spawn_local_workers: additionally spawn this many local worker
-            processes.  When neither knob is given, spawns ``min(cpus, 8)``;
-            an explicit total of zero workers is a ``ValueError``.  The
-            count is capped at the number of components.
-        local_transport: how spawned local workers attach — ``"socket"``
-            (loopback :class:`ShardWorkerHost` processes, the distributed
-            backend's tests/examples convenience) or ``"pipe"`` (the
-            parallel backend: components handed over at spawn, no
-            heartbeat bound).
-        heartbeat_interval: keepalive cadence socket workers are instructed
-            to use.
-        heartbeat_timeout: heartbeat silence after which a socket worker is
+        spawn_local_workers: additionally spawn this many loopback
+            :class:`ShardWorkerHost` child processes.  When neither knob is
+            given, spawns ``min(cpus, 8)``; an explicit total of zero
+            workers is a ``ValueError``.  The count is capped at the number
+            of components.
+        heartbeat_interval: keepalive cadence workers are instructed to use.
+        heartbeat_timeout: heartbeat silence after which a worker is
             declared dead while a command is in flight.  Bounds
             single-handler compute time — see
             :data:`DEFAULT_HEARTBEAT_TIMEOUT`.
         response_timeout: hard per-command reply deadline (a worker that is
             alive but never replies is declared dead too).
-        connect_timeout: TCP connect + handshake deadline per socket worker.
+        connect_timeout: TCP connect + handshake deadline per worker.
         fault_hook: test-only callable ``(worker_id, command_name)`` invoked
             before each command is sent — the coordinator-side transport
             injection point (close the channel, SIGKILL the worker, ...).
             Worker-side injection is ``ShardWorkerHost(fault_hook=)``,
             forwarded to spawned locals via ``worker_fault_hook``.
-        worker_fault_hook: forwarded to spawned local workers of either
-            transport (must be picklable under the spawn start method).
+        worker_fault_hook: forwarded to spawned local workers (must be
+            picklable under the spawn start method).
         mp_start_method: start method for spawned local workers (default:
-            ``fork`` where available — zero-copy snapshots for pipe workers —
-            else ``spawn``); recorded as :attr:`start_method`.
-        max_frame_bytes: oversized-frame rejection limit (sockets).
+            ``fork`` where available, else ``spawn``); recorded as
+            :attr:`start_method`.
+        max_frame_bytes: oversized-frame rejection limit.
     """
 
     def __init__(
@@ -840,7 +759,6 @@ class ShardCoordinator:
         policy: ConflictPolicy = ConflictPolicy.STRICT,
         workers: Optional[Sequence[str]] = None,
         spawn_local_workers: Optional[int] = None,
-        local_transport: str = "socket",
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         response_timeout: float = 600.0,
@@ -850,11 +768,6 @@ class ShardCoordinator:
         mp_start_method: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
-        if local_transport not in ("socket", "pipe"):
-            raise ValueError(
-                f"local_transport must be 'socket' or 'pipe', got {local_transport!r}"
-            )
-        pipes = local_transport == "pipe"
         addresses = [_parse_address(address) for address in (workers or [])]
         n_spawn = spawn_local_workers
         if n_spawn is None:
@@ -865,15 +778,14 @@ class ShardCoordinator:
                 f"{len(addresses)} worker addresses and {n_spawn} local workers"
             )
         self._pairs = _as_pairs(order)
-        if addresses or not pipes:
-            for pair in self._pairs:
-                for obj in (pair.left, pair.right):
-                    if not isinstance(obj, _SCALAR_TYPES):
-                        raise TypeError(
-                            "socket shard workers receive object ids as JSON "
-                            f"and require scalar ids (str/int/float/bool/None), "
-                            f"got {type(obj).__name__}: {obj!r}"
-                        )
+        for pair in self._pairs:
+            for obj in (pair.left, pair.right):
+                if not isinstance(obj, _SCALAR_TYPES):
+                    raise TypeError(
+                        "shard workers receive object ids as JSON and require "
+                        "scalar ids (str/int/float/bool/None), "
+                        f"got {type(obj).__name__}: {obj!r}"
+                    )
         if positions is None:
             positions = {pair: i for i, pair in enumerate(self._pairs)}
         self._position = positions
@@ -940,43 +852,18 @@ class ShardCoordinator:
                     mp_start_method = "fork" if "fork" in methods else "spawn"
                 self.start_method = mp_start_method
                 ctx = multiprocessing.get_context(mp_start_method)
-                # Pipe workers get their snapshots at spawn, all sorted before
-                # the first fork so no worker's start waits on another's sort.
-                snapshots = {
-                    wid: sorted(
-                        entry for root in assigned_roots[wid] for entry in grouped[root]
-                    )
-                    for wid in range(first_local, n_workers)
-                } if pipes else {}
                 for wid in range(first_local, n_workers):
+                    # The pipe only reports the port the child bound.
                     parent_conn, child_conn = ctx.Pipe()
-                    if pipes:
-                        target, args = _pipe_worker_main, (
-                            wid, child_conn, snapshots.pop(wid), policy.value,
-                            worker_fault_hook,
-                        )
-                    else:
-                        target, args = _local_worker_host_main, (
-                            child_conn, worker_fault_hook, max_frame_bytes
-                        )
                     process = ctx.Process(
-                        target=target,
-                        args=args,
+                        target=_local_worker_host_main,
+                        args=(child_conn, worker_fault_hook, max_frame_bytes),
                         name=f"repro-shard-worker-{wid}",
                         daemon=True,
                     )
                     process.start()
                     child_conn.close()
-                    if pipes:
-                        link = self._links[wid] = _WorkerLink(
-                            worker_id=wid,
-                            channel=_PipeChannel(parent_conn, process),
-                            pid=process.pid,
-                            process=process,
-                        )
-                        self._adopt(link, assigned_roots[wid])
-                    else:
-                        hosts.append((process, parent_conn))
+                    hosts.append((process, parent_conn))
                 for process, parent_conn in hosts:
                     if not parent_conn.poll(self._connect_timeout):
                         raise ShardWorkerError(
@@ -990,12 +877,11 @@ class ShardCoordinator:
                 process = hosts[wid - first_local][0] if wid >= first_local else None
                 self._links[wid] = self._connect(wid, address, process)
 
-            # Socket workers get their snapshots as concurrent ``load``
-            # commands; a worker lost here goes through the normal
-            # re-assignment path.
+            # Workers get their snapshots as concurrent ``load`` commands; a
+            # worker lost here goes through the normal re-assignment path.
             replies, deaths = self._gather(
                 (self._links[wid], "load", self._load_args(assigned_roots[wid]))
-                for wid in range(len(addresses))
+                for wid in range(n_workers)
             )
             for kind, payload in replies.values():
                 if kind == "exc":
@@ -1053,7 +939,7 @@ class ShardCoordinator:
                 raise _WorkerDied(
                     link, self._death_message(link, _HELLO, str(lost))
                 ) from None
-            if hello[0] != _HELLO or hello[1] != PROTOCOL_VERSION:
+            if hello[:2] != [_HELLO, PROTOCOL_VERSION] or len(hello) != 3:
                 raise ProtocolError(
                     f"worker {worker_id} spoke protocol {hello[:2]!r}, "
                     f"expected ['hello', {PROTOCOL_VERSION}]"
@@ -1092,6 +978,13 @@ class ShardCoordinator:
         return link.seq
 
     def _death_message(self, link: _WorkerLink, command: str, cause: str) -> str:
+        process = link.process
+        if process is not None:
+            # A local worker that died took its link down with it: reap it,
+            # so the loss reports its exit code.
+            process.join(timeout=_POLL_INTERVAL)
+            if process.exitcode is not None:
+                cause = f"{cause}; died with exit code {process.exitcode}"
         return (
             f"shard worker {link.worker_id} {link.channel.where} "
             f"(pid {link.pid}, {len(link.roots)} components / {link.n_pairs} "
@@ -1110,15 +1003,15 @@ class ShardCoordinator:
             raise _WorkerDied(
                 link, self._death_message(link, command_name, str(lost))
             ) from None
-        kind, reply_seq = frame[0], frame[1]
-        if reply_seq != seq or kind not in ("ok", "exc"):
+        kind = frame[0]
+        if len(frame) != _REPLY_LENGTH.get(kind) or frame[1] != seq:
             raise _WorkerDied(
                 link,
                 self._death_message(
                     link,
                     command_name,
-                    f"protocol desync (got {kind!r} seq {reply_seq}, "
-                    f"expected seq {seq})",
+                    f"protocol desync (got {frame[:2]!r} in a frame of "
+                    f"length {len(frame)}, expected seq {seq})",
                 ),
             )
         if kind == "ok":
@@ -1547,10 +1440,10 @@ class ShardCoordinator:
         return sorted(wid for wid, link in self._links.items() if link.alive)
 
     def drop_connection(self, worker_id: int) -> None:
-        """Sever the channel to ``worker_id`` (its TCP connection or pipe)
-        without telling it — the sanctioned fault-injection surface for
-        "link died mid-command" chaos tests.  The next interaction detects
-        the loss and triggers re-assignment."""
+        """Sever the TCP connection to ``worker_id`` without telling it —
+        the sanctioned fault-injection surface for "link died mid-command"
+        chaos tests.  The next interaction detects the loss and triggers
+        re-assignment."""
         self._links[worker_id].channel.close()
 
     @property

@@ -35,8 +35,8 @@ published and withheld sets, the result, snapshots, the fingerprint) and
 forwards each event once to its backend's *engine core*:
 :class:`GraphEngineCore` for the monolithic backend,
 :class:`~repro.engine.vectorized.VectorizedEngineCore`, or a
-:class:`~repro.engine.distributed.ShardCoordinator` over pipe-attached
-(parallel) or socket-attached (distributed) workers.
+:class:`~repro.engine.distributed.ShardCoordinator` over socket-attached
+worker hosts (distributed).
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from ..core.pairs import (
 from ..core.result import LabelingResult, PairOutcome
 from ..core.sweep import PendingPairIndex
 from .distributed import ShardCoordinator
-from .parallel import DEFAULT_PARALLEL_THRESHOLD
 from .frontier import ShardedFrontier
 from .vectorized import VectorizedEngineCore, vectorized_available
 
@@ -73,7 +72,6 @@ _BACKENDS = (
     "auto",
     "monolithic",
     "vectorized",
-    "parallel",
     "distributed",
 )
 
@@ -244,7 +242,6 @@ class EngineBackend(str, enum.Enum):
     AUTO = "auto"
     MONOLITHIC = "monolithic"
     VECTORIZED = "vectorized"
-    PARALLEL = "parallel"
     DISTRIBUTED = "distributed"
 
 
@@ -264,42 +261,29 @@ class LabelingEngine:
             ``"vectorized"`` (array-native kernels over a flat integer
             encoding, see :mod:`repro.engine.vectorized`; requires numpy —
             the ``perf`` extra — and silently falls back to
-            ``"monolithic"`` without it), ``"parallel"`` (the per-component
-            decomposition fanned out by a
+            ``"monolithic"`` without it), ``"distributed"`` (the
+            per-component decomposition fanned out by a
             :class:`~repro.engine.distributed.ShardCoordinator` across
-            pipe-attached local worker processes; falls back to
-            ``"monolithic"`` below ``parallel_threshold`` pairs, where pipe
-            latency would dominate), ``"distributed"`` (the same
-            coordinator over socket-attached
-            :class:`~repro.engine.distributed.ShardWorkerHost` processes —
-            local or remote; never auto-selected and never silently
-            downgraded: requesting remote workers is an explicit topology
-            decision), or ``"auto"`` — vectorized at or above
+            socket-attached :class:`~repro.engine.distributed.ShardWorkerHost`
+            processes — local or remote; never auto-selected and never
+            silently downgraded: requesting worker processes is an explicit
+            topology decision), or ``"auto"`` — vectorized at or above
             ``shard_threshold`` pairs when numpy is importable, monolithic
-            otherwise (process parallelism is never auto-selected).  All
+            otherwise (worker processes are never auto-selected).  All
             backends are property-tested identical in observable
-            behaviour; vectorization and process parallelism are purely
-            scaling features.  Both worker-backed backends re-assign a lost
+            behaviour; vectorization and worker processes are purely
+            scaling features.  The distributed backend re-assigns a lost
             worker's components to the surviving workers.
         shard_threshold: the ``auto`` cut-over point.
-        parallel_threshold: below this many pairs ``backend="parallel"``
-            silently uses the monolithic backend instead (pass 0 to force
-            worker processes, as the differential tests do).
-        n_workers: worker process count for the parallel backend (defaults
-            to the available CPUs, capped at 8); on the distributed backend
-            it is the ``spawn_local_workers`` default when neither
-            ``workers`` nor ``spawn_local_workers`` is given.  An explicit
-            total of zero workers raises ``ValueError`` on both, at any
-            order size.
-        mp_start_method: multiprocessing start method for the parallel
-            backend and for spawned local distributed workers (default:
-            ``fork`` where available, else ``spawn``).
+        mp_start_method: multiprocessing start method for spawned local
+            workers (default: ``fork`` where available, else ``spawn``).
         workers: distributed backend only — ``"host:port"`` addresses of
             running :class:`~repro.engine.distributed.ShardWorkerHost`
             processes the coordinator should connect to.
         spawn_local_workers: distributed backend only — spawn this many
-            loopback worker-host child processes (the tests/examples
-            convenience; combinable with ``workers``).
+            loopback worker-host child processes (combinable with
+            ``workers``; with neither given, the available CPUs, capped at
+            8).  An explicit total of zero workers raises ``ValueError``.
     """
 
     def __init__(
@@ -310,8 +294,6 @@ class LabelingEngine:
         use_index: bool = True,
         backend: str = "auto",
         shard_threshold: int = DEFAULT_SHARD_THRESHOLD,
-        parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
-        n_workers: Optional[int] = None,
         mp_start_method: Optional[str] = None,
         workers: Optional[Sequence[str]] = None,
         spawn_local_workers: Optional[int] = None,
@@ -320,13 +302,6 @@ class LabelingEngine:
             backend = backend.value
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        if backend == "parallel" and n_workers is not None and n_workers < 1:
-            # Checked before the size fallback below, which would otherwise
-            # hide it on small orders.
-            raise ValueError(
-                "the parallel backend needs at least one worker, "
-                f"got n_workers={n_workers}"
-            )
         # Duplicate pairs in the order collapse to their first occurrence:
         # a pair has one label, and LabelingResult records each pair once.
         # Bulk path first: an all-CandidatePair order with no duplicates
@@ -380,28 +355,18 @@ class LabelingEngine:
             # numpy is an optional dependency (the ``perf`` extra): the
             # documented graceful fallback to the pure-Python backend.
             backend = "monolithic"
-        elif backend == "parallel" and len(self.pairs) < parallel_threshold:
-            # Process orchestration only pays for itself at scale: the
-            # documented auto-fallback to the in-process backend.
-            backend = "monolithic"
         self.backend = backend
         if self.backend == "vectorized":
             self._core = VectorizedEngineCore(
                 self.pairs, policy=policy, positions=self._position
             )
-        elif self.backend in ("parallel", "distributed"):
-            parallel = self.backend == "parallel"
-            if parallel or (workers is None and spawn_local_workers is None):
-                # n_workers is the local worker count: the parallel
-                # backend's one topology knob, and the distributed default.
-                spawn_local_workers = n_workers
+        elif self.backend == "distributed":
             self._core = ShardCoordinator(
                 self.pairs,
                 positions=self._position,
                 policy=policy,
-                workers=None if parallel else workers,
+                workers=workers,
                 spawn_local_workers=spawn_local_workers,
-                local_transport="pipe" if parallel else "socket",
                 mp_start_method=mp_start_method,
             )
         else:
@@ -444,7 +409,7 @@ class LabelingEngine:
 
         The digest is computed purely from state held in this process
         (``labeled``/``published`` and the order), never from graph queries:
-        it stays readable after :meth:`close`, including on the parallel
+        it stays readable after :meth:`close`, including on the distributed
         backend whose graph lives in (possibly terminated) workers.  The
         frontier is derived by re-running the shared Algorithm-3 selection
         over the labeled map, so it is exact without touching the backend.
@@ -476,8 +441,8 @@ class LabelingEngine:
             frontier: List[Pair] = []
         else:
             # Recompute Algorithm 3 from the labeled map alone (the shared
-            # reference selection) so closed/parallel backends need not be
-            # queried.  Unanswered published pairs keep their assumed-
+            # reference selection) so closed/distributed backends need not
+            # be queried.  Unanswered published pairs keep their assumed-
             # matching role but are not selected, exactly as frontier().
             from .frontier import must_crowdsource_frontier
 
@@ -707,24 +672,23 @@ class LabelingEngine:
         """The backend's engine core, which every event is forwarded to:
         a :class:`GraphEngineCore` (monolithic), a
         :class:`~repro.engine.vectorized.VectorizedEngineCore`, or a
-        :class:`~repro.engine.distributed.ShardCoordinator` (parallel:
-        pipe-attached workers; distributed: socket-attached workers)."""
+        :class:`~repro.engine.distributed.ShardCoordinator` (distributed:
+        socket-attached worker hosts)."""
         return self._core
 
     @property
     def executor(self):
         """The worker-backed core — the
-        :class:`~repro.engine.distributed.ShardCoordinator` of the parallel
-        and distributed backends — or None on the in-process backends."""
-        return self._core if self.backend in ("parallel", "distributed") else None
+        :class:`~repro.engine.distributed.ShardCoordinator` of the
+        distributed backend — or None on the in-process backends."""
+        return self._core if self.backend == "distributed" else None
 
     def close(self) -> None:
-        """Release backend resources (the worker processes or hosts of the
-        parallel and distributed backends).  Idempotent; a no-op on
-        in-process backends.  After closing, queries on a worker-backed
-        core raise :class:`~repro.engine.parallel.ShardWorkerError` — the
-        labeling result and label map remain readable (they live in this
-        process).
+        """Release backend resources (the worker hosts of the distributed
+        backend).  Idempotent; a no-op on in-process backends.  After
+        closing, queries on a worker-backed core raise
+        :class:`~repro.engine.parallel.ShardWorkerError` — the labeling
+        result and label map remain readable (they live in this process).
         """
         self._core.close()
 
@@ -804,8 +768,8 @@ class LabelingEngine:
         but the label still stands — crowd answers win for published pairs.
         The call does not sweep: callers sweep once after the run (see
         :meth:`sweep`), so a component the run dirtied is re-checked once,
-        not once per answer.  On the worker-backed backends the run costs
-        one ``answers`` command per worker that owns part of it.
+        not once per answer.  On the distributed backend the run costs one
+        ``answers`` command per worker that owns part of it.
 
         Args:
             answers: ``(pair, label)`` per answer, in arrival order; pairs

@@ -1,4 +1,4 @@
-"""Process-parallel shard execution: whole components across worker processes.
+"""Shard worker state: whole components across worker processes.
 
 Both halves of the per-answer hot path — the deduction sweep and the
 Algorithm-3 frontier recompute — decompose exactly by connected component
@@ -21,16 +21,13 @@ Workers never coordinate with each other.  An answer never crosses a
 static component — answers are order pairs, and the static components are
 those of the order — so every union happens inside one worker.
 
-``backend="parallel"`` runs on the same
-:class:`~repro.engine.distributed.ShardCoordinator` as
-``backend="distributed"``, with locally spawned *pipe-attached* workers that
-receive their components at spawn (inherited under ``fork``, the default
-where available; spawn-safety is pinned by a test).
-:class:`~repro.engine.engine.LabelingEngine` forwards every event to it —
-with auto-fallback to the in-process monolithic backend below a pair
-threshold, because process orchestration only pays for itself at scale.
-A lost worker's components re-ship to the survivors; only losing every
-worker raises :class:`ShardWorkerError`.
+``backend="distributed"`` runs these states in
+:class:`~repro.engine.distributed.ShardWorkerHost` processes, spawned on
+loopback or running remotely, behind one
+:class:`~repro.engine.distributed.ShardCoordinator`, to which
+:class:`~repro.engine.engine.LabelingEngine` forwards every event.  A lost
+worker's components re-ship to the survivors; only losing every worker
+raises :class:`ShardWorkerError`.
 """
 
 from __future__ import annotations
@@ -51,12 +48,6 @@ from ..core.cluster_graph import ClusterGraph, Conflict, ConflictPolicy
 from ..core.pairs import LABEL_CODE, LABEL_OF_CODE, Label, Pair
 from ..core.sweep import PendingPairIndex
 from .frontier import ShardedFrontier
-
-#: Below this many pairs ``backend="parallel"`` falls back to the in-process
-#: monolithic backend: per-message pipe latency (~0.1 ms) dwarfs
-#: per-component work on small orders, and the in-process backend is already
-#: O(component).
-DEFAULT_PARALLEL_THRESHOLD = 250_000
 
 #: Ceiling for the default worker count; past this, per-worker component
 #: slices get too thin for the merge step to keep up.

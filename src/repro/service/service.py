@@ -15,8 +15,8 @@ Lifecycle:
 * :meth:`pause` / :meth:`resume` — flip the campaign's gate: paused
   campaigns issue no new HITs but still apply in-flight completions;
 * :meth:`cancel` — cancel the task; the runtime's ``finally`` closes the
-  client (flushing the journal) and the engine (releasing the parallel
-  backend's worker pool);
+  client (flushing the journal) and the engine (releasing the distributed
+  backend's worker hosts);
 * :meth:`recover` — called on process start: every journal found under the
   root is replayed through a fresh runtime via
   :class:`~repro.service.journaling.JournalingPlatformClient`, rebuilding
@@ -574,8 +574,8 @@ class CampaignService:
         """Cancel the campaign task and wait for its cleanup to finish.
 
         The runtime's ``finally`` closes the platform client (flushing and
-        closing the journal) and the engine — releasing the parallel
-        backend's worker pool.  The journal survives, so a cancelled
+        closing the journal) and the engine — releasing the distributed
+        backend's worker hosts.  The journal survives, so a cancelled
         campaign's answers remain replayable.
         """
         campaign = self.get(campaign_id)

@@ -2,17 +2,17 @@
 
 Before this module, every entry point re-plumbed the same ~8 keyword
 arguments (``policy``, ``backend``, ``shard_threshold``,
-``parallel_threshold``, ``n_workers``, ``mp_start_method``, ``budget``,
-``timeout``, ``review``, ``max_rounds``) through every dispatch strategy,
-and a campaign could not be described *as data* — which a long-running
-service, an HTTP create endpoint, and a durable journal header all need.
+``mp_start_method``, ``budget``, ``timeout``, ``review``, ``max_rounds``)
+through every dispatch strategy, and a campaign could not be described *as
+data* — which a long-running service, an HTTP create endpoint, and a
+durable journal header all need.
 
 :class:`CampaignSpec` is a frozen dataclass capturing everything a campaign
 is, independent of *which* crowd answers it:
 
 * the labeling order (pairs with machine likelihoods);
 * the dispatch semantics (:class:`~repro.engine.async_dispatch.RuntimeMode`);
-* the engine configuration (conflict policy, backend, thresholds, workers);
+* the engine configuration (conflict policy, backend, threshold, workers);
 * the runtime policies (budget, timeout, review, round cap);
 * the platform shape (:class:`PlatformConfig`: client kind, HIT batch size,
   replication, free-form options the client factory interprets).
@@ -394,9 +394,8 @@ class CampaignSpec:
         policy: conflict policy for the deduction graph.
         backend: engine backend (string or
             :class:`~repro.engine.engine.EngineBackend`).
-        shard_threshold / parallel_threshold / n_workers / mp_start_method:
-            engine scaling knobs, exactly as :class:`LabelingEngine` takes
-            them.
+        shard_threshold / mp_start_method: engine scaling knobs, exactly as
+            :class:`LabelingEngine` takes them.
         workers / spawn_local_workers: ``backend="distributed"`` knobs —
             ``"host:port"`` addresses of running shard worker hosts, and/or
             a count of local worker hosts to spawn.
@@ -424,8 +423,6 @@ class CampaignSpec:
     policy: ConflictPolicy = ConflictPolicy.STRICT
     backend: str = "auto"
     shard_threshold: Optional[int] = None
-    parallel_threshold: Optional[int] = None
-    n_workers: Optional[int] = None
     mp_start_method: Optional[str] = None
     workers: Optional[Tuple[str, ...]] = None
     spawn_local_workers: Optional[int] = None
@@ -528,7 +525,6 @@ class CampaignSpec:
     def engine_kwargs(self) -> Dict[str, Any]:
         """Keyword arguments for :class:`LabelingEngine` (minus the order)."""
         from .engine.engine import DEFAULT_SHARD_THRESHOLD
-        from .engine.parallel import DEFAULT_PARALLEL_THRESHOLD
 
         return {
             "policy": self.policy,
@@ -538,12 +534,6 @@ class CampaignSpec:
                 if self.shard_threshold is None
                 else self.shard_threshold
             ),
-            "parallel_threshold": (
-                DEFAULT_PARALLEL_THRESHOLD
-                if self.parallel_threshold is None
-                else self.parallel_threshold
-            ),
-            "n_workers": self.n_workers,
             "mp_start_method": self.mp_start_method,
             "workers": self.workers,
             "spawn_local_workers": self.spawn_local_workers,
@@ -595,8 +585,6 @@ class CampaignSpec:
             "policy": self.policy.value,
             "backend": self.backend,
             "shard_threshold": self.shard_threshold,
-            "parallel_threshold": self.parallel_threshold,
-            "n_workers": self.n_workers,
             "mp_start_method": self.mp_start_method,
             "workers": list(self.workers) if self.workers is not None else None,
             "spawn_local_workers": self.spawn_local_workers,
@@ -619,6 +607,12 @@ class CampaignSpec:
         ``trusted_order=True`` is for machine-written documents (journal
         headers): pair entries are decoded via
         :func:`decode_canonical_pair`, skipping re-canonicalisation.
+
+        Documents naming a retired backend still decode: ``"sharded"`` as
+        ``"monolithic"`` and ``"parallel"`` as ``"auto"``.  The retired
+        backend's pair-count threshold is ignored, and a legacy
+        ``n_workers`` counts local workers (``spawn_local_workers``) when
+        the document sets neither ``workers`` nor ``spawn_local_workers``.
         """
         version = data.get("version", SPEC_SCHEMA_VERSION)
         if version not in _READABLE_SPEC_VERSIONS:
@@ -680,19 +674,29 @@ class CampaignSpec:
             # snapshots are backend-portable, so older documents and
             # journal headers that name it run on its successor.
             backend = "monolithic"
+        elif backend == "parallel":
+            # The pipe-worker backend was retired.  ``auto`` picks the
+            # vectorized core at scale, which ran a tick faster than pipe
+            # workers did, and monolithic below the threshold, where
+            # ``parallel`` fell back by default; every backend reaches the
+            # same state, so its journals replay there.
+            backend = "auto"
+        # Version <3 documents predate the distributed backend; their
+        # absence decodes to "no remote workers".
+        workers = data.get("workers")
+        spawn_local_workers = data.get("spawn_local_workers")
+        if workers is None and spawn_local_workers is None:
+            # Older documents counted local workers as ``n_workers``.
+            spawn_local_workers = data.get("n_workers")
         return cls(
             order=order,
             mode=data.get("mode", "instant"),
             policy=data.get("policy", "strict"),
             backend=backend,
             shard_threshold=data.get("shard_threshold"),
-            parallel_threshold=data.get("parallel_threshold"),
-            n_workers=data.get("n_workers"),
             mp_start_method=data.get("mp_start_method"),
-            # Version <3 documents predate the distributed backend; their
-            # absence decodes to "no remote workers".
-            workers=data.get("workers"),
-            spawn_local_workers=data.get("spawn_local_workers"),
+            workers=workers,
+            spawn_local_workers=spawn_local_workers,
             budget=_decode_budget(data.get("budget")),
             timeout=_decode_timeout(data.get("timeout")),
             review=_decode_review(data.get("review")),

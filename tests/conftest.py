@@ -24,6 +24,8 @@ import pytest
 from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import CandidatePair, Label, LabeledPair, Pair
 
+from .worker_hosts import SHARED_HOSTS
+
 FIGURE3_ENTITIES = {
     "o1": "A",
     "o2": "A",
@@ -54,6 +56,13 @@ FIGURE3_LIKELIHOODS = {
     "p7": 0.65,
     "p8": 0.60,
 }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def stop_shared_worker_hosts():
+    """Stop the shared shard worker hosts (if any test started them)."""
+    yield
+    SHARED_HOSTS.close()
 
 
 @pytest.fixture

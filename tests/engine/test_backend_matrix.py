@@ -31,10 +31,7 @@ reference pattern"):
   ``state_fingerprint()`` as applying them one at a time with a sweep
   after each.
 
-The ``parallel`` column runs real worker processes (``parallel_threshold=0``
-forces them even on these small worlds), so every cell here is also an
-end-to-end differential test of the process-parallel executor.  The
-``vectorized`` column exercises the array-native kernels when numpy is
+The ``vectorized`` column exercises the array-native kernels when numpy is
 installed; without it the engine's documented fallback makes the column a
 second run of the monolithic backend, so the matrix passes either way (the
 ``no-extras`` CI leg relies on that).  The ``vectorized-batched`` column is
@@ -43,8 +40,12 @@ kernel, which these small worlds otherwise never reach (see
 ``tests/engine/conftest.py``).  The ``distributed`` column spawns
 local :class:`~repro.engine.distributed.ShardWorkerHost` processes and runs
 the whole command protocol over real TCP sockets, so every cell doubles as
-an end-to-end wire-protocol differential (fault injection lives in
-``test_distributed.py``).
+an end-to-end differential of the worker processes and the wire protocol
+(fault injection lives in ``test_distributed.py``).  The
+``distributed-remote`` column attaches every engine by address
+(``workers=``) to two long-lived hosts started from the command line (see
+``tests/worker_hosts.py``), so the same hosts serve every cell's session
+in turn, as deployed hosts serve campaign after campaign.
 """
 
 from __future__ import annotations
@@ -64,20 +65,21 @@ from repro.engine import AsyncDispatch, CrowdRuntime, LabelingEngine, RuntimeMod
 
 from ..aio import run_async
 from ..strategies import worlds
+from ..worker_hosts import SHARED_HOSTS
 from .reference import RecordingOracle, reference_parallel, reference_sequential
 
 BACKENDS = (
     "monolithic",
     "vectorized",
     "vectorized-batched",
-    "parallel",
     "distributed",
+    "distributed-remote",
 )
 
-#: Worker processes per parallel-backend engine in this file: enough to
+#: Worker processes per distributed-backend engine in this file: enough to
 #: split multi-component worlds, small enough to keep per-example spawn
 #: cost negligible.
-PARALLEL_WORKERS = 2
+LOCAL_WORKERS = 2
 
 
 def backend_options(backend: str) -> dict:
@@ -87,13 +89,14 @@ def backend_options(backend: str) -> dict:
         # routes its components through the batched kernel.
         return {"backend": "vectorized"}
     options = {"backend": backend}
-    if backend == "parallel":
-        options.update(parallel_threshold=0, n_workers=PARALLEL_WORKERS)
-    elif backend == "distributed":
+    if backend == "distributed":
         # Spawned local worker hosts over real TCP sockets; the coordinator
         # caps the count at the world's component count, so tiny worlds run
         # with however many workers they can actually use.
-        options.update(spawn_local_workers=PARALLEL_WORKERS)
+        options.update(spawn_local_workers=LOCAL_WORKERS)
+    elif backend == "distributed-remote":
+        # Running hosts reached by address; none are spawned for the engine.
+        options = {"backend": "distributed", "workers": list(SHARED_HOSTS)}
     return options
 
 

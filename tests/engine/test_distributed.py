@@ -1,23 +1,24 @@
 """The shard coordinator: differential, chaos, and protocol suites.
 
 ``backend="distributed"`` runs the shard command protocol over real TCP
-sockets and ``backend="parallel"`` over pipes, both through one
-:class:`ShardCoordinator` (``src/repro/engine/distributed.py``); these tests
-make its failure contract trustworthy:
+sockets through one :class:`ShardCoordinator`
+(``src/repro/engine/distributed.py``), to spawned local worker hosts and
+remote ones alike; these tests make its failure contract trustworthy:
 
 * **differential** — the socket transport must be invisible: parity with the
   frozen PR-1 references under FIFO, shuffled, and expiring clients (the
   strategy × backend matrix in ``test_backend_matrix.py`` adds the full
   grid), plus worker-count 1-vs-N equality at *every* frontier;
-* **chaos** — injected faults (dropped connections and closed pipes, a
-  socket handler stalled past the heartbeat timeout, a worker lost during
-  the initial load, real SIGKILL of a worker host or pipe worker) must
-  recover via component re-assignment to a ``state_fingerprint()``
+* **chaos** — injected faults (dropped connections, a handler stalled past
+  the heartbeat timeout, a worker lost during the initial load, a malformed
+  reply, real SIGKILL of a worker host) must recover via component
+  re-assignment to a ``state_fingerprint()``
   byte-identical to the fault-free run, across sequential and hit-rounds
   runtime modes; shutdown must never hang; losing *every* worker must
   poison with :class:`ShardWorkerError`;
 * **protocol** — framing round-trips arbitrary JSON through torn reads,
-  rejects oversized frames before allocating, and snapshot re-ship +
+  rejects oversized frames before allocating, turns any byte stream into
+  frames or a :class:`ProtocolError` (fuzzed), and snapshot re-ship +
   event-log replay converges from any prefix (the reconnect property).
 
 Every receive on the coordinator is liveness-checked (EOF, heartbeat
@@ -32,8 +33,7 @@ import json
 import os
 import signal
 import socket
-import subprocess
-import sys
+import struct
 import threading
 import time
 
@@ -41,9 +41,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.core.cluster_graph import ConflictPolicy, InconsistentLabelError
-from repro.core.oracle import GroundTruthOracle, MappingOracle
+from repro.core.oracle import GroundTruthOracle
 from repro.core.pairs import Label, Pair
 from repro.crowd.clients import SimulatedPlatformClient
 from repro.engine import (
@@ -59,10 +58,11 @@ from repro.engine import (
     ShardWorkerHost,
     encode_frame,
 )
-from repro.engine.distributed import _WorkerSession, _parse_address
+from repro.engine.distributed import _WorkerSession, _parse_address, _read_frame
 
 from ..aio import background_loop, run_async
 from ..strategies import worlds
+from ..worker_hosts import SHARED_HOSTS, WorkerHostProcess
 from .reference import (
     RecordingOracle,
     block_world,
@@ -83,16 +83,17 @@ def fingerprint(engine: LabelingEngine) -> str:
 
 
 def run_engine_campaign(
-    mode, order, oracle, *, n_workers=3, fault=None, backend="distributed"
+    mode, order, oracle, *, n_workers=3, workers=None, fault=None
 ):
-    """One full campaign on ``backend="distributed"`` (or ``"parallel"``).
+    """One full campaign on ``backend="distributed"`` over ``n_workers``
+    spawned local workers, after the running hosts at ``workers`` if given.
 
     ``fault`` is a callable ``coordinator -> fault_hook`` installed on the
     coordinator's transport before the runtime starts.  Returns the
     fingerprint, the coordinator (closed), and the installed hook.
     """
     engine = LabelingEngine(
-        order, backend=backend, parallel_threshold=0, n_workers=n_workers
+        order, backend="distributed", workers=workers, spawn_local_workers=n_workers
     )
     coordinator = engine.executor
     hook = None
@@ -172,7 +173,7 @@ def kill_worker0_on_answers(worker_id, command: str) -> None:
 
 
 class DropWorker0OnAnswers:
-    """Coordinator-side hook: sever worker 0's socket or pipe as the first
+    """Coordinator-side hook: sever worker 0's socket as the first
     ``answers`` command to it goes out."""
 
     def __init__(self, coordinator: ShardCoordinator) -> None:
@@ -304,45 +305,36 @@ class TestDifferentialParity:
         assert len(rounds) >= 2, "world too small to exercise rounds"
 
     @pytest.mark.parametrize(
-        "backend, knob",
-        (
-            ("distributed", "spawn_local_workers"),
-            ("distributed", "n_workers"),
-            ("parallel", "n_workers"),
-        ),
-        ids=("spawn", "n-dist", "n-par"),
+        "knob", ("spawn_local_workers", "workers"), ids=("spawn", "remote")
     )
-    def test_worker_count_capped_at_components(self, backend, knob):
-        """Counts are capped at the component count, and an explicit zero
-        is an error on either backend — not the CPU-count default."""
+    def test_worker_count_capped_at_components(self, knob):
+        """Counts are capped at the component count, whether the workers
+        are spawned or named by address (the surplus addresses are never
+        dialled), and an explicit zero is an error — not the CPU-count
+        default."""
         order, _ = block_world(n_blocks=2, objects_per_block=3)
-        options = dict(backend=backend, parallel_threshold=0)
-        with LabelingEngine(order, **options, **{knob: 5}) as engine:
+        if knob == "workers":
+            hosts = list(SHARED_HOSTS)
+            five, zero = {"workers": hosts + hosts + hosts[:1]}, {"workers": []}
+        else:
+            five, zero = {"spawn_local_workers": 5}, {}
+        with LabelingEngine(order, backend="distributed", **five) as engine:
             coordinator = engine.executor
             assert coordinator.n_workers == 2
             assert coordinator.live_worker_ids() == [0, 1]
             assert len(coordinator.worker_pids()) == 2
+            if knob == "workers":
+                # the first two addresses: two distinct hosts, none spawned
+                assert len(set(coordinator.worker_pids())) == 2
+                assert coordinator.start_method is None
         with pytest.raises(ValueError, match="at least one worker"):
-            LabelingEngine(order, **options, **{knob: 0})
+            LabelingEngine(
+                order, backend="distributed", spawn_local_workers=0, **zero
+            )
 
     def test_non_scalar_object_ids_rejected(self):
         with pytest.raises(TypeError, match="scalar"):
             ShardCoordinator([Pair(("a", 1), ("b", 2))], spawn_local_workers=1)
-
-    def test_tuple_object_ids_on_parallel_reach_reference_labels(self):
-        """Pipe workers take any picklable object id, so the JSON-scalar
-        contract binds only coordinators with a socket worker."""
-        order, truth = block_world(n_blocks=3, objects_per_block=4)
-        tuple_order = [Pair(tuple(p.left), tuple(p.right)) for p in order]
-        tuple_truth = MappingOracle(
-            {new: truth.label(old) for old, new in zip(order, tuple_order)}
-        )
-        reference = reference_parallel(tuple_order, tuple_truth)
-        result = AsyncDispatch(
-            backend="parallel", parallel_threshold=0, n_workers=2
-        ).run(tuple_order, tuple_truth)
-        assert result.labels() == reference.labels()
-        assert result.rounds == reference.rounds
 
     def test_strict_conflict_ships_inconsistent_label_error(self):
         order = [Pair("a", "b"), Pair("b", "c"), Pair("a", "c")]
@@ -380,32 +372,20 @@ class TestRemoteWorkers:
                     drive_lockstep([first, second], truth, order)
             serving.cancel()
 
-    def test_runbook_cli_worker(self, tmp_path):
+    def test_runbook_cli_worker(self):
         """The documented deployment path: ``python -m
         repro.engine.distributed --worker host:port`` starts a host a
-        coordinator can attach to."""
-        src = os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(src, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.engine.distributed",
-             "--worker", "127.0.0.1:0"],
-            stdout=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        coordinator can attach to (``WorkerHostProcess`` runs exactly that
+        command and reads the announced address)."""
+        host = WorkerHostProcess()
         try:
-            line = process.stdout.readline()
-            assert "shard worker listening on" in line
-            address = line.rsplit(" ", 1)[-1].strip()
             order, truth = block_world(n_blocks=2, objects_per_block=3)
-            with ShardCoordinator(order, workers=[address]) as coordinator:
+            with ShardCoordinator(order, workers=[host.address]) as coordinator:
+                assert coordinator.worker_pids() == [host.pid]
+                assert coordinator.start_method is None  # nothing spawned
                 drive_lockstep([coordinator], truth, order)
         finally:
-            process.terminate()
-            process.wait(timeout=10)
+            host.close()
 
     def test_parse_address(self):
         assert _parse_address("host:9000") == ("host", 9000)
@@ -482,10 +462,66 @@ class TestWorkerHostShutdown:
         frames = run_async(session())
         assert [decode_frame(frame)[0] for frame in frames] == ["hello", "ok"]
 
+    @pytest.mark.parametrize(
+        "command",
+        (["sweep"], ["init", 1, 0], ["init", 1, 0, "soon"]),
+        ids=("no-seq", "short-init", "init-cadence-not-a-number"),
+    )
+    def test_malformed_command_ends_the_session(self, command):
+        """A command frame without its sequence number, or an ``init``
+        without its worker id and a numeric heartbeat cadence, is a corrupt
+        stream: the session ends after the hello, replying nothing."""
+
+        async def session():
+            reader = asyncio.StreamReader()
+            reader.feed_data(encode_frame(command))
+            writer = ResetAfterHelloWriter()
+            await ShardWorkerHost()._handle_connection(reader, writer)
+            return writer.frames
+
+        frames = run_async(session())
+        assert [decode_frame(frame)[0] for frame in frames] == ["hello"]
+
 
 # ----------------------------------------------------------------------
 # chaos: worker loss must be invisible to the campaign
 # ----------------------------------------------------------------------
+class MalformedLoadHost:
+    """A stand-in worker host on a thread: it completes the handshake, then
+    answers ``load`` with ``body`` as the frame body."""
+
+    def __init__(self, body: bytes) -> None:
+        self.body = body
+        self.server = socket.create_server(("127.0.0.1", 0))
+        self.address = f"127.0.0.1:{self.server.getsockname()[1]}"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        conn, _ = self.server.accept()
+        with conn:
+            conn.sendall(encode_frame(["hello", PROTOCOL_VERSION, os.getpid()]))
+            decoder = FrameDecoder()
+            try:
+                while True:
+                    chunk = conn.recv(1 << 16)
+                    if not chunk:
+                        return  # the coordinator dropped the link
+                    decoder.feed(chunk)
+                    while (frame := decoder.next_frame()) is not None:
+                        if frame[0] == "init":
+                            conn.sendall(encode_frame(["ok", frame[1], None]))
+                        elif frame[0] == "load":
+                            conn.sendall(framed(self.body))
+            except OSError:
+                return
+
+    def close(self) -> None:
+        self.thread.join(timeout=10)
+        self.server.close()
+        assert not self.thread.is_alive()
+
+
 class TestChaosRecovery:
     MODES = (RuntimeMode.SEQUENTIAL, RuntimeMode.HIT_ROUNDS)
 
@@ -504,9 +540,42 @@ class TestChaosRecovery:
         assert got == clean
         assert len(coordinator.reassignments) == 1
         record = coordinator.reassignments[0]
+        assert "died with exit code -9" in record["reason"]
         assert record["moved_components"] >= 1
         assert record["targets"], "components must land on survivors"
         assert len(coordinator.live_worker_ids()) == 2
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("kill_at", (1, 7, 33))
+    def test_remote_host_sigkill_recovers_byte_identical(self, mode, kill_at):
+        """The same contract for a host the coordinator reached by address
+        instead of spawning: SIGKILLed mid-campaign, it is lost with its
+        connection (there is no child to reap for an exit code), its
+        components re-ship to the spawned workers, and the campaign ends
+        byte-identical to the fault-free run."""
+        order, truth = block_world(n_blocks=6, objects_per_block=4)
+        clean, _, _ = run_engine_campaign(mode, order, truth)
+        host = WorkerHostProcess()
+        try:
+            got, coordinator, hook = run_engine_campaign(
+                mode, order, truth,
+                n_workers=2,
+                workers=[host.address],
+                fault=lambda c: KillWorkerAt(c, kill_at),
+            )
+        finally:
+            host.close()
+        assert hook.fired, "kill point beyond the campaign's command count"
+        assert host.process.returncode == -signal.SIGKILL
+        assert got == clean
+        assert len(coordinator.reassignments) == 1
+        record = coordinator.reassignments[0]
+        assert record["worker_id"] == 0  # addresses come before spawned ids
+        assert f"pid {host.pid}" in record["reason"]
+        assert "exit code" not in record["reason"]
+        assert record["moved_components"] >= 1
+        assert record["targets"] and 0 not in record["targets"]
+        assert coordinator.live_worker_ids() == [1, 2]
 
     # Drop points count coordinator commands; the rounds campaign sends 32
     # (one ``answers`` per worker per completion), so 12 and 26 land on
@@ -543,25 +612,6 @@ class TestChaosRecovery:
             assert len(coordinator.reassignments) == 1
             assert "no heartbeat" in coordinator.reassignments[0]["reason"]
             assert coordinator.live_worker_ids() == [1]
-
-    def test_pipe_handler_past_heartbeat_timeout_is_not_reassigned(self):
-        """Pipe workers have no heartbeat bound: a long handler is slow, not
-        dead."""
-        order, truth = block_world(n_blocks=4, objects_per_block=4)
-        with ShardCoordinator(order, spawn_local_workers=2) as clean:
-            with ShardCoordinator(
-                order,
-                spawn_local_workers=2,
-                local_transport="pipe",
-                worker_fault_hook=SleepOnFirstSweep(1.5),
-                heartbeat_interval=0.1,
-                heartbeat_timeout=0.3,
-            ) as coordinator:
-                started = time.monotonic()
-                drive_lockstep([clean, coordinator], truth, order)
-                assert time.monotonic() - started >= 1.5  # the stall ran
-                assert coordinator.reassignments == []
-                assert coordinator.live_worker_ids() == [0, 1]
 
     def test_worker_lost_during_initial_load_is_recovered(self):
         """The concurrent initial ``load``: a worker that dies on its
@@ -612,81 +662,26 @@ class TestChaosRecovery:
         with ShardCoordinator(order, spawn_local_workers=1) as coordinator:
             assert coordinator.n_workers == 1
             os.kill(coordinator.worker_pids()[0], signal.SIGKILL)
-            with pytest.raises(ShardWorkerError, match="no shard workers survive"):
-                coordinator.publish(order, withhold=False)
-            # Poisoned for good, like the pipe executor.
-            with pytest.raises(ShardWorkerError):
-                coordinator.stats()
-
-    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-    @pytest.mark.parametrize("kill_at", (1, 7, 33))
-    def test_parallel_sigkill_recovers_byte_identical(self, mode, kill_at):
-        """The same contract on ``backend="parallel"``: a SIGKILLed pipe
-        worker's components re-ship to the survivors."""
-        order, truth = block_world(n_blocks=6, objects_per_block=4)
-        clean, _, _ = run_engine_campaign(mode, order, truth, backend="parallel")
-        got, coordinator, hook = run_engine_campaign(
-            mode, order, truth,
-            backend="parallel",
-            fault=lambda c: KillWorkerAt(c, kill_at),
-        )
-        assert hook.fired, "kill point beyond the campaign's command count"
-        assert got == clean
-        assert len(coordinator.reassignments) == 1
-        record = coordinator.reassignments[0]
-        assert "died with exit code -9" in record["reason"]
-        assert record["moved_components"] >= 1
-        assert record["targets"], "components must land on survivors"
-        assert len(coordinator.live_worker_ids()) == 2
-
-    @pytest.mark.parametrize("drop_at", (1, 12, 26))
-    def test_parallel_closed_pipe_recovers_byte_identical(self, drop_at):
-        order, truth = block_world(n_blocks=6, objects_per_block=4)
-        clean, _, _ = run_engine_campaign(
-            RuntimeMode.ROUNDS, order, truth, backend="parallel"
-        )
-        got, coordinator, hook = run_engine_campaign(
-            RuntimeMode.ROUNDS, order, truth,
-            backend="parallel",
-            fault=lambda c: DropConnectionAt(c, drop_at),
-        )
-        assert hook.fired
-        assert got == clean
-        assert len(coordinator.reassignments) == 1
-
-    def test_parallel_all_workers_lost_poisons(self):
-        order, _ = block_world(n_blocks=2, objects_per_block=4)
-        with LabelingEngine(
-            order, backend="parallel", parallel_threshold=0, n_workers=2
-        ) as engine:
-            coordinator = engine.executor
-            for pid in coordinator.worker_pids():
-                os.kill(pid, signal.SIGKILL)
             with pytest.raises(
                 ShardWorkerError, match="no shard workers survive.*exit code -9"
             ):
                 coordinator.publish(order, withhold=False)
+            # Poisoned for good.
             with pytest.raises(ShardWorkerError):
                 coordinator.stats()
 
     @pytest.mark.parametrize("fault", ("sigkill", "drop"))
-    @pytest.mark.parametrize("transport", ("socket", "pipe"))
-    def test_worker_lost_during_answers_retries_only_its_share(
-        self, transport, fault
-    ):
+    def test_worker_lost_during_answers_retries_only_its_share(self, fault):
         """A run of answers spans three workers, and worker 0 is lost with
         its share in flight: SIGKILLed as it takes the command up, or its
-        socket or pipe severed as the command goes out.  Its components
+        socket severed as the command goes out.  Its components
         re-ship to the survivors, only its share goes out again, every
         answer commits once, and the campaign stays lockstep-equal to a
         clean coordinator to the end."""
         order, truth = block_world(n_blocks=6, objects_per_block=4)
         hook = kill_worker0_on_answers if fault == "sigkill" else None
         with ShardCoordinator(order, spawn_local_workers=3) as clean, ShardCoordinator(
-            order,
-            spawn_local_workers=3,
-            local_transport=transport,
-            worker_fault_hook=hook,
+            order, spawn_local_workers=3, worker_fault_hook=hook
         ) as coordinator:
             if fault == "drop":
                 coordinator._fault_hook = DropWorker0OnAnswers(coordinator)
@@ -709,10 +704,7 @@ class TestChaosRecovery:
             assert coordinator.sweep() == clean.sweep()
             drive_lockstep([clean, coordinator], truth, order)
 
-    @pytest.mark.parametrize("transport", ("socket", "pipe"))
-    def test_strict_conflict_mid_answers_commits_the_applied_prefix(
-        self, transport
-    ):
+    def test_strict_conflict_mid_answers_commits_the_applied_prefix(self):
         """A STRICT conflict part-way through a worker's share: the worker
         replies with the prefix it applied, exactly that prefix commits,
         and the error re-raises once every reply is in (the other worker's
@@ -727,9 +719,7 @@ class TestChaosRecovery:
             (ac, Label.NON_MATCHING),
             (xy, Label.MATCHING),
         ]
-        with ShardCoordinator(
-            order, spawn_local_workers=2, local_transport=transport
-        ) as coordinator:
+        with ShardCoordinator(order, spawn_local_workers=2) as coordinator:
             coordinator.publish(order, withhold=False)
             with pytest.raises(InconsistentLabelError):
                 coordinator.record_answers(run)
@@ -744,6 +734,39 @@ class TestChaosRecovery:
                 assert prefix_only.stats() == coordinator.stats()
                 assert prefix_only.sweep() == coordinator.sweep()
                 assert prefix_only.frontier() == coordinator.frontier()
+
+    @pytest.mark.parametrize(
+        "body, cause",
+        [
+            pytest.param(b"\xff\xfe", "bad frame", id="invalid-utf8"),
+            pytest.param(
+                b"[" * 100_000 + b"]" * 100_000, "bad frame", id="deep-nesting"
+            ),
+            pytest.param(b"[]", "bad frame", id="empty-array"),
+            pytest.param(b'["ok"]', "protocol desync", id="short-reply"),
+        ],
+    )
+    def test_malformed_reply_loses_the_worker_not_the_coordinator(self, body, cause):
+        """A host answers ``load`` with a frame body that is no reply:
+        invalid UTF-8, arrays nested past the recursion limit, an empty
+        array, a reply short of its fields.  That host is lost like a
+        crashed one, its components re-ship to the spawned survivor, and
+        the campaign stays lockstep-equal to a clean coordinator."""
+        order, truth = block_world(n_blocks=4, objects_per_block=4)
+        host = MalformedLoadHost(body)
+        try:
+            with ShardCoordinator(order, spawn_local_workers=1) as clean, ShardCoordinator(
+                order, workers=[host.address], spawn_local_workers=1
+            ) as coordinator:
+                assert len(coordinator.reassignments) == 1
+                record = coordinator.reassignments[0]
+                assert record["worker_id"] == 0
+                assert cause in record["reason"]
+                assert record["targets"] == [1]
+                assert coordinator.live_worker_ids() == [1]
+                drive_lockstep([clean, coordinator], truth, order)
+        finally:
+            host.close()
 
     def test_shutdown_never_hangs(self):
         """close() with every worker SIGKILLed (stop frames go nowhere,
@@ -776,9 +799,38 @@ JSON_VALUES = st.recursive(
 )
 
 
-#: Wire messages are always JSON arrays (enforced by the framing layer —
-#: it keeps the decoder's ``None``/"need more bytes" unambiguous).
-WIRE_MESSAGES = st.lists(JSON_VALUES, max_size=4)
+#: Wire messages are always JSON arrays led by their kind string (enforced
+#: by the framing layer — it keeps the decoder's ``None``/"need more bytes"
+#: unambiguous and the kind always readable).
+WIRE_MESSAGES = st.tuples(st.text(max_size=8), st.lists(JSON_VALUES, max_size=3)).map(
+    lambda kind_args: [kind_args[0], *kind_args[1]]
+)
+
+#: The frame limit of the fuzzed decoders: small enough that random length
+#: prefixes hit it, large enough for the deeply nested bodies.
+FUZZ_MAX_FRAME = 1 << 14
+
+
+def framed(body: bytes) -> bytes:
+    return struct.pack("!I", len(body)) + body
+
+
+#: Byte streams for the framing fuzzer: whole frames around valid messages,
+#: malformed bodies (arbitrary bytes, non-UTF-8, non-arrays, arrays that do
+#: not lead with a kind, nesting past the recursion limit), and loose bytes
+#: that shift every later length prefix.
+FUZZ_STREAMS = st.lists(
+    st.one_of(
+        WIRE_MESSAGES.map(lambda message: encode_frame(message)),
+        st.one_of(
+            st.binary(max_size=24),
+            st.integers(0, 3000).map(lambda n: b"[" * n + b"]" * n),
+            st.sampled_from([b"\xff\xfe", b"[]", b"[1]", b'["ok"]', b"null", b"{}"]),
+        ).map(framed),
+        st.binary(min_size=1, max_size=6),
+    ),
+    max_size=6,
+).map(b"".join)
 
 
 class TestFraming:
@@ -826,18 +878,81 @@ class TestFraming:
             encode_frame(None)
         with pytest.raises(ProtocolError, match="arrays"):
             encode_frame({"not": "an array"})
-        import struct
-
-        body = b"null"
         decoder = FrameDecoder()
-        decoder.feed(struct.pack("!I", len(body)) + body)
+        decoder.feed(framed(b"null"))
         with pytest.raises(ProtocolError, match="arrays"):
             decoder.next_frame()
 
+    def test_messages_lead_with_a_kind_both_ways(self):
+        for message in ([], [1], [None, "x"]):
+            with pytest.raises(ProtocolError, match="kind"):
+                encode_frame(message)
+            decoder = FrameDecoder()
+            decoder.feed(framed(json.dumps(message).encode()))
+            with pytest.raises(ProtocolError, match="kind"):
+                decoder.next_frame()
+
+    @given(stream=FUZZ_STREAMS, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_byte_stream_gives_frames_or_a_protocol_error(self, stream, data):
+        """Both ends read the same frames from any byte stream, torn
+        anywhere: the coordinator's :class:`FrameDecoder` and the worker's
+        ``_read_frame`` each yield frames until a :class:`ProtocolError`,
+        or until the bytes run out (``None`` from the decoder,
+        ``IncompleteReadError`` from the worker at end of input) — never
+        another exception."""
+        cuts = sorted(
+            data.draw(
+                st.sets(st.integers(1, max(1, len(stream) - 1)), max_size=8),
+                label="cuts",
+            )
+        )
+        chunks = [
+            stream[a:b]
+            for a, b in zip([0, *cuts], [*cuts, len(stream)])
+            if a < b
+        ]
+
+        decoded, decoder_error = [], None
+        decoder = FrameDecoder(FUZZ_MAX_FRAME)
+        try:
+            for chunk in chunks:
+                decoder.feed(chunk)
+                while (frame := decoder.next_frame()) is not None:
+                    decoded.append(frame)
+        except ProtocolError as exc:
+            decoder_error = exc
+
+        async def worker_side():
+            reader = asyncio.StreamReader()
+
+            async def feed():
+                for chunk in chunks:
+                    reader.feed_data(chunk)
+                    await asyncio.sleep(0)
+                reader.feed_eof()
+
+            feeder = asyncio.create_task(feed())
+            frames = []
+            try:
+                while True:
+                    frames.append(await _read_frame(reader, FUZZ_MAX_FRAME))
+            except ProtocolError as exc:
+                outcome = exc
+            except asyncio.IncompleteReadError as exc:
+                assert reader.at_eof(), "IncompleteReadError before end of input"
+                outcome = exc
+            await feeder
+            return frames, outcome
+
+        read, outcome = run_async(worker_side())
+        for frame in decoded:
+            assert isinstance(frame, list) and isinstance(frame[0], str)
+        assert read == decoded
+        assert isinstance(outcome, ProtocolError) == (decoder_error is not None)
+
     def test_oversized_incoming_prefix_rejected_before_body(self):
         """A hostile/corrupt length prefix must fail fast, not allocate."""
-        import struct
-
         decoder = FrameDecoder(max_frame_bytes=1024)
         decoder.feed(struct.pack("!I", 1 << 30))
         with pytest.raises(ProtocolError, match="exceeds"):

@@ -1,7 +1,7 @@
-"""Differential tests for the process-parallel backend.
+"""Differential tests for the shard workers and their coordinator.
 
-``backend="parallel"`` runs the shard coordinator over pipe-attached local
-workers, and must be *observationally identical* to the in-process
+``backend="distributed"`` runs the shard coordinator over spawned local
+socket workers, and must be *observationally identical* to the in-process
 backends and to the frozen PR-1 references — labeling-order sensitivity
 (Wang et al., "The Expected Optimal Labeling Order Problem") means any
 divergence in what a frontier selects or when a deduction lands silently
@@ -19,8 +19,8 @@ answer streams, including:
   the deductions, conflicts, sweeps and merged frontiers of one
   monolithic engine — an answer never crosses a static component, so no
   union ever needs two workers;
-* spawn-safety: pipe workers run under the ``spawn`` start method (the
-  default is ``fork`` where available, for zero-copy snapshots).
+* spawn-safety: socket workers run under the ``spawn`` start method (the
+  default is ``fork`` where available).
 
 Crash safety is covered via the coordinator's ``worker_fault_hook``: when
 every worker dies mid-command there is no survivor to re-ship components
@@ -28,7 +28,7 @@ to, which must surface a :class:`ShardWorkerError` naming a worker, its exit
 code, and the command — never hang — and poison the coordinator for further
 use.  The async runtime must propagate that error out of a live campaign.
 Recovery from the loss of *some* workers is pinned by the chaos cases in
-``test_distributed.py``, which run on both transports.
+``test_distributed.py``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from repro.crowd.clients import SimulatedPlatformClient
 
 from ..aio import run_async
 from ..strategies import worlds
+from ..worker_hosts import SHARED_HOSTS
 from .reference import (
     block_world,
     expiring_client_factory,
@@ -65,15 +66,13 @@ from .reference import (
     shuffled_client_factory,
 )
 
-PARALLEL = dict(backend="parallel", parallel_threshold=0)
+WORKERS = dict(backend="distributed")
 
 
-def pipe_coordinator(order, n_workers, **options) -> ShardCoordinator:
-    """The parallel backend's engine core, built as ``LabelingEngine``
-    builds it: pipe-attached local workers."""
-    return ShardCoordinator(
-        order, spawn_local_workers=n_workers, local_transport="pipe", **options
-    )
+def local_coordinator(order, n_workers, **options) -> ShardCoordinator:
+    """The distributed backend's engine core over ``n_workers`` spawned
+    local socket workers."""
+    return ShardCoordinator(order, spawn_local_workers=n_workers, **options)
 
 
 # ----------------------------------------------------------------------
@@ -91,9 +90,9 @@ class TestShuffledCompletionOrders:
         reference = reference_parallel(candidates, truth)
         dispatch = AsyncDispatch(
             RuntimeMode.ROUNDS,
-            n_workers=2,
+            spawn_local_workers=2,
             client_factory=shuffled_client_factory(seed),
-            **PARALLEL,
+            **WORKERS,
         )
         result = dispatch.run(candidates, truth)
         assert result.labels() == reference.labels()
@@ -104,16 +103,17 @@ class TestShuffledCompletionOrders:
     @given(worlds())
     @settings(max_examples=8, deadline=None)
     def test_parity_under_expiry_and_reissue(self, world):
-        """Abandoned HITs are re-issued until answered; the parallel engine
-        must absorb the duplicate/late deliveries exactly like the others."""
+        """Abandoned HITs are re-issued until answered; the worker-backed
+        engine must absorb the duplicate/late deliveries exactly like the
+        others."""
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
         reference = reference_parallel(candidates, truth)
         dispatch = AsyncDispatch(
             RuntimeMode.ROUNDS,
-            n_workers=2,
+            spawn_local_workers=2,
             client_factory=expiring_client_factory(seed=5),
-            **PARALLEL,
+            **WORKERS,
         )
         result = dispatch.run(candidates, truth)
         assert result.labels() == reference.labels()
@@ -131,8 +131,10 @@ class TestWorkerCountEquivalence:
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
         inproc = LabelingEngine(candidates, backend="monolithic")
-        with LabelingEngine(candidates, n_workers=n_workers, **PARALLEL) as par:
-            assert par.backend == "parallel"
+        with LabelingEngine(
+            candidates, spawn_local_workers=n_workers, **WORKERS
+        ) as par:
+            assert par.backend == "distributed"
             round_index = 0
             while not inproc.is_done:
                 batch_ref = inproc.frontier()
@@ -157,8 +159,8 @@ class TestWorkerCountEquivalence:
     def test_one_vs_many_workers_full_run(self, world):
         candidates, entity_of = world
         truth = GroundTruthOracle(entity_of)
-        one = AsyncDispatch(n_workers=1, **PARALLEL).run(candidates, truth)
-        many = AsyncDispatch(n_workers=3, **PARALLEL).run(candidates, truth)
+        one = AsyncDispatch(spawn_local_workers=1, **WORKERS).run(candidates, truth)
+        many = AsyncDispatch(spawn_local_workers=3, **WORKERS).run(candidates, truth)
         assert one.outcomes == many.outcomes
         assert one.rounds == many.rounds
 
@@ -172,7 +174,7 @@ class TestMergeStorms:
         # Make every block a single entity: all answers positive.
         objects = {obj for pair in order for obj in pair}
         all_match = GroundTruthOracle({obj: obj.split("o")[0] for obj in objects})
-        with LabelingEngine(order, n_workers=3, **PARALLEL) as par:
+        with LabelingEngine(order, spawn_local_workers=3, **WORKERS) as par:
             reference = LabelingEngine(order, backend="monolithic")
             round_index = 0
             while not reference.is_done:
@@ -200,7 +202,7 @@ class TestMergeStorms:
         rnd.shuffle(order)
         truth = GroundTruthOracle({i: 0 for i in range(n)})
         reference = reference_parallel(order, truth)
-        result = AsyncDispatch(n_workers=2, **PARALLEL).run(order, truth)
+        result = AsyncDispatch(spawn_local_workers=2, **WORKERS).run(order, truth)
         assert result.outcomes == reference.outcomes
         assert result.rounds == reference.rounds
 
@@ -466,7 +468,7 @@ class TestSpawnSafety:
     def test_full_run_under_spawn_start_method(self):
         order, truth = block_world(n_blocks=4, objects_per_block=4)
         with LabelingEngine(
-            order, n_workers=2, mp_start_method="spawn", **PARALLEL
+            order, spawn_local_workers=2, mp_start_method="spawn", **WORKERS
         ) as engine:
             assert engine.executor.start_method == "spawn"
             round_index = 0
@@ -488,7 +490,7 @@ class TestSpawnSafety:
 class TestExecutorDirect:
     def test_frontier_matches_reference_scan_through_publish_churn(self):
         order, truth = block_world()
-        with pipe_coordinator(order, 3) as executor:
+        with local_coordinator(order, 3) as executor:
             labeled = {}
             published = set()
             for step, pair in enumerate(order):
@@ -507,7 +509,7 @@ class TestExecutorDirect:
         re-selected after its pairs are published and answered."""
         order = [Pair(None, 1), Pair(1, 2), Pair(2, 3), Pair(None, 3)]
         order += [Pair("a", "b"), Pair("b", "c")]
-        with pipe_coordinator(order, 2) as executor:
+        with local_coordinator(order, 2) as executor:
             labeled = {}
             published = set(order[:3])
             assert executor.frontier() == order[:3] + order[4:]
@@ -523,8 +525,8 @@ class TestExecutorDirect:
 
     def test_component_assignment_is_balanced_and_deterministic(self):
         order, _ = block_world(n_blocks=9, objects_per_block=4)
-        a = pipe_coordinator(order, 3)
-        b = pipe_coordinator(order, 3)
+        a = local_coordinator(order, 3)
+        b = local_coordinator(order, 3)
         try:
             assert a.n_components == 9
             assert a.n_workers == 3
@@ -538,14 +540,14 @@ class TestExecutorDirect:
 
     def test_worker_cap_and_foreign_pairs(self):
         order, _ = block_world(n_blocks=2, objects_per_block=3)
-        with pipe_coordinator(order, 8) as executor:
+        with local_coordinator(order, 8) as executor:
             assert executor.n_workers == 2  # never more workers than components
             with pytest.raises(ValueError, match="not in the labeling order"):
                 executor.record_answer(Pair("x", "y"), Label.MATCHING)
 
     def test_cross_component_deduce_short_circuits(self):
         order, truth = block_world(n_blocks=2, objects_per_block=3)
-        with pipe_coordinator(order, 2) as executor:
+        with local_coordinator(order, 2) as executor:
             for pair in order:
                 executor.record_answer(pair, truth.label(pair))
             # Objects in different static components: no path can connect
@@ -555,7 +557,7 @@ class TestExecutorDirect:
 
     def test_close_is_idempotent_and_reaps_workers(self):
         order, _ = block_world(n_blocks=2, objects_per_block=3)
-        executor = pipe_coordinator(order, 2)
+        executor = local_coordinator(order, 2)
         pids = executor.worker_pids()
         assert executor.frontier()  # workers are alive and serving
         executor.close()
@@ -591,7 +593,7 @@ class TestCrashSafety:
 
     def test_worker_death_mid_sweep_raises_not_hangs(self):
         order, truth = block_world()
-        with pipe_coordinator(order, 2, worker_fault_hook=die_on_sweep) as ex:
+        with local_coordinator(order, 2, worker_fault_hook=die_on_sweep) as ex:
             batch = ex.frontier()
             ex.publish(batch, withhold=True)
             ex.record_answer(batch[0], truth.label(batch[0]))
@@ -610,7 +612,7 @@ class TestCrashSafety:
         the parent with every sibling reply consumed: the coordinator stays
         usable and later broadcasts still line up with their replies."""
         order, truth = block_world(n_blocks=4, objects_per_block=4)
-        with pipe_coordinator(
+        with local_coordinator(
             order, 2, worker_fault_hook=raise_on_worker0_sweep
         ) as ex:
             expected = must_crowdsource_frontier(order, {})
@@ -626,7 +628,7 @@ class TestCrashSafety:
 
     def test_worker_death_mid_frontier_raises(self):
         order, _ = block_world(n_blocks=3, objects_per_block=3)
-        with pipe_coordinator(order, 3, worker_fault_hook=die_on_frontier) as ex:
+        with local_coordinator(order, 3, worker_fault_hook=die_on_frontier) as ex:
             with pytest.raises(ShardWorkerError, match="exit code 5"):
                 ex.frontier()
 
@@ -634,7 +636,7 @@ class TestCrashSafety:
         """A campaign over the async runtime must propagate the crash as a
         clear error instead of stalling the event loop."""
         order, truth = block_world(n_blocks=3, objects_per_block=4)
-        engine = LabelingEngine(order, n_workers=2, **PARALLEL)
+        engine = LabelingEngine(order, spawn_local_workers=2, **WORKERS)
         for pid in engine.executor.worker_pids():
             os.kill(pid, 9)
         runtime = CrowdRuntime(
@@ -648,7 +650,7 @@ class TestCrashSafety:
 
     def test_engine_close_after_crash_is_clean(self):
         order, truth = block_world(n_blocks=2, objects_per_block=3)
-        engine = LabelingEngine(order, n_workers=2, **PARALLEL)
+        engine = LabelingEngine(order, spawn_local_workers=2, **WORKERS)
         for pid in engine.executor.worker_pids():
             os.kill(pid, 9)
         with pytest.raises(ShardWorkerError):
@@ -658,33 +660,36 @@ class TestCrashSafety:
 
 
 class TestBackendRegistration:
-    def test_auto_fallback_below_threshold(self):
+    def test_retired_parallel_backend_is_unknown(self):
+        """The pipe-worker backend is gone: its name is refused like any
+        unknown one (old spec documents decode it as ``auto``)."""
         order, _ = block_world(n_blocks=2, objects_per_block=3)
-        engine = LabelingEngine(order, backend="parallel")  # default threshold
-        assert engine.backend == "monolithic"  # fell back: order is tiny
-        assert engine.executor is None
-        forced = LabelingEngine(order, backend="parallel", parallel_threshold=0)
-        try:
-            assert forced.backend == "parallel"
-            assert forced.executor is not None
-        finally:
-            forced.close()
+        with pytest.raises(ValueError, match="backend must be one of"):
+            LabelingEngine(order, backend="parallel")
 
-    @pytest.mark.parametrize("n_workers", [0, -3])
     @pytest.mark.parametrize(
-        "threshold", [None, 0], ids=["below-threshold", "at-threshold"]
+        "remote, count",
+        [(False, 0), (False, -3), (True, -3)],
+        ids=["local-only-0", "local-only--3", "beside-remote--3"],
     )
-    def test_explicit_non_positive_worker_count_rejected(self, n_workers, threshold):
-        """The size fallback does not hide an explicit worker count below
-        one: it raises whether or not the order would spawn workers."""
+    def test_explicit_non_positive_worker_count_rejected(self, remote, count):
+        """An explicit local worker count is never read as the CPU-count
+        default: zero is refused when no remote host is named (zero local
+        workers beside remote hosts is a remote-only topology), and a
+        negative count is refused even beside remote hosts — before any
+        worker is dialled or spawned."""
         order, _ = block_world(n_blocks=2, objects_per_block=3)
-        options = {} if threshold is None else {"parallel_threshold": threshold}
+        workers = list(SHARED_HOSTS) if remote else None
         with pytest.raises(ValueError, match="at least one worker"):
-            LabelingEngine(order, backend="parallel", n_workers=n_workers, **options)
+            LabelingEngine(
+                order, workers=workers, spawn_local_workers=count, **WORKERS
+            )
 
     def test_result_readable_after_close(self):
         order, truth = block_world(n_blocks=2, objects_per_block=3)
-        dispatch = AsyncDispatch(RuntimeMode.ROUNDS, n_workers=2, **PARALLEL)
+        dispatch = AsyncDispatch(
+            RuntimeMode.ROUNDS, spawn_local_workers=2, **WORKERS
+        )
         result = dispatch.run(order, truth)  # runtime closes the pool
         for pair in order:
             assert result.label_of(pair) is truth.label(pair)

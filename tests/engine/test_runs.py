@@ -297,5 +297,5 @@ class TestRecordAnswers:
             assert set(engine.result.outcomes) == recorded
             assert engine.published == set(order) - recorded
             assert engine.result.n_crowdsourced == len(recorded)
-        worker_backed = backend in ("parallel", "distributed")
+        worker_backed = backend.startswith("distributed")
         assert flags[3] is (True if worker_backed else None)

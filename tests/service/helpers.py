@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.core.pairs import Label, Pair
 from repro.crowd.clients import (
@@ -51,8 +51,7 @@ def make_spec(
     batch_size: int = 4,
     n_assignments: int = 1,
     n_clusters: int = 3,
-    parallel_threshold: Optional[int] = None,
-    n_workers: Optional[int] = None,
+    workers: Optional[Iterable[str]] = None,
     spawn_local_workers: Optional[int] = None,
     extra_options: Optional[dict] = None,
     kind: str = "in-memory",
@@ -66,8 +65,7 @@ def make_spec(
         order=pairs,
         mode=mode,
         backend=backend,
-        parallel_threshold=parallel_threshold,
-        n_workers=n_workers,
+        workers=workers,
         spawn_local_workers=spawn_local_workers,
         journal=journal or JournalConfig(),
         platform=PlatformConfig(

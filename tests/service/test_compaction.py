@@ -21,6 +21,7 @@ from repro.service.journal import JOURNAL_VERSION, Journal
 from repro.spec import JournalConfig
 
 from ..aio import run_async
+from ..worker_hosts import SHARED_HOSTS
 from .helpers import (
     fingerprint_json,
     journal_record_offsets,
@@ -172,7 +173,9 @@ def test_compaction_requested_mid_run_lands_at_the_run_end(tmp_path):
     [
         ("monolithic", {}),
         ("vectorized", {}),
-        ("parallel", {"parallel_threshold": 0, "n_workers": 2}),
+        ("distributed", {"spawn_local_workers": 2}),
+        # Running hosts named by address: recovery dials them again.
+        ("distributed", {"workers": SHARED_HOSTS}),
     ],
 )
 def test_compacted_recovery_is_exact_on_every_backend(backend, kwargs, tmp_path):

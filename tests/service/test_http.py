@@ -201,10 +201,12 @@ def test_malformed_request_line_is_400_not_a_crash(tmp_path):
         pytest.param({"policy": "bogus"}, id="policy"),
         # These decode; the engine they name cannot be built.
         pytest.param({"backend": "bogus"}, id="backend"),
-        pytest.param({"backend": "parallel", "n_workers": 0}, id="no-workers"),
         pytest.param(
-            {"backend": "parallel", "n_workers": 0, "parallel_threshold": 0},
-            id="no-workers-at-threshold",
+            {"backend": "distributed", "spawn_local_workers": 0}, id="no-workers"
+        ),
+        # An older document counting its local workers as ``n_workers``.
+        pytest.param(
+            {"backend": "distributed", "n_workers": 0}, id="no-workers-legacy"
         ),
     ],
 )

@@ -25,6 +25,7 @@ from repro.service import CampaignService, RecoveryError
 from repro.service.journal import Journal
 
 from ..aio import run_async
+from ..worker_hosts import SHARED_HOSTS
 from .helpers import (
     fingerprint_json,
     journal_record_offsets,
@@ -158,8 +159,9 @@ def test_version_2_journal_recovers_to_its_recorded_fingerprint(
     [
         ("monolithic", {}),
         ("vectorized", {}),
-        ("parallel", {"parallel_threshold": 0, "n_workers": 2}),
         ("distributed", {"spawn_local_workers": 2}),
+        # Running hosts named by address: recovery dials them again.
+        ("distributed", {"workers": SHARED_HOSTS}),
     ],
 )
 def test_torn_journal_resumes_identical_on_every_backend(backend, kwargs, tmp_path):
@@ -195,6 +197,50 @@ def test_journal_naming_the_sharded_backend_recovers_as_monolithic(cut, tmp_path
         offsets = [i + 1 for i, byte in enumerate(old) if byte == 0x0A]
         end = offsets[len(offsets) // 2]
     assert recover_truncated(old, end, tmp_path, cut) == (fp, spend)
+
+
+@pytest.mark.parametrize("cut", ["whole", "half"])
+def test_journal_naming_the_parallel_backend_recovers_on_auto(cut, tmp_path):
+    """The fixture journal was recorded on the retired pipe-worker
+    ``parallel`` backend (instant mode, ``parallel_threshold: 0``,
+    ``n_workers: 2``).  Its header decodes to ``auto``: replayed whole, or
+    half replayed and the rest run live, it reaches the fingerprint and
+    spend recorded with it."""
+    journal_bytes = (FIXTURES / "journal-v3-parallel-instant.jsonl").read_bytes()
+    spec = json.loads(journal_bytes.splitlines()[0])["spec"]
+    assert (spec["backend"], spec["parallel_threshold"], spec["n_workers"]) == (
+        "parallel", 0, 2
+    )
+    recorded = json.loads(
+        (FIXTURES / "journal-v3-parallel-fingerprint.json").read_text()
+    )
+    if cut == "whole":
+        end = len(journal_bytes)
+    else:
+        offsets = [i + 1 for i, byte in enumerate(journal_bytes) if byte == 0x0A]
+        end = offsets[len(offsets) // 2]
+    root = tmp_path / cut
+    (root / "c1").mkdir(parents=True)
+    (root / "c1" / "journal.jsonl").write_bytes(journal_bytes[:end])
+
+    async def scenario():
+        service = CampaignService(root)
+        assert await service.recover() == ["c1"]
+        campaign = await service.wait("c1")
+        assert campaign.state.value == "done", campaign.error
+        assert campaign.spec.backend == "auto"
+        assert campaign.engine.backend == "monolithic"
+        got = (
+            fingerprint_json(campaign.engine),
+            campaign.runtime.report.assignments_committed,
+        )
+        await service.close()
+        return got
+
+    assert run_async(scenario()) == (
+        json.dumps(recorded["fingerprint"], sort_keys=True),
+        recorded["assignments_committed"],
+    )
 
 
 KILLED_CHILD = textwrap.dedent(
@@ -310,7 +356,7 @@ def _header_spec_overridden(journal_bytes: bytes, **fields) -> bytes:
         ),
         pytest.param(
             lambda good: _header_spec_overridden(
-                good, backend="parallel", n_workers=0, parallel_threshold=0
+                good, backend="distributed", spawn_local_workers=0
             ),
             "ValueError",
             id="unbuildable-engine",

@@ -183,20 +183,19 @@ def test_pause_during_the_start_yield_defers_everything(tmp_path):
     assert state is CampaignState.DONE
 
 
-def test_cancel_releases_the_parallel_worker_pool(tmp_path):
+def test_cancel_releases_the_worker_hosts(tmp_path):
     async def scenario():
         service = CampaignService(tmp_path)
         register_stepped(service)
         campaign = await service.create(
             make_spec(
                 "instant",
-                backend="parallel",
-                parallel_threshold=0,
-                n_workers=2,
+                backend="distributed",
+                spawn_local_workers=2,
                 kind="stepped-in-memory",
             )
         )
-        assert campaign.engine.backend == "parallel"
+        assert campaign.engine.backend == "distributed"
         executor = campaign.engine.executor
         assert not executor.closed
         while campaign.client.n_outstanding_hits == 0:

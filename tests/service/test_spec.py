@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro
@@ -21,6 +23,7 @@ from repro.crowd.campaign import run_transitive
 from repro.crowd.latency import TimeoutPolicy
 from repro.crowd.aggregation import WeightedAggregation
 from repro.crowd.review import ApproveAll, EscalateOnLowConfidence
+from repro.engine import LabelingEngine, vectorized_available
 from repro.engine.async_dispatch import AsyncDispatch, CrowdRuntime, RuntimeMode
 from repro.spec import SPEC_SCHEMA_VERSION
 
@@ -36,10 +39,9 @@ def full_spec() -> CampaignSpec:
         order=[CandidatePair(make_pair(a, b), 0.7) for a, b in PAIRS],
         mode="rounds",
         policy=ConflictPolicy.FIRST_WINS,
-        backend="parallel",
+        backend="distributed",
         shard_threshold=10,
-        parallel_threshold=20,
-        n_workers=2,
+        spawn_local_workers=2,
         budget=BudgetPolicy(
             max_cost=12.5, max_assignments=400, model=CostModel(price_per_assignment=0.05)
         ),
@@ -138,12 +140,28 @@ def test_engine_backend_enum_is_accepted_everywhere():
 
 
 def test_build_engine_honours_spec_knobs():
-    spec = CampaignSpec(
-        order=PAIRS, mode="sequential", backend="parallel", parallel_threshold=100
-    )
-    engine = spec.build_engine()
+    small = CampaignSpec(order=PAIRS, mode="sequential", shard_threshold=100)
+    engine = small.build_engine()
     assert engine.backend == "monolithic"  # below the spec's threshold
     engine.close()
+    engine = replace(small, shard_threshold=len(PAIRS)).build_engine()
+    assert engine.backend == (
+        "vectorized" if vectorized_available() else "monolithic"
+    )
+    engine.close()
+
+
+def test_retired_parallel_knobs_are_not_accepted():
+    """The pipe-worker backend's knobs went with it: no entry point takes
+    ``n_workers`` or ``parallel_threshold`` (``spawn_local_workers`` counts
+    local workers)."""
+    for knob in ({"n_workers": 2}, {"parallel_threshold": 0}):
+        with pytest.raises(TypeError):
+            CampaignSpec(order=PAIRS, **knob)
+        with pytest.raises(TypeError):
+            LabelingEngine(PAIRS_AS_PAIRS(), **knob)
+        with pytest.raises(TypeError):
+            AsyncDispatch(RuntimeMode.ROUNDS, **knob)
 
 
 def test_sync_dispatch_strategies_accept_spec():
@@ -366,6 +384,8 @@ class TestSchemaVersion2:
         assert data["aggregation"]["kind"] == "majority"
         assert data["workers"] is None
         assert data["spawn_local_workers"] is None
+        assert "n_workers" not in data
+        assert "parallel_threshold" not in data
 
     def test_version_2_documents_decode_without_distributed_knobs(self):
         data = CampaignSpec(order=PAIRS).to_dict()
@@ -391,6 +411,41 @@ class TestSchemaVersion2:
         engine = spec.build_engine()
         assert engine.backend == "monolithic"
         engine.close()
+
+    def test_version_3_parallel_documents_decode_as_auto(self):
+        """``parallel`` ran the shard protocol over pipe workers and was
+        retired: a document naming it builds the ``auto`` backend, ignores
+        its ``parallel_threshold``, and keeps its ``n_workers`` as the
+        local worker count."""
+        data = CampaignSpec(order=PAIRS, mode="sequential").to_dict()
+        data.update(backend="parallel", parallel_threshold=0, n_workers=2)
+        spec = CampaignSpec.from_dict(data)
+        assert spec.backend == "auto"
+        assert spec.spawn_local_workers == 2
+        encoded = spec.to_dict()
+        assert encoded["backend"] == "auto"
+        assert "parallel_threshold" not in encoded and "n_workers" not in encoded
+        engine = spec.build_engine()
+        assert engine.backend == "monolithic"  # auto, below the threshold
+        assert engine.executor is None
+        engine.close()
+
+    def test_legacy_n_workers_counts_local_workers(self):
+        """A distributed document from before ``n_workers`` went builds
+        that many local workers, unless it also names ``workers`` or
+        ``spawn_local_workers``."""
+        data = CampaignSpec(order=PAIRS, backend="distributed").to_dict()
+        data["n_workers"] = 2
+        spec = CampaignSpec.from_dict(data)
+        assert spec.spawn_local_workers == 2
+        with spec.build_engine() as engine:
+            assert engine.executor.n_workers == 2
+            assert len(engine.executor.worker_pids()) == 2
+        assert CampaignSpec.from_dict(
+            {**data, "spawn_local_workers": 1}
+        ).spawn_local_workers == 1
+        remote = CampaignSpec.from_dict({**data, "workers": ["alpha:9000"]})
+        assert remote.spawn_local_workers is None
 
     def test_workers_round_trip_and_validation(self):
         spec = CampaignSpec(
